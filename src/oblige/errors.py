@@ -40,6 +40,14 @@ class MalformedBlock(ObligeError):
     """An encoded edge block violates the wire format."""
 
 
+class MalformedPartyFile(ObligeError):
+    """A party's input is unreadable or names vertices it cannot hold.
+
+    Raised for a bad record tag, a missing or non-integer field, a vertex
+    key outside [0, 2^64), and an edge to a key the party does not list.
+    """
+
+
 class ParamMismatch(ObligeError):
     """Parties submitted grids built against inconsistent public parameters."""
 

@@ -8,6 +8,8 @@ benchmark behavior.
 
 import numpy as np
 
+from .errors import MalformedPartyFile
+
 RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
 
 
@@ -84,16 +86,27 @@ def write_party_file(path, raw_keys, edges):
 
 
 def read_party_file(path):
+    """(keys, edges) from `v <key>` and `e <u> <v>` lines; keys are in [0, 2^64)."""
     keys, edges = [], []
+    line = ""
     with open(path) as fp:
-        for line in fp:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                keys.append(int(parts[1]))
-            elif parts[0] == "e":
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError("bad party file line: %r" % line)
+        try:
+            for line in fp:
+                parts = line.split()
+                if not parts:
+                    continue
+                tag = parts[0]
+                if tag == "v":
+                    _, key = parts
+                    keys.append(int(key))
+                elif tag == "e":
+                    _, u, v = parts
+                    edges.append((int(u), int(v)))
+                else:
+                    raise ValueError("unknown record tag %r" % tag)
+        except ValueError as err:  # also raised by a wrong field count
+            raise MalformedPartyFile("%s: bad line %r: %s"
+                                     % (path, line.strip(), err)) from None
+    if keys and (min(keys) < 0 or max(keys) >= 1 << 64):
+        raise MalformedPartyFile("%s: vertex keys must lie in [0, 2^64)" % path)
     return keys, edges

@@ -405,7 +405,9 @@ class Buffer:
     All element reads and writes go through the trace.  `data` is exposed for
     in-OM computation over values already accounted for by a recorded access;
     bulk helpers keep the recorded pattern and the actual data movement side
-    by side so they cannot drift apart.
+    by side so they cannot drift apart.  The grid scan is the exception: it
+    records its per-block reads with ``trace.seq`` directly and copies
+    nothing, then moves each column's data in one step (see `oblige.scan`).
     """
 
     def __init__(self, trace, name, data, record_init=False, worker=0):
@@ -453,7 +455,6 @@ class OMSim:
         self.om_bytes = om_bytes
         self.trace = AccessTrace(granularity=granularity, enabled=enabled)
         self.arenas = []
-        self._shared = {}
         self.osort_log = []
         self.last_scan_peaks = []
 
@@ -461,16 +462,6 @@ class OMSim:
         arena = OMArena(self.om_bytes)
         self.arenas.append(arena)
         return arena
-
-    def arena(self, worker=0):
-        """Shared per-worker arena for routine-level callers."""
-        arena = self._shared.get(worker)
-        if arena is None:
-            arena = self._shared[worker] = self.new_arena()
-        return arena
-
-    def buffer(self, name, data):
-        return Buffer.wrap(self.trace, name, data)
 
     def buffer_from_rows(self, name, rows, worker=0):
         return Buffer.from_rows(self.trace, name, rows, worker=worker)

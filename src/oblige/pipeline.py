@@ -34,7 +34,7 @@ import numpy as np
 
 from . import apps as apps_mod
 from . import baselines
-from .errors import ObligeError, ParamMismatch, UnknownSource
+from .errors import MalformedPartyFile, ObligeError, ParamMismatch, UnknownSource
 from .grid import (
     EDGE_DTYPE,
     GridGraph,
@@ -109,8 +109,8 @@ class Party:
         self._known = set(self.raw_keys)
         for u, v in self.edges:
             if u not in self._known or v not in self._known:
-                raise ValueError("party %d has an edge endpoint outside its vertex set"
-                                 % index)
+                raise MalformedPartyFile(
+                    "party %d has an edge endpoint outside its vertex set" % index)
         self.mapping = None  # (h, l) -> mapped, filled by receive_mapping
 
     @property

@@ -7,13 +7,24 @@ entire fixed-length edge list, padding included; finally the destination
 chunk is written back whether or not it changed.  The observable pattern is
 therefore a pure function of (b, k, l, record widths, worker assignment).
 
-The per-edge kernel only ever touches the two OM-resident chunks, so the
-null-edge check and all value-dependent work stay invisible.  Kernels are
-vectorized: ``kernel(src_chunk, dst_chunk, src_off, dst_off)`` receives the
-two chunk arrays plus the chunk-relative endpoints of the real edges and
-mutates the chunk its scan direction owns (the destination chunk for
-`full_scan`, the source chunk for `full_scan_rows`).  Repeated indices are
-applied in stored order, so float accumulation is reproducible run to run.
+The trace is recorded block by block in exactly that order (other chunk,
+then the block's l slots), but the simulator moves the data once per column:
+the kernel is called once with the real edges of the whole column (block
+rows 0..b-1, stored order within each block), so a scan makes b kernel calls
+and b edge gathers rather than b^2.  The per-block reads are recorded with
+``trace.seq`` and copy nothing.
+
+Kernel contract: ``kernel(src, dst, src_off, dst_off)`` is vectorized and
+called once per column (per row for `full_scan_rows`).  The side the scan
+direction owns (the destination chunk for `full_scan`, the source chunk for
+`full_scan_rows`) is its OM-resident chunk with chunk-relative offsets, and
+the kernel mutates it.  The other side is the whole vertex array with global
+offsets; the kernel only reads it, and only at endpoints of this column's
+edges, whose chunks the recorded per-block reads cover, so the null-edge
+check and all value-dependent work stay invisible.  No input array is
+written during a scan: write-back goes to a fresh output buffer.  Repeated
+indices are applied in stored order, so float accumulation is bit-identical
+to a block-at-a-time scan and reproducible run to run.
 
 Columns are assigned to workers statically and cyclically (column c goes to
 worker c mod W); each worker gets a private OM arena of the full capacity,
@@ -25,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityExceeded
 from .grid import RESERVE_BYTES
-from .omsim import Buffer
+from .omsim import READ, Buffer
 
 
 def _check_vertex_width(params, *bufs):
@@ -42,11 +53,13 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     k, b, l, n = params.k, params.b, params.l, params.n
     _check_vertex_width(params, src_vals, dst_vals)
 
-    owned_vals = src_vals if by_rows else dst_vals
+    owned_vals, other_vals = (src_vals, dst_vals) if by_rows else (dst_vals, src_vals)
     if out_name is None:
         out_name = owned_vals.name
-    edges = Buffer.wrap(sim.trace, grid.region_name, grid.edges)
-    out = Buffer.wrap(sim.trace, out_name, np.empty_like(owned_vals.data))
+    trace = sim.trace
+    trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
+    out = Buffer.wrap(trace, out_name, np.empty_like(owned_vals.data))
+    blocks = grid.edges.reshape(b, b, l)
 
     peaks = []
     for w in range(workers):
@@ -60,18 +73,18 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
             owned = owned_vals.read(lo, hi, worker=w)
             for inner in range(b):
                 ilo = inner * k
-                ihi = min(ilo + k, n)
-                other = (dst_vals if by_rows else src_vals).read(ilo, ihi, worker=w)
-                r, c = (outer, inner) if by_rows else (inner, outer)
-                base = (r * b + c) * l
-                blk = edges.read(base, base + l, worker=w)
-                real = blk["pad"] == 0
-                soff = (blk["src"][real] - np.uint64(r * k)).astype(np.int64)
-                doff = (blk["dst"][real] - np.uint64(c * k)).astype(np.int64)
-                if by_rows:
-                    kernel(owned, other, soff, doff)
-                else:
-                    kernel(other, owned, soff, doff)
+                trace.seq(w, other_vals.name, READ, ilo, min(ilo + k, n) - ilo)
+                base = ((outer * b + inner) if by_rows else (inner * b + outer)) * l
+                trace.seq(w, grid.region_name, READ, base, l)
+            # One kernel call over the real edges of blocks 0..b-1 of the line.
+            line = blocks[outer] if by_rows else blocks[:, outer]
+            real = line[line["pad"] == 0]
+            src = real["src"].astype(np.int64)
+            dst = real["dst"].astype(np.int64)
+            if by_rows:
+                kernel(owned, other_vals.data, src - lo, dst)
+            else:
+                kernel(other_vals.data, owned, src, dst - lo)
             # Unconditional write-back, changed or not.
             out.write(lo, owned, worker=w)
             arena.free(other_om)

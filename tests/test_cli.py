@@ -166,3 +166,27 @@ def test_bench_om_sweep_shape(tmp_path):
     assert len(lines) == 4
     oms = [int(line.split(",")[2]) for line in lines[1:]]
     assert oms == [16 * 1024, 32 * 1024, 64 * 1024]
+
+
+@pytest.mark.parametrize("lines", [
+    ["v -1", "v 2", "e 2 -1"],                # negative key
+    ["v 1", "x 1"],                           # unknown record tag
+    ["v 1", "v 2", "e 1 3"],                  # edge to an unlisted key
+    ["v 1", "v"],                             # missing key field
+    ["v 1", "v 2", "e 1"],                    # missing edge field
+    ["v 1", "v two"],                         # non-integer key
+    ["v 1", "v 2", "e 1 2.0"],                # non-integer endpoint
+    ["v 1", "v %d" % (1 << 64)],              # key beyond 64 bits
+    ["v 1", "v 2", "e 1 2 2"],                # extra field
+], ids=["negative-key", "bad-tag", "unlisted-endpoint", "missing-key",
+        "missing-endpoint", "non-integer-key", "non-integer-endpoint", "wide-key",
+        "extra-field"])
+def test_run_malformed_party_file_exits_2(lines, tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    good.write_text("v 5\nv 6\ne 5 6\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["run", str(good), str(bad), "--app", "pr", "-t", "1",
+                 "--om", "64KiB", "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "MalformedPartyFile" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblige.errors import CapacityExceeded
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
-from oblige.omsim import OMSim
+from oblige.omsim import CACHELINE, ELEMENT, Buffer, OMSim
 from oblige.scan import full_scan, full_scan_rows
 
 VAL = np.dtype([("v", "<f8")])
@@ -155,3 +157,162 @@ def test_oversized_vertex_records_rejected():
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=wide))
     with pytest.raises(CapacityExceeded):
         full_scan(grid, src, dst, add_kernel, sim, out_name="vout")
+
+
+# -- oracle: the block-at-a-time scan ------------------------------------------
+
+def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
+    """Reference scan: copy every chunk and block, one kernel call per block.
+
+    Kernels see two chunk arrays with chunk-relative offsets on both sides;
+    a kernel that indexes its inputs only by the given offsets runs unchanged
+    under both scans.
+    """
+    params = grid.params
+    k, b, l, n = params.k, params.b, params.l, params.n
+    owned_vals = src_vals if by_rows else dst_vals
+    edges = Buffer.wrap(sim.trace, grid.region_name, grid.edges)
+    out = Buffer.wrap(sim.trace, out_name, np.empty_like(owned_vals.data))
+    peaks = []
+    for w in range(workers):
+        arena = sim.new_arena()
+        for outer in range(w, b, workers):
+            reserve = arena.alloc(RESERVE_BYTES)
+            owned_om = arena.alloc(k * params.vwidth)
+            other_om = arena.alloc(k * params.vwidth)
+            lo = outer * k
+            hi = min(lo + k, n)
+            owned = owned_vals.read(lo, hi, worker=w)
+            for inner in range(b):
+                ilo = inner * k
+                ihi = min(ilo + k, n)
+                other = (dst_vals if by_rows else src_vals).read(ilo, ihi, worker=w)
+                r, c = (outer, inner) if by_rows else (inner, outer)
+                base = (r * b + c) * l
+                blk = edges.read(base, base + l, worker=w)
+                real = blk["pad"] == 0
+                soff = (blk["src"][real] - np.uint64(r * k)).astype(np.int64)
+                doff = (blk["dst"][real] - np.uint64(c * k)).astype(np.int64)
+                if by_rows:
+                    kernel(owned, other, soff, doff)
+                else:
+                    kernel(other, owned, soff, doff)
+            out.write(lo, owned, worker=w)
+            arena.free(other_om)
+            arena.free(owned_om)
+            arena.free(reserve)
+        peaks.append(arena.peak)
+    sim.last_scan_peaks = peaks
+    return out
+
+
+def mixed_add_kernel(src_chunk, dst_chunk, soff, doff):
+    # Float sums over mixed magnitudes: any change of summation order shows.
+    np.add.at(dst_chunk["v"], doff, src_chunk["v"][soff] * 0.7)
+
+
+def pull_kernel(src_chunk, dst_chunk, soff, doff):
+    # Row-scan kernel that reads the other (destination) side.
+    np.add.at(src_chunk["v"], soff, dst_chunk["v"][doff] + 0.1)
+
+
+def mixed_values(rng, n):
+    return rng.choice([1e16, -1e16, 1.0, 3.3e-3, 7.0], size=n) * rng.random(n)
+
+
+def assert_matches_block_scan(edges, n, k, workers, by_rows, same_buffer,
+                              granularity, seed=0):
+    params = PublicParams.derive(p=1, n_i=[n], n=n, t=1,
+                                 s=2 * k * 8 + RESERVE_BYTES, vwidth=8)
+    assert params.k == k
+    load = np.bincount([(u // k) * params.b + v // k for u, v in edges] or [0],
+                       minlength=params.b * params.b).max()
+    grid = build_grid(edges, params, block_length=max(int(load), 1))
+    rng = np.random.default_rng(seed)
+    src_init = np.zeros(n, dtype=VAL)
+    src_init["v"] = mixed_values(rng, n)
+    dst_init = np.zeros(n, dtype=VAL)
+    dst_init["v"] = mixed_values(rng, n)
+    kernel = pull_kernel if by_rows else mixed_add_kernel
+    scan = full_scan_rows if by_rows else full_scan
+
+    def run(scan_fn):
+        sim = OMSim(params.s, granularity=granularity)
+        src = sim.buffer_from_rows("vsrc", src_init)
+        dst = src if same_buffer else sim.buffer_from_rows("vdst", dst_init)
+        out = scan_fn(src, dst, sim)
+        # the scan writes only its output buffer
+        assert src.data.tobytes() == src_init.tobytes()
+        if not same_buffer:
+            assert dst.data.tobytes() == dst_init.tobytes()
+        return out, sim
+
+    got, sim = run(lambda src, dst, sim: scan(
+        grid, src, dst, kernel, sim, workers=workers, out_name="vout"))
+    want, ref_sim = run(lambda src, dst, sim: block_scan(
+        grid, src, dst, kernel, sim, workers, "vout", by_rows))
+    assert got.data.tobytes() == want.data.tobytes()
+    assert sim.trace.mark() == ref_sim.trace.mark()
+    assert sim.trace.worker_digests() == ref_sim.trace.worker_digests()
+    assert sim.last_scan_peaks == ref_sim.last_scan_peaks
+    return got
+
+
+def repeated_dst_edges(n, seed):
+    rng = np.random.default_rng(seed)
+    m = 6 * n
+    src = rng.integers(0, n, size=m)
+    dst = rng.choice([0, 1, n - 1], size=m)  # many repeats of few destinations
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+@pytest.mark.parametrize("granularity", [ELEMENT, CACHELINE])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_column_scan_matches_block_scan(workers, by_rows, granularity):
+    # n=11, k=3: b=4 with a short last chunk
+    edges = repeated_dst_edges(11, seed=workers)
+    if by_rows:
+        edges = [(v, u) for u, v in edges]
+    assert_matches_block_scan(edges, n=11, k=3, workers=workers, by_rows=by_rows,
+                              same_buffer=False, granularity=granularity)
+
+
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_column_scan_all_padding_line(by_rows):
+    # nothing touches chunk 1 (vertices 3..5) on the owned side; b=4
+    edges = [(u, v) for u in range(11) for v in (0, 7, 10)]
+    if by_rows:
+        edges = [(v, u) for u, v in edges]
+    for workers in (1, 2):
+        out = assert_matches_block_scan(edges, n=11, k=3, workers=workers,
+                                        by_rows=by_rows, same_buffer=False,
+                                        granularity=ELEMENT)
+        owned_init = assert_matches_block_scan([], n=11, k=3, workers=workers,
+                                               by_rows=by_rows, same_buffer=False,
+                                               granularity=ELEMENT)
+        assert out.data[3:6].tobytes() == owned_init.data[3:6].tobytes()
+
+
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_column_scan_shared_state_buffer(by_rows):
+    # the BFS/WCC shape: one vertex buffer is both source and destination
+    edges = repeated_dst_edges(14, seed=5)
+    for workers in (1, 3):
+        assert_matches_block_scan(edges, n=14, k=4, workers=workers,
+                                  by_rows=by_rows, same_buffer=True,
+                                  granularity=CACHELINE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 5), st.data())
+def test_column_scan_matches_block_scan_drawn(n, k, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=40))
+    assert_matches_block_scan(
+        edges, n=n, k=k,
+        workers=data.draw(st.integers(1, 3)),
+        by_rows=data.draw(st.booleans()),
+        same_buffer=data.draw(st.booleans()),
+        granularity=data.draw(st.sampled_from([ELEMENT, CACHELINE])),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)))
