@@ -44,8 +44,13 @@ class MalformedPartyFile(ObligeError):
     """A party's input is unreadable or names vertices it cannot hold.
 
     Raised for a bad record tag, a missing or non-integer field, a vertex
-    key outside [0, 2^64), and an edge to a key the party does not list.
+    key outside [0, 2^64), an edge to a key the party does not list, and
+    keys (or edge endpoints) of more than one type among int, str, bytes.
     """
+
+
+class MissingID(ObligeError):
+    """A MAP_RETURN or RESULT_RETURN message lacks one of the party's own IDs."""
 
 
 class ParamMismatch(ObligeError):

@@ -14,7 +14,6 @@ little-endian, bit 0 first, padded with zero bits to a byte boundary, so the
 encoded size is a pure function of (k, l).
 """
 
-import io
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -173,54 +172,83 @@ def build_grid(edges, params, symmetrized=False, block_length=None):
     return GridGraph(params, stored, m, symmetrized=symmetrized)
 
 
+def _field_layout(k, l):
+    """Bit width, start byte and in-byte shift of the 2l fields of one block.
+
+    Every block starts on a byte boundary, so the layout is the same for all
+    blocks.  A field plus its shift spans at most 8 bytes for w <= 57.
+    """
+    w = offset_bits(k)
+    if w > 57:
+        raise ParamMismatch("chunk offsets of %d bits exceed the 57-bit codec" % w)
+    start = np.arange(2 * l, dtype=np.uint64) * np.uint64(w)
+    return w, (start >> np.uint64(3)).astype(np.intp), start & np.uint64(7)
+
+
+def _encode_blocks(blocks, k):
+    """Encode a (B, l) array of blocks into a (B, nbytes) uint8 array, one pass."""
+    n_blocks, l = blocks.shape
+    w, byte, shift = _field_layout(k, l)
+    kk = np.uint64(k)
+    null = blocks["pad"] == 1
+    fields = np.empty((n_blocks, l, 2), dtype=np.uint64)
+    fields[..., 0] = np.where(null, kk, blocks["src"] % kk)
+    fields[..., 1] = np.where(null, kk, blocks["dst"] % kk)
+    fields = fields.reshape(n_blocks, 2 * l)
+    out = np.zeros((n_blocks, encoded_block_nbytes(k, l) + 8), dtype=np.uint8)
+    # Fields i, i+8, i+16, ... start in distinct bytes, so each class can be
+    # OR-ed into place without two fields hitting one byte in a single step.
+    for first in range(min(8, 2 * l)):
+        cls = slice(first, None, 8)
+        word = fields[:, cls] << shift[cls]
+        for t in range((w + 14) // 8):
+            out[:, byte[cls] + t] |= (word >> np.uint64(8 * t)).astype(np.uint8)
+    return out[:, :-8]
+
+
 def encode_block(block, k):
     """Encode one block as packed w-bit offset pairs; nulls become (k, k)."""
-    w = offset_bits(k)
-    l = len(block)
-    if l == 0:
-        return b""
-    kk = np.uint64(k)
-    src_off = np.where(block["pad"] == 1, kk, block["src"] % kk)
-    dst_off = np.where(block["pad"] == 1, kk, block["dst"] % kk)
-    fields = np.empty(2 * l, dtype=np.uint64)
-    fields[0::2] = src_off
-    fields[1::2] = dst_off
-    shifts = np.arange(w, dtype=np.uint64)
-    bits = ((fields[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    return _encode_blocks(block.reshape(1, -1), k).tobytes()
 
 
 def decode_block(data, k, l, r, c):
     """Inverse of :func:`encode_block`, rebasing offsets to absolute IDs.
 
-    Raises :class:`MalformedBlock` on a wrong payload length, an offset in
+    `r` and `c` are the block's row and column, or equal-length arrays of
+    them when `data` holds that many encoded blocks back to back; the
+    decoded blocks are returned concatenated.  Raises
+    :class:`MalformedBlock` on a wrong payload length, an offset in
     (k, 2^w), or a half-null pair (exactly one field equal to k): none of
     these can be produced by a conforming client.
     """
-    w = offset_bits(k)
-    expected = (2 * w * l + 7) // 8
+    rows = np.atleast_1d(np.asarray(r, dtype=np.uint64))
+    cols = np.atleast_1d(np.asarray(c, dtype=np.uint64))
+    n_blocks = len(rows)
+    expected = n_blocks * encoded_block_nbytes(k, l)
     if len(data) != expected:
         raise MalformedBlock(
             "block payload is %d bytes, expected %d" % (len(data), expected)
         )
-    out = np.zeros(l, dtype=EDGE_DTYPE)
-    if l == 0:
+    out = np.zeros(n_blocks * l, dtype=EDGE_DTYPE)
+    if not len(out):
         return out
-    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bits = raw[:2 * w * l].reshape(2 * l, w).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(w, dtype=np.uint64)
-    fields = bits @ weights
-    src_off, dst_off = fields[0::2], fields[1::2]
-    if max(int(src_off.max()), int(dst_off.max())) > k:
+    w, byte, shift = _field_layout(k, l)
+    padded = np.zeros((n_blocks, expected // n_blocks + 8), dtype=np.uint8)
+    padded[:, :-8] = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, -1)
+    word = np.zeros((n_blocks, 2 * l), dtype=np.uint64)
+    for t in range((w + 14) // 8):
+        word |= padded[:, byte + t].astype(np.uint64) << np.uint64(8 * t)
+    fields = (word >> shift) & np.uint64((1 << w) - 1)
+    src_off, dst_off = fields[:, 0::2], fields[:, 1::2]
+    if int(fields.max()) > k:
         raise MalformedBlock("offset exceeds the null sentinel value k=%d" % k)
     src_null = src_off == k
-    dst_null = dst_off == k
-    if (src_null != dst_null).any():
+    if (src_null != (dst_off == k)).any():
         raise MalformedBlock("half-null edge encoding")
-    out["pad"] = src_null.astype(np.uint8)
-    keep = ~src_null
-    out["src"][keep] = src_off[keep] + np.uint64(r * k)
-    out["dst"][keep] = dst_off[keep] + np.uint64(c * k)
+    kk = np.uint64(k)
+    out["pad"] = src_null.reshape(-1)
+    out["src"] = np.where(src_null, 0, src_off + rows[:, None] * kk).reshape(-1)
+    out["dst"] = np.where(src_null, 0, dst_off + cols[:, None] * kk).reshape(-1)
     return out
 
 
@@ -229,19 +257,6 @@ def encoded_block_nbytes(k, l):
 
 
 _HEADER = struct.Struct("<4sI5Q")  # magic, version, n, k, b, l, block bytes
-
-
-def pack_grid_payload(n, k, b, l, encoded_blocks):
-    """Serialize the grid container: header + b^2 encoded blocks, row-major."""
-    nbytes = encoded_block_nbytes(k, l)
-    out = io.BytesIO()
-    out.write(_HEADER.pack(GRID_MAGIC, GRID_VERSION, n, k, b, l, nbytes))
-    for blob in encoded_blocks:
-        if len(blob) != nbytes:
-            raise MalformedBlock("encoded block has %d bytes, expected %d"
-                                 % (len(blob), nbytes))
-        out.write(blob)
-    return out.getvalue()
 
 
 def parse_grid_header(payload):
@@ -264,11 +279,20 @@ def grid_block_payload(payload, header, r, c):
 
 
 def encode_grid(n, k, b, stored_edges, l):
-    """Encode flat block storage (as built by group_into_blocks) to a payload."""
-    blocks = [
-        encode_block(stored_edges[x * l:(x + 1) * l], k) for x in range(b * b)
-    ]
-    return pack_grid_payload(n, k, b, l, blocks)
+    """Encode flat block storage (as built by group_into_blocks) to a payload.
+
+    The container is the header followed by the b^2 encoded blocks,
+    row-major; all blocks are encoded in one pass.
+    """
+    body = _encode_blocks(stored_edges.reshape(b * b, l), k)
+    header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, n, k, b, l,
+                          encoded_block_nbytes(k, l))
+    return header + body.tobytes()
+
+
+def block_coordinates(b):
+    """Row and column of each of the b^2 blocks, in row-major storage order."""
+    return np.repeat(np.arange(b), b), np.tile(np.arange(b), b)
 
 
 def save_grid(path, grid):
@@ -293,11 +317,8 @@ def load_grid(path, params=None, symmetrized=False):
             l_i=[header["l"]],
         )
     b, l, k = header["b"], header["l"], header["k"]
-    edges = np.zeros(b * b * l, dtype=EDGE_DTYPE)
-    for r in range(b):
-        for c in range(b):
-            blob = grid_block_payload(payload, header, r, c)
-            edges[(r * b + c) * l:(r * b + c + 1) * l] = decode_block(blob, k, l, r, c)
+    edges = decode_block(memoryview(payload)[header["header_nbytes"]:], k, l,
+                         *block_coordinates(b))
     m = int((edges["pad"] == 0).sum())
     if params.l != l:
         params = params.with_block_lengths([l])

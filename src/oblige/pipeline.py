@@ -11,7 +11,13 @@ Server-side stages are assembled purely from the oblivious routines over
 arrays of public lengths, and network sends/receives are traced as
 sequential passes over the message buffers (message sizes are public
 parameters).  Party-local work is non-oblivious by design: it runs on the
-party's own trusted machine.
+party's own trusted machine.  It is array work throughout: a party resolves
+each edge endpoint to the index of its key once, with one `searchsorted`
+over its sorted keys; it matches the IDs of a returned message to its own
+by sorting the rows on the 128-bit ID and searching them, so mapping its
+edges is one fancy index.  A party's keys must all be of one type (int,
+str or bytes), and so must its edge endpoints: the byte encodings of
+different types can collide.
 
 Mapped IDs are assigned 0-based in ascending obfuscated-ID order (a dense
 rank), which differs from the 1-based counter a direct reading of the
@@ -28,20 +34,27 @@ Message formats (all integers little-endian):
 import hashlib
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List
 
 import numpy as np
 
 from . import apps as apps_mod
 from . import baselines
-from .errors import MalformedPartyFile, ObligeError, ParamMismatch, UnknownSource
+from .errors import (
+    MalformedPartyFile,
+    MissingID,
+    ObligeError,
+    ParamMismatch,
+    UnknownSource,
+)
 from .grid import (
     EDGE_DTYPE,
     GridGraph,
     PublicParams,
+    block_coordinates,
     decode_block,
     encode_grid,
-    grid_block_payload,
     group_into_blocks,
     parse_grid_header,
 )
@@ -73,18 +86,29 @@ def _key_bytes(key):
     raise TypeError("raw vertex keys must be int, str or bytes")
 
 
+def _encode_keys(raw_keys):
+    """The hashed byte string of every key (see `_key_bytes`)."""
+    if set(map(type, raw_keys)) == {int}:  # party files: skip the type dispatch
+        return [key.to_bytes(8, "little") for key in raw_keys]
+    return list(map(_key_bytes, raw_keys))
+
+
 def obfuscate_ids(raw_keys, salt):
     """Keyed 128-bit digests of the raw keys; equal key and salt give equal IDs.
 
     Chaotic IDs both hide the raw identities from other parties and spread
-    vertices evenly over the chunks, which keeps block loads balanced.
+    vertices evenly over the chunks, which keeps block loads balanced.  Each
+    ID is the first 16 bytes of sha256(salt + key bytes), read as (h, l).
     """
-    out = np.zeros(len(raw_keys), dtype=ID_DTYPE)
-    for i, key in enumerate(raw_keys):
-        digest = hashlib.sha256(salt + _key_bytes(key)).digest()[:16]
-        out["h"][i] = int.from_bytes(digest[:8], "little")
-        out["l"][i] = int.from_bytes(digest[8:], "little")
-    return out
+    prefix = hashlib.sha256(salt)
+
+    def digest(data):
+        h = prefix.copy()
+        h.update(data)
+        return h.digest()[:16]
+
+    return np.frombuffer(bytearray().join(map(digest, _encode_keys(raw_keys))),
+                         dtype=ID_DTYPE)
 
 
 def ids_to_bytes(ids):
@@ -95,23 +119,108 @@ def ids_from_bytes(payload):
     return np.frombuffer(payload, dtype=ID_DTYPE).copy()
 
 
+def _id_keys(rows):
+    """The leading (h, l) ID of every row as one 16-byte string, for sort/match.
+
+    A view, not a copy: ID_DTYPE, MAP_DTYPE and RES_DTYPE all start with
+    the two ID words.  Equal strings are equal IDs.
+    """
+    return np.ndarray(len(rows), dtype="S16", buffer=rows,
+                      strides=(rows.dtype.itemsize,))
+
+
+_KINDS = ((np.integer, int), (int, int), (str, str), (bytes, bytes))
+
+
+def _key_kind(types, index):
+    """The one kind (int, str or bytes) of a party's keys; None for no keys.
+
+    Keys of two kinds are refused, since their byte encodings can collide
+    (the int 49 and the bytes b"1" plus seven zero bytes hash alike).
+    """
+    kinds = set()
+    for cls in types:
+        kind = next((k for base, k in _KINDS if issubclass(cls, base)), None)
+        if kind is None:
+            raise MalformedPartyFile("party %d has a %s vertex key; keys must be "
+                                     "int, str or bytes" % (index, cls.__name__))
+        kinds.add(kind)
+    if len(kinds) > 1:
+        raise MalformedPartyFile("party %d mixes vertex key types %s"
+                                 % (index, sorted(k.__name__ for k in kinds)))
+    return kinds.pop() if kinds else None
+
+
+def _key_array(values, types, kind, count, index):
+    """`count` keys of one kind as an array: uint64 for ints, else object."""
+    if kind is not int:
+        return np.fromiter(values, dtype=object, count=count)
+    if types != {int}:
+        values = map(int, values)  # numpy scalars would wrap silently
+    try:
+        return np.fromiter(values, dtype=np.uint64, count=count)
+    except OverflowError:
+        raise MalformedPartyFile("party %d has an integer key outside [0, 2^64)"
+                                 % index) from None
+
+
+def _find(haystack, needles):
+    """Index into `haystack` of every needle; None if some needle is absent."""
+    order = np.argsort(haystack, kind="stable")
+    ordered = haystack[order]
+    # Sorted needles make the search several times faster.
+    by_needle = np.argsort(needles)
+    pos = np.empty(len(needles), dtype=np.intp)
+    pos[by_needle] = np.searchsorted(ordered, needles[by_needle])
+    if len(needles) and not (len(haystack) and (
+            ordered[np.minimum(pos, len(haystack) - 1)] == needles).all()):
+        return None
+    return order[pos]
+
+
 # -- party (client-side actor, non-oblivious by design) ----------------------
 
 class Party:
-    """One input party: raw graph in, mapping and results back."""
+    """One input party: raw graph in, mapping and results back.
+
+    Keys and edges are held as arrays: every edge endpoint is resolved once,
+    at construction, to the index of its key, so mapping the edges is one
+    fancy index over the per-key mapped IDs.
+    """
 
     def __init__(self, index, raw_keys, edges, salt):
         self.index = index
         self.raw_keys = list(raw_keys)
-        self.edges = [(u, v) for u, v in edges]
+        self.edges = list(edges)
         self.salt = salt
+        key_types = set(map(type, self.raw_keys))
+        self.key_kind = _key_kind(key_types, index)
+        keys = _key_array(self.raw_keys, key_types, self.key_kind,
+                          len(self.raw_keys), index)
+        self._ends = self._resolve(keys)  # (2, m) key index of src and dst
         self.ids = obfuscate_ids(self.raw_keys, salt)
-        self._known = set(self.raw_keys)
-        for u, v in self.edges:
-            if u not in self._known or v not in self._known:
-                raise MalformedPartyFile(
-                    "party %d has an edge endpoint outside its vertex set" % index)
-        self.mapping = None  # (h, l) -> mapped, filled by receive_mapping
+        self._mapped = None  # (2, m) mapped src and dst, set by receive_mapping
+
+    def _resolve(self, keys):
+        """Key index of every edge endpoint, as a (2, m) src/dst array."""
+        m = len(self.edges)
+        if not m:
+            return np.zeros((2, 0), dtype=np.intp)
+        if set(map(len, self.edges)) != {2}:
+            raise MalformedPartyFile("party %d has an edge that is not a (u, v) pair"
+                                     % self.index)
+        end_types = set(map(type, chain.from_iterable(self.edges)))
+        end_kind = _key_kind(end_types, self.index)
+        if self.raw_keys and end_kind is not self.key_kind:
+            raise MalformedPartyFile("party %d has edge endpoints of another type "
+                                     "than its vertex keys" % self.index)
+        ends = _key_array(chain.from_iterable(self.edges), end_types,
+                          self.key_kind, 2 * m, self.index)
+        idx = _find(keys, ends)
+        if idx is None:
+            raise MalformedPartyFile("party %d has an edge endpoint outside its "
+                                     "vertex set" % self.index)
+        return idx.reshape(m, 2).T.copy()
 
     @property
     def n_vertices(self):
@@ -120,20 +229,21 @@ class Party:
     def vertex_submit_payload(self):
         return ids_to_bytes(self.ids)
 
+    def _own_rows(self, rows, message):
+        """Row index of each of the party's own IDs, in key order."""
+        idx = _find(_id_keys(rows), _id_keys(self.ids))
+        if idx is None:
+            raise MissingID("%s message to party %d lacks one of its IDs"
+                            % (message, self.index))
+        return idx
+
     def receive_mapping(self, payload):
         rows = np.frombuffer(payload, dtype=MAP_DTYPE)
-        self.mapping = {
-            (int(r["h"]), int(r["l"])): int(r["mapped"]) for r in rows
-        }
+        mapped = rows["mapped"][self._own_rows(rows, "MAP_RETURN")]
+        self._mapped = mapped[self._ends]
 
     def _mapped_edges(self, symmetrize):
-        by_raw = {}
-        for key, oid in zip(self.raw_keys, self.ids):
-            by_raw[key] = self.mapping[(int(oid["h"]), int(oid["l"]))]
-        src = np.fromiter((by_raw[u] for u, _ in self.edges), dtype=np.uint64,
-                          count=len(self.edges))
-        dst = np.fromiter((by_raw[v] for _, v in self.edges), dtype=np.uint64,
-                          count=len(self.edges))
+        src, dst = self._mapped
         if symmetrize:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         return src, dst
@@ -155,15 +265,9 @@ class Party:
 
     def receive_results(self, payload, app):
         rows = np.frombuffer(payload, dtype=RES_DTYPE)
-        spec = apps_mod.APPS[app]
-        values = spec.bits_to_values(rows["result"])
-        by_id = {}
-        for r, v in zip(rows, values):
-            by_id[(int(r["h"]), int(r["l"]))] = v
-        return {
-            key: by_id[(int(oid["h"]), int(oid["l"]))]
-            for key, oid in zip(self.raw_keys, self.ids)
-        }
+        values = apps_mod.APPS[app].bits_to_values(rows["result"])
+        return dict(zip(self.raw_keys,
+                        values[self._own_rows(rows, "RESULT_RETURN")]))
 
 
 # -- server-side oblivious stages ---------------------------------------------
@@ -240,7 +344,8 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
     """Decode the party grids and concatenate them block by block.
 
     Everything here is fixed by (p, b, k, {l_i}): the message sizes, the
-    per-block decode passes and the merge order.
+    per-block decode passes and the merge order.  The passes are recorded
+    block by block; the data moves in one decode and one copy per party.
     """
     if params.l_i is None or len(payloads) != params.p:
         raise ParamMismatch("need one published block length per party")
@@ -259,32 +364,30 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
                                          worker=worker))
 
     b, l, k = params.b, params.l, params.k
+    coords = block_coordinates(b)
     party_bufs = []
     for i, (header, msg_buf) in enumerate(zip(headers, msg_bufs)):
-        li = params.l_i[i]
+        li, nbytes = params.l_i[i], header["block_nbytes"]
+        body = memoryview(payloads[i])[header["header_nbytes"]:]
         decoded = Buffer.wrap(trace, "grid.party%d" % i,
-                              np.zeros(b * b * li, dtype=EDGE_DTYPE))
-        for r in range(b):
-            for c in range(b):
-                x = r * b + c
-                start = header["header_nbytes"] + x * header["block_nbytes"]
-                trace.seq(worker, msg_buf.name, READ, start, header["block_nbytes"])
-                blob = grid_block_payload(payloads[i], header, r, c)
-                trace.seq(worker, decoded.name, WRITE, x * li, li)
-                decoded.data[x * li:(x + 1) * li] = decode_block(blob, k, li, r, c)
+                              decode_block(body, k, li, *coords))
+        for x in range(b * b):
+            trace.seq(worker, msg_buf.name, READ,
+                      header["header_nbytes"] + x * nbytes, nbytes)
+            trace.seq(worker, decoded.name, WRITE, x * li, li)
         party_bufs.append(decoded)
 
     merged = Buffer.wrap(trace, GridGraph.region_name,
                          np.zeros(b * b * l, dtype=EDGE_DTYPE))
+    # Block-wise concatenation in party order (public lengths).
+    starts = np.cumsum((0,) + params.l_i).tolist()
     for x in range(b * b):
-        # Block-wise concatenation in party order (public lengths).
-        pos = x * l
         for i, pbuf in enumerate(party_bufs):
-            li = params.l_i[i]
-            trace.zip2(worker, pbuf.name, READ, x * li,
-                       merged.name, WRITE, pos, li)
-            merged.data[pos:pos + li] = pbuf.data[x * li:(x + 1) * li]
-            pos += li
+            trace.zip2(worker, pbuf.name, READ, x * params.l_i[i],
+                       merged.name, WRITE, x * l + starts[i], params.l_i[i])
+    for i, pbuf in enumerate(party_bufs):
+        merged.data.reshape(b * b, l)[:, starts[i]:starts[i + 1]] = \
+            pbuf.data.reshape(b * b, params.l_i[i])
 
     m = int((merged.data["pad"] == 0).sum())
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
@@ -467,6 +570,8 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         raise ValueError("unknown application %r" % app)
     spec = apps_mod.APPS[app]
     parties = [Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)]
+    if len({p.key_kind for p in parties} - {None}) > 1:
+        raise MalformedPartyFile("parties hold vertex keys of different types")
 
     report = RunReport(app=app, engine=engine, params={}, seed_salt=salt.hex(),
                        workers=workers)
@@ -478,10 +583,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         return results, report, None
 
     if declared_n is None:
-        seen = set()
-        for party in parties:
-            seen.update((int(r["h"]), int(r["l"])) for r in party.ids)
-        declared_n = len(seen)
+        declared_n = len(np.unique(_id_keys(np.concatenate([p.ids for p in parties]))))
 
     params = PublicParams.derive(
         p=len(parties), n_i=[p.n_vertices for p in parties], n=declared_n,

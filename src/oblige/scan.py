@@ -22,7 +22,9 @@ the kernel mutates it.  The other side is the whole vertex array with global
 offsets; the kernel only reads it, and only at endpoints of this column's
 edges, whose chunks the recorded per-block reads cover, so the null-edge
 check and all value-dependent work stay invisible.  No input array is
-written during a scan: write-back goes to a fresh output buffer.  Repeated
+written during a scan: the other side is handed over as one private copy
+per scan (a kernel that writes it changes nothing the caller sees), and
+write-back goes to a fresh output buffer.  Repeated
 indices are applied in stored order, so float accumulation is bit-identical
 to a block-at-a-time scan and reproducible run to run.
 
@@ -60,6 +62,10 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
     out = Buffer.wrap(trace, out_name, np.empty_like(owned_vals.data))
     blocks = grid.edges.reshape(b, b, l)
+    # The kernels' private copy: a read-only view would not do, since
+    # ufunc.at writes through it.  Copied as bytes, which is many times
+    # faster than a field-by-field structured copy.
+    other = other_vals.data.view(np.uint8).copy().view(other_vals.data.dtype)
 
     peaks = []
     for w in range(workers):
@@ -82,9 +88,9 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
             src = real["src"].astype(np.int64)
             dst = real["dst"].astype(np.int64)
             if by_rows:
-                kernel(owned, other_vals.data, src - lo, dst)
+                kernel(owned, other, src - lo, dst)
             else:
-                kernel(other_vals.data, owned, src, dst - lo)
+                kernel(other, owned, src, dst - lo)
             # Unconditional write-back, changed or not.
             out.write(lo, owned, worker=w)
             arena.free(other_om)

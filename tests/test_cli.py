@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oblige import kron as kron_module
 from oblige.cli import main, parse_granularity, parse_size
 from oblige.kron import (
     assign_parties,
@@ -188,5 +189,22 @@ def test_run_malformed_party_file_exits_2(lines, tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     code = main(["run", str(good), str(bad), "--app", "pr", "-t", "1",
                  "--om", "64KiB", "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "MalformedPartyFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inputs", [
+    [([1, "1"], [])],                                   # mixed key types
+    [([1, 2], [(1, "2")])],                             # endpoint of another type
+    [([49], [(49, 49)]), ([b"1" + b"\0" * 7], [])],     # parties of two key types
+], ids=["mixed-keys", "mixed-endpoint", "mixed-parties"])
+def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
+    # Party files only hold integers; other key types reach `oblige run`
+    # through the loader, which is replaced here.
+    loaded = iter(inputs)
+    monkeypatch.setattr(kron_module, "read_party_file", lambda path: next(loaded))
+    files = [str(tmp_path / ("p%d.txt" % i)) for i in range(len(inputs))]
+    code = main(["run", *files, "--app", "pr", "-t", "1", "--om", "64KiB",
+                 "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "MalformedPartyFile" in capsys.readouterr().err

@@ -10,11 +10,15 @@ from oblige.grid import (
     EDGE_DTYPE,
     RESERVE_BYTES,
     PublicParams,
+    block_coordinates,
     build_grid,
     choose_chunk_size,
     decode_block,
     encode_block,
+    encode_grid,
     encoded_block_nbytes,
+    grid_block_payload,
+    group_into_blocks,
     load_grid,
     offset_bits,
     parse_grid_header,
@@ -178,3 +182,74 @@ def test_placement_invariant_random():
             real = blk[blk["pad"] == 0]
             assert (real["src"] // k == r).all()
             assert (real["dst"] // k == c).all()
+
+
+# -- whole-grid encode and decode against a bit-matrix oracle ----------------------
+
+def bit_matrix_encode(block, k):
+    """One block through an explicit (2l, w) bit matrix, bit 0 first."""
+    w = offset_bits(k)
+    kk = np.uint64(k)
+    fields = np.empty(2 * len(block), dtype=np.uint64)
+    fields[0::2] = np.where(block["pad"] == 1, kk, block["src"] % kk)
+    fields[1::2] = np.where(block["pad"] == 1, kk, block["dst"] % kk)
+    bits = ((fields[:, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1))
+    return np.packbits(bits.astype(np.uint8).reshape(-1), bitorder="little").tobytes()
+
+
+def bit_matrix_decode(data, k, l, r, c):
+    w = offset_bits(k)
+    out = np.zeros(l, dtype=EDGE_DTYPE)
+    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    bits = raw[:2 * w * l].reshape(2 * l, w).astype(np.uint64)
+    fields = bits @ (np.uint64(1) << np.arange(w, dtype=np.uint64))
+    null = fields[0::2] == k
+    out["pad"] = null
+    out["src"] = np.where(null, 0, fields[0::2] + np.uint64(r * k))
+    out["dst"] = np.where(null, 0, fields[1::2] + np.uint64(c * k))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7, 8, 255, 256, 300, 1 << 20, (1 << 40) + 3]),
+       st.integers(1, 6), st.integers(0, 11), st.data())
+def test_grid_codec_matches_bit_matrix(k, b, l, data):
+    n = data.draw(st.integers((b - 1) * k + 1, b * k))
+    draw_edges = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * l)
+    edges = data.draw(draw_edges)
+    ids = np.array([(u // k) * b + v // k for u, v in edges], dtype=np.int64)
+    keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)], dtype=bool)
+    edges = [e for e, ok in zip(edges, keep) if ok]
+    src = np.array([u for u, _ in edges], dtype=np.uint64)
+    dst = np.array([v for _, v in edges], dtype=np.uint64)
+    stored, _ = group_into_blocks(src, dst, k, b, l)
+    payload = encode_grid(n, k, b, stored, l)
+    header = parse_grid_header(payload)
+    blocks = [stored[x * l:(x + 1) * l] for x in range(b * b)]
+    body = payload[header["header_nbytes"]:]
+    assert body == b"".join(bit_matrix_encode(blk, k) for blk in blocks)
+    decoded = decode_block(body, k, l, *block_coordinates(b))
+    assert decoded.tobytes() == stored.tobytes()
+    for x in range(b * b):
+        r, c = divmod(x, b)
+        blob = grid_block_payload(payload, header, r, c)
+        assert encode_block(blocks[x], k) == blob
+        assert decode_block(blob, k, l, r, c).tobytes() == blocks[x].tobytes()
+        assert bit_matrix_decode(blob, k, l, r, c).tobytes() == blocks[x].tobytes()
+
+
+def test_grid_decode_rejects_any_bad_block():
+    k, l, b = 2, 3, 3
+    blocks = [encode_block(_null_block(l), k) for _ in range(b * b)]
+    rows, cols = block_coordinates(b)
+    half_null = np.packbits(np.array([0, 1, 1, 0] + [0, 1, 0, 1] * 2, dtype=np.uint8),
+                            bitorder="little").tobytes()
+    too_big = np.packbits(np.array([1, 1] * 2 * l, dtype=np.uint8),
+                          bitorder="little").tobytes()
+    for bad in (half_null, too_big):
+        body = b"".join(blocks[:-1] + [bad])
+        with pytest.raises(MalformedBlock):
+            decode_block(body, k, l, rows, cols)
+    with pytest.raises(MalformedBlock):
+        decode_block(b"".join(blocks)[:-1], k, l, rows, cols)

@@ -1,15 +1,28 @@
 """Multi-party workflow: mapping, preprocessing, merging, post-processing."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oblige.errors import ParamMismatch, SizeMismatch, UnknownSource
+from oblige.errors import (
+    MalformedPartyFile,
+    MissingID,
+    ObligeError,
+    ParamMismatch,
+    SizeMismatch,
+    UnknownSource,
+)
 from oblige.grid import RESERVE_BYTES, PublicParams
 from oblige.omsim import OMSim
 from oblige.pipeline import (
+    ID_DTYPE,
     MAP_DTYPE,
     NULL64,
     R_DTYPE,
+    RES_DTYPE,
     Party,
     ids_from_bytes,
     map_return_payload,
@@ -57,6 +70,32 @@ def test_obfuscate_chunk_balance():
     expect = len(keys) / buckets
     sigma = np.sqrt(expect * (1 - 1 / buckets))
     assert (np.abs(counts - expect) < 5 * sigma).all()
+
+
+def old_obfuscate_ids(raw_keys, salt):
+    """Reference IDs: one sha256 per key, written field by field."""
+    out = np.zeros(len(raw_keys), dtype=ID_DTYPE)
+    for i, key in enumerate(raw_keys):
+        if isinstance(key, (int, np.integer)):
+            data = int(key).to_bytes(8, "little", signed=False)
+        elif isinstance(key, str):
+            data = key.encode()
+        else:
+            data = key
+        digest = hashlib.sha256(salt + data).digest()[:16]
+        out["h"][i] = int.from_bytes(digest[:8], "little")
+        out["l"][i] = int.from_bytes(digest[8:], "little")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, (1 << 64) - 1)), st.lists(st.text()),
+                 st.lists(st.binary())),
+       st.binary(min_size=0, max_size=32))
+def test_obfuscate_matches_per_key_loop(keys, salt):
+    got = obfuscate_ids(keys, salt)
+    assert got.dtype == ID_DTYPE
+    assert got.tobytes() == old_obfuscate_ids(keys, salt).tobytes()
 
 
 # -- vertex mapping ---------------------------------------------------------------
@@ -397,3 +436,136 @@ def test_report_digests_reproducible():
     _, rep2, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT)
     assert rep1.stage_digests == rep2.stage_digests
     assert rep1.params == rep2.params
+
+
+# -- party-side key handling ----------------------------------------------------
+
+@pytest.mark.parametrize("keys, edges", [
+    ([1, "1"], []),                          # int with str
+    (["a", b"a"], []),                       # str with bytes
+    ([49, b"1" + b"\0" * 7], []),            # int with bytes: equal encodings
+    ([1, 2], [("1", 2)]),                    # str endpoint, int keys
+    (["1", "2"], [("1", 2)]),                # int endpoint, str keys
+    ([b"x"], [("x", "x")]),                  # str endpoints, bytes keys
+    ([1.0, 2.0], []),                        # unsupported key type
+    ([np.int64(-1)], []),                    # negative numpy key
+    ([1, 2], [(1, np.int64(-1))]),           # negative numpy endpoint
+    ([(1 << 64) - 1], [(-1, (1 << 64) - 1)]),
+    ([1, 2], [(1, 2, 2)]),                   # not a pair
+    ([], [(1, 1)]),                          # edge without keys
+])
+def test_party_rejects_conflatable_or_foreign_keys(keys, edges):
+    with pytest.raises(MalformedPartyFile):
+        Party(0, keys, edges, SALT)
+
+
+def test_parties_with_different_key_types_rejected():
+    parties = [([49], [(49, 49)]), ([b"1" + b"\0" * 7], [])]
+    with pytest.raises(MalformedPartyFile):
+        run_end_to_end(parties, "pr", 1, 1 << 16, SALT)
+
+
+def test_party_accepts_numpy_and_bool_int_keys():
+    party = Party(0, [np.uint64(7), True, 2], [(np.int64(2), 7), (1, True)], SALT)
+    assert party.ids.tobytes() == old_obfuscate_ids([7, 1, 2], SALT).tobytes()
+
+
+def _payload_without(payload, dtype, row):
+    rows = np.frombuffer(payload, dtype=dtype)
+    return np.delete(rows, row).tobytes()
+
+
+def test_map_return_missing_id_is_typed_error():
+    parties = micro_parties()
+    sim = OMSim(1 << 14)
+    arrays = [ids_from_bytes(p.vertex_submit_payload()) for p in parties]
+    _, maps = vertex_mapping(sim, arrays, 3)
+    payload = map_return_payload(sim, maps[0])
+    with pytest.raises(MissingID):
+        parties[0].receive_mapping(_payload_without(payload, MAP_DTYPE, 1))
+    # a foreign ID in place of an own one
+    foreign = np.frombuffer(payload, dtype=MAP_DTYPE).copy()
+    foreign[0]["l"] ^= np.uint64(1)
+    with pytest.raises(MissingID):
+        parties[0].receive_mapping(foreign.tobytes())
+    assert issubclass(MissingID, ObligeError)
+
+
+def test_result_return_missing_id_is_typed_error():
+    parties = micro_parties()
+    sim, _, maps = _mapped_parties(parties, 3)
+    params = PublicParams.derive(p=2, n_i=[2, 2], n=3, t=1,
+                                 s=2 * 2 * 8 + RESERVE_BYTES, vwidth=8)
+    results = np.zeros(3, dtype=R_DTYPE)
+    results["mapped"] = np.arange(3)
+    rbuf = sim.buffer_from_rows("pipe.R", results)
+    parts = post_process(sim, rbuf, maps, params)
+    payload = result_return_payload(sim, parts[1])
+    with pytest.raises(MissingID):
+        parties[1].receive_results(_payload_without(payload, RES_DTYPE, 0), "bfs")
+    with pytest.raises(MissingID):
+        parties[1].receive_results(b"", "bfs")
+
+
+# -- the array path against dict-based oracles ---------------------------------------
+
+@st.composite
+def drawn_parties(draw):
+    """Parties over a shared key universe: overlaps, duplicate edges, self-loops."""
+    key = (st.integers(0, (1 << 64) - 1) if draw(st.booleans())
+           else st.text(max_size=3))
+    universe = draw(st.lists(key, min_size=1, max_size=12, unique=True))
+    parties = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.lists(st.sampled_from(universe), min_size=1,
+                             max_size=len(universe), unique=True))
+        picks = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
+        parties.append((keys, draw(st.lists(picks, max_size=12))))
+    return parties
+
+
+def dict_mapped_edges(party_inputs, salt, symmetrize):
+    """Mapped (src, dst) per party, through per-key dicts."""
+    rank = _mapping_oracle([keys for keys, _ in party_inputs], salt)
+    out = []
+    for keys, edges in party_inputs:
+        by_raw = {k: rank[id_key(r)] for k, r in zip(keys, obfuscate_ids(keys, salt))}
+        src = [by_raw[u] for u, _ in edges]
+        dst = [by_raw[v] for _, v in edges]
+        if symmetrize:
+            src, dst = src + dst, dst + src
+        out.append((src, dst))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_parties())
+def test_mapped_edges_match_dict_oracle(party_inputs):
+    parties = [Party(i, keys, edges, SALT) for i, (keys, edges) in enumerate(party_inputs)]
+    n = len(_mapping_oracle([keys for keys, _ in party_inputs], SALT))
+    _mapped_parties(parties, n)
+    for symmetrize in (False, True):
+        want = dict_mapped_edges(party_inputs, SALT, symmetrize)
+        for party, (src, dst) in zip(parties, want):
+            got_src, got_dst = party._mapped_edges(symmetrize)
+            assert got_src.tolist() == src and got_dst.tolist() == dst
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn_parties(), st.sampled_from([2, 3, 64]))
+def test_end_to_end_matches_reference_drawn(party_inputs, k):
+    source = party_inputs[0][0][0]
+    for app in ("pr", "bfs", "wcc"):
+        om = 2 * k * 16 + RESERVE_BYTES
+        got, _, _ = run_end_to_end(party_inputs, app, 3, om, SALT, source_key=source)
+        ref, _, _ = run_end_to_end(party_inputs, app, 3, om, SALT, source_key=source,
+                                   engine="reference")
+        assert got.keys() == ref.keys()
+        for i in ref:
+            assert got[i].keys() == ref[i].keys()
+            a = np.array([got[i][key] for key in ref[i]])
+            b = np.array([ref[i][key] for key in ref[i]])
+            if app == "pr":
+                np.testing.assert_allclose(a, b, rtol=1e-9, atol=0)
+            else:
+                assert a.tolist() == b.tolist()

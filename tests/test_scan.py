@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oblige import apps
 from oblige.errors import CapacityExceeded
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
 from oblige.omsim import CACHELINE, ELEMENT, Buffer, OMSim
@@ -316,3 +317,43 @@ def test_column_scan_matches_block_scan_drawn(n, k, data):
         same_buffer=data.draw(st.booleans()),
         granularity=data.draw(st.sampled_from([ELEMENT, CACHELINE])),
         seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# -- kernel contract: the scan's inputs stay as they were ------------------------
+
+APP_KERNELS = {
+    "degree": (apps._degree_kernel, apps.DEGREE_STATE),
+    "pr": (apps._pr_kernel, apps.PR_STATE),
+    "bfs": (apps._bfs_kernel, apps.DIST_STATE),
+    "wcc": (apps._wcc_kernel, apps.LABEL_STATE),
+}
+
+
+def app_state(dtype, n, rng):
+    state = np.zeros(n, dtype=dtype)
+    for name in dtype.names:
+        state[name] = rng.integers(1, 50, size=n)
+    return state
+
+
+@pytest.mark.parametrize("by_rows", [False, True])
+@pytest.mark.parametrize("app", sorted(APP_KERNELS))
+def test_app_kernels_leave_scan_inputs_unchanged(app, by_rows):
+    # The degree kernel writes its source side, which full_scan does not own:
+    # it must land in a private copy, never in the caller's array.
+    kernel, dtype = APP_KERNELS[app]
+    rng = np.random.default_rng(11)
+    n, k = 13, 4
+    params = PublicParams.derive(p=1, n_i=[n], n=n, t=1,
+                                 s=2 * k * 16 + RESERVE_BYTES, vwidth=16)
+    assert params.b == 4
+    edges = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(60, 2))]
+    grid = build_grid(edges, params, block_length=60)
+    sim = OMSim(params.s)
+    src = sim.buffer_from_rows("vsrc", app_state(dtype, n, rng))
+    dst = sim.buffer_from_rows("vdst", app_state(dtype, n, rng))
+    before = src.data.tobytes(), dst.data.tobytes()
+    scan = full_scan_rows if by_rows else full_scan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scan(grid, src, dst, kernel, sim, workers=2, out_name="vout")
+    assert (src.data.tobytes(), dst.data.tobytes()) == before
