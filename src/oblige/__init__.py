@@ -2,7 +2,6 @@
 
 from .errors import (
     BlockOverflow,
-    BudgetExceeded,
     CapacityExceeded,
     MalformedBlock,
     ObligeError,
@@ -27,7 +26,6 @@ __all__ = [
     "WRITE",
     "ObligeError",
     "CapacityExceeded",
-    "BudgetExceeded",
     "OMTooSmall",
     "OMUnavailable",
     "SizeMismatch",

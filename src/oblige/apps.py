@@ -19,6 +19,7 @@ Value conventions:
 import numpy as np
 
 from .errors import SymmetryRequired, UnknownSource
+from .omsim import copy_records
 from .oprims import o_trans
 from .scan import full_scan, full_scan_rows
 
@@ -68,7 +69,7 @@ def compute_out_degrees(sim, grid, workers=1):
 def pagerank_iteration(sim, grid, state, f=0.85, workers=1):
     """One PR round: zeroed accumulation scan, then the damping transform."""
     def zero_weight(batch):
-        out = batch.copy()
+        out = copy_records(batch)
         out["weight"] = 0.0
         return out
 
@@ -76,7 +77,7 @@ def pagerank_iteration(sim, grid, state, f=0.85, workers=1):
     acc = full_scan(grid, state, acc, _pr_kernel, sim, workers=workers)
 
     def finalize(batch):
-        out = batch.copy()
+        out = copy_records(batch)
         out["weight"] = (1.0 - f) + f * batch["weight"]
         return out
 

@@ -17,6 +17,7 @@ performance oracle; nothing about it is access-pattern safe.
 import numpy as np
 
 from .apps import APPS, INF
+from .omsim import copy_records
 from .oprims import o_filter, o_sort, o_trans, o_trans_merge
 
 SS_PR = np.dtype([
@@ -75,7 +76,7 @@ class SortScanKernel:
         self.dtype = SS_PR if app == "pr" else SS_U64
 
     def scatter(self, batch):
-        out = batch.copy()
+        out = copy_records(batch)
         is_vertex = batch["kind"] == VERTEX
         last_vertex = np.maximum.accumulate(
             np.where(is_vertex, np.arange(len(batch)), -1)
@@ -95,7 +96,7 @@ class SortScanKernel:
         return out
 
     def gather(self, batch):
-        out = batch.copy()
+        out = copy_records(batch)
         gid = _group_ids(np.where(batch["kind"] == EDGE, batch["b"], batch["a"]))
         groups = int(gid[-1]) + 1 if len(gid) else 0
         edges = batch["kind"] == EDGE
@@ -117,7 +118,7 @@ class SortScanKernel:
         gid = _group_ids(batch["a"])
         groups = int(gid[-1]) + 1 if len(gid) else 0
         edges = batch["kind"] == EDGE
-        out = batch.copy()
+        out = copy_records(batch)
         counts = np.bincount(gid[edges], minlength=groups)
         verts = ~edges
         out["deg"][verts] = counts[gid[verts]]

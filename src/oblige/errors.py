@@ -15,11 +15,6 @@ class CapacityExceeded(ObligeError):
     """An oblivious-memory allocation would exceed the arena capacity."""
 
 
-# The scan documents its budget failures under this name; it is the same
-# condition surfaced by the arena.
-BudgetExceeded = CapacityExceeded
-
-
 class OMTooSmall(ObligeError):
     """The configured oblivious memory cannot hold even one vertex chunk pair."""
 

@@ -12,12 +12,20 @@ network from O(n log^2 n) to O(n log s).  Key extractors return one or more
 vectorized key columns; ties are broken by original position, so the result
 matches a stable sort and downstream passes are deterministic even under
 duplicate keys.
+
+The simulator runs that network on one int64 rank column instead of the
+scratch records it traces: each record's rank in the (pad, keys, position)
+total order.  Ranks compare exactly as the records do, so each pass is a
+vectorized min/max over a reshaped view and the in-OM segments are one row
+sort.  The records move once, at the end: slot i receives the record whose
+rank the network left in slot i.  Nothing else orders them, so a broken
+network yields unsorted output.
 """
 
 import numpy as np
 
 from .errors import OMUnavailable, SizeMismatch
-from .omsim import READ, WRITE, Buffer
+from .omsim import READ, WRITE, Buffer, copy_records
 
 
 def _pow2_floor(x):
@@ -48,28 +56,39 @@ def _key_columns(key, batch):
     return tuple(np.asarray(c) for c in cols)
 
 
-def _lex_compare(scratch, fields, ii, ll):
-    """Vectorized lexicographic compare; returns (greater, less) masks."""
-    gt = np.zeros(len(ii), dtype=bool)
-    lt = np.zeros(len(ii), dtype=bool)
-    eq = np.ones(len(ii), dtype=bool)
-    for f in fields:
-        a = scratch[f][ii]
-        b = scratch[f][ll]
-        gt |= eq & (a > b)
-        lt |= eq & (a < b)
-        eq &= a == b
-    return gt, lt
+def _cx_pass(rank, j, k):
+    """One compare-exchange pass at stride `j` of merge stage `k`, in place.
+
+    Pair (i, i+j) is ordered ascending when i's `k` bit is clear.  Viewed as
+    (P/2j, 2, j), row r holds the pairs of block [r*2j, (r+1)*2j), whose
+    direction is fixed by the block start since j < k.
+    """
+    pairs = rank.reshape(-1, 2, j)
+    asc = ((np.arange(len(pairs)) * (2 * j) & k) == 0)[:, None]
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    small = np.minimum(lo, hi)
+    large = np.maximum(lo, hi)
+    lo[...] = np.where(asc, small, large)
+    hi[...] = np.where(asc, large, small)
 
 
 def o_sort(buf, key, arena, worker=0):
-    """Sort `buf` in place, ascending by `key(batch)` columns.
+    """Sort `buf` in place, ascending by `key(batch)` columns, ties by position.
 
     The trace is the classic bitonic network over strides too large for the
     OM, with every compare-exchange reading and writing both positions
     unconditionally; segments that fit in the OM are copied in, sorted there,
     and copied back.  Input is padded to a power of two inside a scratch
-    region; pad records carry a leading flag that sorts them last.
+    region of (pad flag, keys, position, record) entries; the OM segment is
+    sized from that entry width.
+
+    The network runs on one rank column standing in for the scratch region:
+    record i carries its rank in the stable (keys, position) order and pad
+    slots carry n..P-1, which are exactly the ranks of the (pad, keys,
+    position) total order, so every compare-exchange takes the same branch
+    as on the full entries.  The records are then placed by the ranks the
+    network left in the first n slots, so the output is sorted only if the
+    network sorted.  Float keys must not be NaN (ValueError).
 
     Returns a stats dict with the padded length, in-OM segment size and the
     super-OM compare-exchange count (a pure function of the public sizes).
@@ -81,13 +100,15 @@ def o_sort(buf, key, arena, worker=0):
 
     trace = buf.trace
     cols = _key_columns(key, buf.data)
+    for c in cols:
+        if c.dtype.kind == "f" and np.isnan(c).any():
+            raise ValueError("o_sort key column holds NaN, which has no order")
     padded = _pow2_ceil(n)
     dt = np.dtype(
         [("_pad", "u1")]
         + [("_k%d" % i, c.dtype) for i, c in enumerate(cols)]
         + [("_pos", "<u8"), ("_rec", buf.data.dtype)]
     )
-    fields = ["_pad"] + ["_k%d" % i for i in range(len(cols))] + ["_pos"]
 
     seg_records = _pow2_floor(arena.free_bytes // dt.itemsize)
     if seg_records < 2:
@@ -99,29 +120,31 @@ def o_sort(buf, key, arena, worker=0):
     om = arena.alloc(seg * dt.itemsize)
 
     scratch_name = buf.name + ".sortpad"
-    scratch = np.zeros(padded, dtype=dt)
     trace.register(scratch_name, padded, dt.itemsize)
 
     # Copy in (one interleaved read/write pass), then write the pad tail.
     trace.zip2(worker, buf.name, READ, 0, scratch_name, WRITE, 0, n)
-    scratch["_rec"][:n] = buf.data
-    for i, c in enumerate(cols):
-        scratch["_k%d" % i][:n] = c
-    scratch["_pos"] = np.arange(padded, dtype=np.uint64)
+    order = np.lexsort(cols[::-1])
+    rank = np.empty(padded, dtype=np.int64)
+    rank[order] = np.arange(n)
     trace.seq(worker, scratch_name, WRITE, n, padded - n)
-    scratch["_pad"][n:] = 1
+    rank[n:] = np.arange(n, padded)
 
-    def sort_segment(start, ascending):
-        trace.seq(worker, scratch_name, READ, start, seg)
-        view = scratch[start:start + seg]
-        order = np.lexsort(tuple(view[f] for f in reversed(fields)))
-        scratch[start:start + seg] = view[order if ascending else order[::-1]]
-        trace.seq(worker, scratch_name, WRITE, start, seg)
+    segments = rank.reshape(-1, seg)
+    starts = np.arange(0, padded, seg)
+
+    def sort_segments(k):
+        """Sort every segment, descending where its start has bit `k`."""
+        for start in range(0, padded, seg):
+            trace.seq(worker, scratch_name, READ, start, seg)
+            trace.seq(worker, scratch_name, WRITE, start, seg)
+        segments.sort(axis=1)
+        desc = (starts & k) != 0
+        segments[desc] = segments[desc, ::-1]
 
     # Build sorted runs of length `seg`, alternating direction as the full
     # network would have left them after its first log2(seg) stages.
-    for t in range(padded // seg):
-        sort_segment(t * seg, ascending=t % 2 == 0)
+    sort_segments(seg)
 
     cx = 0
     k = 2 * seg
@@ -129,26 +152,16 @@ def o_sort(buf, key, arena, worker=0):
         j = k // 2
         while j >= seg:
             trace.cx_pass(worker, scratch_name, j, padded)
-            half = np.arange(padded // 2)
-            i = (half // j) * (2 * j) + (half % j)
-            ll = i + j
-            asc = (i & k) == 0
-            gt, lt = _lex_compare(scratch, fields, i, ll)
-            swap = np.where(asc, gt, lt)
-            si, sl = i[swap], ll[swap]
-            tmp = scratch[si].copy()
-            scratch[si] = scratch[sl]
-            scratch[sl] = tmp
+            _cx_pass(rank, j, k)
             cx += padded // 2
             j //= 2
         # Remaining strides of this merge stay inside one OM-sized segment,
         # which is bitonic at this point; a full in-OM sort finishes it.
-        for start in range(0, padded, seg):
-            sort_segment(start, ascending=(start & k) == 0)
+        sort_segments(k)
         k *= 2
 
     trace.zip2(worker, scratch_name, READ, 0, buf.name, WRITE, 0, n)
-    buf.data[:] = scratch["_rec"][:n]
+    buf.data[:] = buf.data[order[rank[:n]]]
     arena.free(om)
     stats.update(padded=padded, segment=seg, compare_exchanges=cx)
     return stats
@@ -172,9 +185,9 @@ def o_trans(buf, fn, out_name=None, worker=0):
         if result.dtype == buf.data.dtype:
             buf.data[:] = result
             return buf
-        out = Buffer.wrap(trace, buf.name, result.copy())
+        out = Buffer.wrap(trace, buf.name, copy_records(result))
         return out
-    out = Buffer.wrap(trace, out_name, result.copy())
+    out = Buffer.wrap(trace, out_name, copy_records(result))
     trace.zip2(worker, buf.name, READ, 0, out_name, WRITE, 0, n)
     return out
 
@@ -240,7 +253,7 @@ def o_split_trans(buf, nbuckets, bucket_fn, project_fn, sizes, out_prefix,
         size = int(size)
         rows = np.asarray(project_fn(buf.data[lo:lo + size]))
         name = out_names[i] if out_names else "%s%d" % (out_prefix, i)
-        bucket = Buffer.wrap(trace, name, rows.copy())
+        bucket = Buffer.wrap(trace, name, copy_records(rows))
         trace.zip2(worker, buf.name, READ, lo, name, WRITE, 0, size)
         buckets.append(bucket)
         lo += size

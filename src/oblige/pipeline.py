@@ -58,7 +58,7 @@ from .grid import (
     group_into_blocks,
     parse_grid_header,
 )
-from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim
+from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, copy_records
 from .oprims import o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
 
 NULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -297,10 +297,11 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
         return out
 
     merged = o_trans_merge(vbufs, tag, "vm.A", worker=worker)
-    o_sort(merged, lambda b: (b["h"], b["l"]), arena, worker=worker)
+    sim.osort_log.append(
+        o_sort(merged, lambda b: (b["h"], b["l"]), arena, worker=worker))
 
     def assign(batch):
-        out = batch.copy()
+        out = copy_records(batch)
         fresh = np.ones(len(batch), dtype=bool)
         fresh[1:] = (batch["h"][1:] != batch["h"][:-1]) \
             | (batch["l"][1:] != batch["l"][:-1])
@@ -310,7 +311,7 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
     merged = o_trans(merged, assign, worker=worker)
 
     def dedup(batch):
-        out = batch.copy()
+        out = copy_records(batch)
         repeat = np.zeros(len(batch), dtype=bool)
         repeat[1:] = batch["mapped"][1:] == batch["mapped"][:-1]
         out["mapped"][repeat] = NULL64
@@ -438,14 +439,14 @@ def post_process(sim, results_buf, map_bufs, params, worker=0):
 
     sg = o_trans(results_buf, from_results, out_name="post.Sg", worker=worker)
     combined = o_merge([sp, sg], "post.S", worker=worker)
-    o_sort(
+    sim.osort_log.append(o_sort(
         combined,
         lambda b: (b["mapped"], (b["result"] == NULL64).astype(np.uint8)),
         arena, worker=worker,
-    )
+    ))
 
     def fill(batch):
-        out = batch.copy()
+        out = copy_records(batch)
         fresh = np.ones(len(batch), dtype=bool)
         fresh[1:] = batch["mapped"][1:] != batch["mapped"][:-1]
         gid = np.cumsum(fresh) - 1

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CapacityExceeded
 from .grid import RESERVE_BYTES
-from .omsim import READ, Buffer
+from .omsim import READ, Buffer, copy_records
 
 
 def _check_vertex_width(params, *bufs):
@@ -63,9 +63,8 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     out = Buffer.wrap(trace, out_name, np.empty_like(owned_vals.data))
     blocks = grid.edges.reshape(b, b, l)
     # The kernels' private copy: a read-only view would not do, since
-    # ufunc.at writes through it.  Copied as bytes, which is many times
-    # faster than a field-by-field structured copy.
-    other = other_vals.data.view(np.uint8).copy().view(other_vals.data.dtype)
+    # ufunc.at writes through it.
+    other = copy_records(other_vals.data)
 
     peaks = []
     for w in range(workers):
@@ -84,13 +83,15 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
                 trace.seq(w, grid.region_name, READ, base, l)
             # One kernel call over the real edges of blocks 0..b-1 of the line.
             line = blocks[outer] if by_rows else blocks[:, outer]
-            real = line[line["pad"] == 0]
-            src = real["src"].astype(np.int64)
-            dst = real["dst"].astype(np.int64)
+            real = line["pad"] == 0
+            src = line["src"][real].view(np.int64)
+            dst = line["dst"][real].view(np.int64)
             if by_rows:
-                kernel(owned, other, src - lo, dst)
+                src -= lo
+                kernel(owned, other, src, dst)
             else:
-                kernel(other, owned, src, dst - lo)
+                dst -= lo
+                kernel(other, owned, src, dst)
             # Unconditional write-back, changed or not.
             out.write(lo, owned, worker=w)
             arena.free(other_om)

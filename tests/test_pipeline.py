@@ -438,6 +438,25 @@ def test_report_digests_reproducible():
     assert rep1.params == rep2.params
 
 
+def test_osort_log_on_oblige_engine_is_public():
+    # Twin inputs: same key lists and per-party edge counts, other edges.
+    parties = [(["A", "C", "D"], [("A", "C"), ("D", "A")]),
+               (["B", "C"], [("B", "C")])]
+    twin = [(["A", "C", "D"], [("C", "D"), ("C", "A")]),
+            (["B", "C"], [("C", "B")])]
+    lengths = []
+    for inputs in (parties, twin):
+        _, report, sim = run_end_to_end(inputs, "pr", 2, 1 << 16, SALT,
+                                        block_length_override=[2, 1])
+        assert report.osort_lengths == [entry["n"] for entry in sim.osort_log]
+        lengths.append([(e["n"], e["padded"], e["segment"], e["compare_exchanges"])
+                        for e in sim.osort_log])
+    assert lengths[0] and lengths[0] == lengths[1]
+    # vertex mapping sorts all 5 submitted IDs; post-processing sorts the 5
+    # party entries with the 4 merged results
+    assert [n for n, _, _, _ in lengths[0]] == [5, 9]
+
+
 # -- party-side key handling ----------------------------------------------------
 
 @pytest.mark.parametrize("keys, edges", [
