@@ -19,14 +19,37 @@ strictest test) or quantized to a line size in bytes (offset = starting byte
 equality implies line-level equality, so tests default to element
 granularity.
 
-Internally the recorder stores access runs in a compressed form (sequential
-runs, interleaved transform passes, compare-exchange passes).  Digests and
-event iteration always operate on the fully expanded per-element event
-sequence, so the digest is a function of the event sequence alone, not of
-how it was recorded.
+The recorder stores access runs in a compressed form: sequential runs,
+interleaved two-region runs, compare-exchange passes, explicit points.
+The digest is nevertheless defined on the expanded event sequence.  Event
+(region, quantized offset q, kind) is the integer
+
+    e = 1 + q + (kind << 64) + (tag << 65),
+
+with `tag` the region name's 4-byte blake2b tag read as a little-endian
+int; the map is injective for q < 2^64 - 1.  A worker's events
+e_0 .. e_{N-1} hash to H = sum_i e_i * X^(N-1-i) mod p, p = 2^127 - 1 (a
+prime) and X a fixed point taken from sha256, and the worker digest is
+sha256 of "N:H".  Two distinct streams of the same length collide only if X
+is a root of their difference, a nonzero polynomial of degree below N, so
+for streams chosen without regard to X the chance is at most N/p; streams
+of different lengths differ in N.  Because H is a function of the events
+alone, one run or two, a run or the same points, a compare-exchange pass or
+its quads spelled out all digest alike.
+
+H is evaluated per record in closed form, never by expanding events.  A
+record is a block of m events repeated A times, copy a adding a*delta_j to
+event j; with y = X^m and d = sum_j delta_j * X^(m-1-j) it hashes to
+h * S0(y, A) + d * S1(y, A), where S0 and S1 are the plain and index-weighted
+geometric sums (computed by doubling and memoized per exponent), and
+records concatenate as H <- H * X^m_rec + h_rec.  A digest therefore costs
+O(records), and the same prefix states locate a divergence without walking
+the events before it.
 """
 
+import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -41,9 +64,15 @@ ELEMENT = None
 
 CACHELINE = 64
 
-# Packed event layout used for hashing: 4-byte region tag, 1 kind byte,
-# 8-byte little-endian offset.
-_EVENT_BYTES = 13
+# The trace hash works in GF(p), p = 2^127 - 1, at the point _X.
+_P = (1 << 127) - 1
+_X = int.from_bytes(hashlib.sha256(b"oblige access-trace hash").digest(), "little") % _P
+_MEMO = 1 << 14
+
+
+def _raw(rows):
+    """The records as one opaque fixed-width item each (strides kept)."""
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize)))
 
 
 def copy_records(rows):
@@ -53,12 +82,96 @@ def copy_records(rows):
     many times slower for the same bytes; viewing the records as opaque
     fixed-width values copies them whole, strided input included.
     """
-    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize)))
-    return raw.copy().view(rows.dtype)
+    return _raw(rows).copy().view(rows.dtype)
+
+
+def assign_records(dst, rows):
+    """Write `rows` into `dst` (same length) as raw record bytes.
+
+    Like `copy_records`, this skips the field-by-field conversion of a
+    structured assignment.  Rows of another dtype are converted by numpy.
+    """
+    if rows.dtype == dst.dtype:
+        _raw(dst)[...] = _raw(rows)
+    else:
+        dst[...] = rows
 
 
 def _region_tag(name):
     return hashlib.blake2b(name.encode(), digest_size=4).digest()
+
+
+# -- polynomial trace hash ---------------------------------------------------
+# A lane is (c, x, num, den): its t-th event is c + ((x + t) * num) // den,
+# where c holds the event's region tag and kind bits and num/den is the
+# element width over the granularity in lowest terms (1/1 at ELEMENT).
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _xpow(n):
+    return pow(_X, n, _P)
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _geo(m, count):
+    """(S0, S1) at y = X^m: the sums of y^(count-1-a) and a * y^(count-1-a)."""
+    y = _xpow(m)
+    s0 = s1 = k = 0
+    yk = 1
+    for bit in bin(count)[2:]:
+        # k copies twice over, then one more if the bit is set.
+        s1 = (s1 * (yk + 1) + k * s0) % _P
+        s0 = s0 * (yk + 1) % _P
+        yk = yk * yk % _P
+        k *= 2
+        if bit == "1":
+            s1 = (s1 * y + k) % _P
+            s0 = (s0 * y + 1) % _P
+            yk = yk * y % _P
+            k += 1
+    return s0, s1
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _rise_hash(rises, units):
+    """Hash of how far each lane's offset has risen since its first event.
+
+    `rises` holds (num, den, phase) per lane, phase = x mod den; the
+    quantized offset depends on the phase only through these rises.
+    """
+    h = 0
+    for t in range(units):
+        for num, den, phase in rises:
+            h = (h * _X + (phase + t) * num // den - phase * num // den) % _P
+    return h
+
+
+def _lanes_hash(lanes, units):
+    """Hash of `units` rounds of interleaved lanes, one event per lane a round.
+
+    Every `period` rounds each lane's offset rises by period * num // den,
+    so the rounds are a block of `period` rounds repeated, plus a remainder.
+    """
+    width = len(lanes)
+    period = 1
+    for _, _, _, den in lanes:
+        period = period * den // math.gcd(period, den)
+    first = step = 0
+    rises = []
+    for c, x, num, den in lanes:
+        first = (first * _X + c + x * num // den) % _P
+        step = (step * _X + period * num // den) % _P
+        rises.append((num, den, x % den))
+    rises = tuple(rises)
+    blocks, rem = divmod(units, period)
+    h = 0
+    if blocks:
+        s0, s1 = _geo(width * period, blocks)
+        h = _rise_hash(rises, period) * s0 + step * _geo(width, period)[0] * s1
+    if rem:
+        h = (h * _xpow(width * rem) + blocks * step * _geo(width, rem)[0]
+             + _rise_hash(rises, rem))
+    return (first * _geo(width, units)[0] + h) % _P
 
 
 class AccessEvent:
@@ -83,13 +196,18 @@ class AccessEvent:
 
 
 class _Region:
-    __slots__ = ("name", "length", "width", "tag")
+    __slots__ = ("name", "length", "width", "tag", "code")
 
     def __init__(self, name, length, width):
         self.name = name
         self.length = length
         self.width = width
         self.tag = _region_tag(name)
+        self.code = 1 + (int.from_bytes(self.tag, "little") << 65)
+
+    def event(self, kind):
+        """The part of this region's event integers that is not the offset."""
+        return self.code + (kind << 64)
 
 
 class AccessTrace:
@@ -128,6 +246,12 @@ class AccessTrace:
 
     # -- recording ---------------------------------------------------------
 
+    def _check_run(self, name, start, count):
+        """Check that elements [start, start+count) lie inside region `name`."""
+        reg = self._require(name)
+        if not (0 <= start and start + count <= reg.length):
+            raise IndexError("run [%d,%d) outside region %r" % (start, start + count, name))
+
     def record(self, worker, region, byte_offset, kind):
         """Record a single access at a byte offset, quantized to granularity."""
         if not self.enabled:
@@ -139,25 +263,23 @@ class AccessTrace:
             offset = byte_offset // reg.width
         else:
             offset = byte_offset // self.granularity
-        self._stream(worker).append(("one", region, kind, offset))
+        self._stream(worker).append(("one", region, kind, int(offset)))
 
     def seq(self, worker, region, kind, start, count):
         """Record a sequential run over elements [start, start+count)."""
         if not self.enabled or count == 0:
             return
-        reg = self._require(region)
-        if not (0 <= start and start + count <= reg.length):
-            raise IndexError("run [%d,%d) outside region %r" % (start, start + count, region))
-        self._stream(worker).append(("seq", region, kind, start, count))
+        self._check_run(region, start, count)
+        self._stream(worker).append(("seq", region, kind, int(start), int(count)))
 
     def zip2(self, worker, region_a, kind_a, start_a, region_b, kind_b, start_b, count):
         """Record two interleaved element runs: a0, b0, a1, b1, ..."""
         if not self.enabled or count == 0:
             return
-        self._require(region_a)
-        self._require(region_b)
+        self._check_run(region_a, start_a, count)
+        self._check_run(region_b, start_b, count)
         self._stream(worker).append(
-            ("zip", region_a, kind_a, start_a, region_b, kind_b, start_b, count)
+            ("zip", region_a, kind_a, int(start_a), region_b, kind_b, int(start_b), int(count))
         )
 
     def cx_pass(self, worker, region, stride, length):
@@ -165,127 +287,191 @@ class AccessTrace:
 
         Expands to (read i, read i+stride, write i, write i+stride) for every
         i with the stride bit clear, in ascending i order; both positions are
-        always written, so the pattern carries no data dependence.
+        always written, so the pattern carries no data dependence.  `length`
+        must be a multiple of 2 * stride (ValueError) inside the region
+        (IndexError).
         """
         if not self.enabled:
             return
-        self._require(region)
-        self._stream(worker).append(("cx", region, stride, length))
+        if stride < 1 or length % (2 * stride):
+            raise ValueError("cx pass of length %d at stride %d is not whole pairs of "
+                             "stride-long runs" % (length, stride))
+        self._check_run(region, 0, length)
+        self._stream(worker).append(("cx", region, int(stride), int(length)))
 
     def points(self, worker, region, kind, offsets):
         """Record accesses at explicit element offsets (in the given order)."""
         if not self.enabled or len(offsets) == 0:
             return
-        self._require(region)
-        self._stream(worker).append(("pts", region, kind, tuple(int(o) for o in offsets)))
+        reg = self._require(region)
+        offsets = tuple(int(o) for o in offsets)
+        if min(offsets) < 0 or max(offsets) >= reg.length:
+            raise IndexError("point outside region %r" % region)
+        self._stream(worker).append(("pts", region, kind, offsets))
 
     # -- expansion ---------------------------------------------------------
 
-    def _quantize(self, region, element_offsets):
-        reg = self._regions[region]
-        offs = np.asarray(element_offsets, dtype=np.uint64)
+    def _ratio(self, region):
+        """Element width over the granularity, in lowest terms (1/1 at ELEMENT)."""
         if self.granularity is ELEMENT:
-            return offs
-        return (offs * np.uint64(reg.width)) // np.uint64(self.granularity)
+            return 1, 1
+        width = self._regions[region].width
+        g = math.gcd(width, self.granularity)
+        return width // g, self.granularity // g
+
+    def _quantize(self, region, element_offsets):
+        num, den = self._ratio(region)
+        return (np.asarray(element_offsets, dtype=np.uint64) * np.uint64(num)) // np.uint64(den)
 
     def _expand(self, rec):
-        """Yield (region, kinds array, quantized offsets array) chunks."""
+        """(region names, region index, kind and quantized offset per event)."""
         code = rec[0]
         if code == "seq":
             _, region, kind, start, count = rec
-            offs = np.arange(start, start + count, dtype=np.uint64)
-            yield region, np.full(count, kind, dtype=np.uint8), self._quantize(region, offs)
-        elif code == "one":
+            offs = self._quantize(region, np.arange(start, start + count))
+            return (region,), np.zeros(count, np.uint8), np.full(count, kind, np.uint8), offs
+        if code == "one":
             _, region, kind, offset = rec
             # Already quantized at record time.
-            yield region, np.array([kind], dtype=np.uint8), np.array([offset], dtype=np.uint64)
-        elif code == "pts":
+            return ((region,), np.zeros(1, np.uint8), np.array([kind], np.uint8),
+                    np.array([offset], np.uint64))
+        if code == "pts":
             _, region, kind, offsets = rec
-            offs = np.asarray(offsets, dtype=np.uint64)
-            yield region, np.full(len(offs), kind, dtype=np.uint8), self._quantize(region, offs)
-        elif code == "zip":
+            n = len(offsets)
+            return ((region,), np.zeros(n, np.uint8), np.full(n, kind, np.uint8),
+                    self._quantize(region, offsets))
+        if code == "zip":
             _, ra, ka, sa, rb, kb, sb, count = rec
-            # Alternating events from two regions; emit as per-event tuples to
-            # preserve the interleaved order.
-            qa = self._quantize(ra, np.arange(sa, sa + count, dtype=np.uint64))
-            qb = self._quantize(rb, np.arange(sb, sb + count, dtype=np.uint64))
-            yield ("interleave", (ra, ka, qa), (rb, kb, qb))
-        elif code == "cx":
+            offs = np.empty((count, 2), np.uint64)
+            offs[:, 0] = self._quantize(ra, np.arange(sa, sa + count))
+            offs[:, 1] = self._quantize(rb, np.arange(sb, sb + count))
+            return ((ra, rb), np.tile(np.array([0, 1], np.uint8), count),
+                    np.tile(np.array([ka, kb], np.uint8), count), offs.reshape(-1))
+        if code == "cx":
             _, region, stride, length = rec
-            half = np.arange(length // 2, dtype=np.uint64)
-            i = (half // stride) * np.uint64(2 * stride) + (half % stride)
-            quad = np.empty((length // 2, 4), dtype=np.uint64)
-            quad[:, 0] = i
-            quad[:, 1] = i + np.uint64(stride)
-            quad[:, 2] = i
-            quad[:, 3] = i + np.uint64(stride)
-            kinds = np.tile(np.array([READ, READ, WRITE, WRITE], dtype=np.uint8), length // 2)
-            yield region, kinds, self._quantize(region, quad.reshape(-1))
-        else:  # pragma: no cover - internal invariant
-            raise AssertionError("unknown trace record %r" % (code,))
-
-    def _packed_chunks(self, stream):
-        """Yield the packed byte form of each record; see _EVENT_BYTES layout."""
-        for rec in stream:
-            for chunk in self._expand(rec):
-                if chunk[0] == "interleave":
-                    _, (ra, ka, qa), (rb, kb, qb) = chunk
-                    n = len(qa)
-                    out = np.empty((2 * n, _EVENT_BYTES), dtype=np.uint8)
-                    ta = np.frombuffer(self._regions[ra].tag, dtype=np.uint8)
-                    tb = np.frombuffer(self._regions[rb].tag, dtype=np.uint8)
-                    out[0::2, 0:4] = ta
-                    out[1::2, 0:4] = tb
-                    out[0::2, 4] = ka
-                    out[1::2, 4] = kb
-                    out[0::2, 5:] = qa.astype("<u8").view(np.uint8).reshape(n, 8)
-                    out[1::2, 5:] = qb.astype("<u8").view(np.uint8).reshape(n, 8)
-                else:
-                    region, kinds, offs = chunk
-                    n = len(offs)
-                    out = np.empty((n, _EVENT_BYTES), dtype=np.uint8)
-                    out[:, 0:4] = np.frombuffer(self._regions[region].tag, dtype=np.uint8)
-                    out[:, 4] = kinds
-                    out[:, 5:] = offs.astype("<u8").view(np.uint8).reshape(n, 8)
-                yield out.tobytes()
+            half = np.arange(length // 2)
+            i = (half // stride) * (2 * stride) + half % stride
+            quad = np.stack([i, i + stride, i, i + stride], axis=1)
+            n = len(quad) * 4
+            return ((region,), np.zeros(n, np.uint8),
+                    np.tile(np.array([READ, READ, WRITE, WRITE], np.uint8), len(quad)),
+                    self._quantize(region, quad.reshape(-1)))
+        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
 
     def events(self, worker=None):
         """Iterate the fully expanded event sequence (one worker or all).
 
-        Intended for tests and small traces; digests avoid materializing
-        events one at a time.
+        Intended for tests and small traces; digests and `first_divergence`
+        never materialize events one at a time.
         """
         workers = sorted(self._streams) if worker is None else [worker]
         for w in workers:
             for rec in self._streams.get(w, []):
-                for chunk in self._expand(rec):
-                    if chunk[0] == "interleave":
-                        _, (ra, ka, qa), (rb, kb, qb) = chunk
-                        for a, b in zip(qa, qb):
-                            yield AccessEvent(w, ra, int(a), ka)
-                            yield AccessEvent(w, rb, int(b), kb)
-                    else:
-                        region, kinds, offs = chunk
-                        for kind, off in zip(kinds, offs):
-                            yield AccessEvent(w, region, int(off), int(kind))
+                names, which, kinds, offs = self._expand(rec)
+                for r, kind, off in zip(which.tolist(), kinds.tolist(), offs.tolist()):
+                    yield AccessEvent(w, names[r], off, kind)
 
     # -- digests -----------------------------------------------------------
+
+    def _lane(self, region, kind, start):
+        num, den = self._ratio(region)
+        return self._regions[region].event(int(kind)), start, num, den
+
+    def _record_hash(self, rec):
+        """(event count, polynomial hash) of one record's events."""
+        code = rec[0]
+        if code == "seq":
+            _, region, kind, start, count = rec
+            return count, _lanes_hash((self._lane(region, kind, start),), count)
+        if code == "zip":
+            _, ra, ka, sa, rb, kb, sb, count = rec
+            lanes = (self._lane(ra, ka, sa), self._lane(rb, kb, sb))
+            return 2 * count, _lanes_hash(lanes, count)
+        if code == "cx":
+            return self._cx_hash(rec)
+        if code == "one":
+            _, region, kind, offset = rec
+            return 1, (self._regions[region].event(int(kind)) + offset) % _P
+        if code == "pts":
+            _, region, kind, offsets = rec
+            c = self._regions[region].event(int(kind))
+            num, den = self._ratio(region)
+            h = 0
+            for o in offsets:
+                h = (h * _X + c + o * num // den) % _P
+            return len(offsets), h
+        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
+
+    def _cx_hash(self, rec):
+        """A cx pass is groups of `stride` quads, group g covering [2sg, 2sg + 2s).
+
+        A group is four lanes of `stride` rounds.  Group g + c repeats group
+        g with every offset raised by the same amount once 2sc elements are
+        a whole number of quantization periods, c = den / gcd(den, 2s).
+        """
+        _, region, s, length = rec
+        num, den = self._ratio(region)
+        read = self._regions[region].event(READ)
+        write = self._regions[region].event(WRITE)
+        groups = length // (2 * s)
+        c = den // math.gcd(den, 2 * s)
+        m = 4 * s  # events per group
+        rise = c * 2 * s * num // den  # per event from group g to g + c
+        hashes = []
+        for g in range(min(c, groups)):
+            x = 2 * s * g
+            lanes = ((read, x, num, den), (read, x + s, num, den),
+                     (write, x, num, den), (write, x + s, num, den))
+            hashes.append(_lanes_hash(lanes, s))
+        copies, rem = divmod(groups, c)
+        h = 0
+        if copies:
+            block = 0
+            for hg in hashes:
+                block = (block * _xpow(m) + hg) % _P
+            s0, s1 = _geo(c * m, copies)
+            h = block * s0 + rise * _geo(1, c * m)[0] * s1
+        lift = copies * rise * _geo(1, m)[0]
+        for hg in hashes[:rem]:
+            h = (h * _xpow(m) + hg + lift) % _P
+        return groups * m, h % _P
+
+    def _prefix_states(self, worker, start=0, end=None):
+        """(event count, hash) of the worker's stream after each record, from (0, 0)."""
+        count = h = 0
+        states = [(0, 0)]
+        known = {}  # a repeated record is hashed once per call
+        for rec in self._streams.get(worker, [])[start:end]:
+            hashed = known.get(rec)
+            if hashed is None:
+                hashed = known[rec] = self._record_hash(rec)
+            n, hr = hashed
+            count += n
+            h = (h * _xpow(n) + hr) % _P
+            states.append((count, h))
+        return states
 
     def mark(self):
         """Checkpoint the current stream lengths (used for per-stage digests)."""
         return {w: len(s) for w, s in self._streams.items()}
 
     def worker_digests(self, start=None, end=None):
-        """Hex digest of each worker's expanded event stream."""
+        """Hex digest of each worker's expanded event stream.
+
+        For events e_0 .. e_{N-1} (see the module docstring for the event
+        integers) this is sha256 of "N:H", H = sum_i e_i * X^(N-1-i) mod
+        2^127 - 1.  H is computed per record in closed form, in O(records),
+        and is a function of the event sequence alone, not of how it was
+        recorded.  Distinct sequences of equal length N collide with
+        probability at most N / (2^127 - 1).  `start` and `end` are `mark()`
+        checkpoints bounding the records digested.
+        """
         out = {}
         for w in sorted(self._streams):
-            stream = self._streams[w]
             lo = 0 if start is None else start.get(w, 0)
-            hi = len(stream) if end is None else end.get(w, len(stream))
-            h = hashlib.sha256()
-            for blob in self._packed_chunks(stream[lo:hi]):
-                h.update(blob)
-            out[w] = h.hexdigest()
+            hi = None if end is None else end.get(w)
+            count, h = self._prefix_states(w, lo, hi)[-1]
+            out[w] = hashlib.sha256(b"%d:%d" % (count, h)).hexdigest()
         return out
 
     def digest(self, start=None, end=None):
@@ -305,21 +491,67 @@ class AccessTrace:
         """First differing (worker, event index, ours, theirs), or None.
 
         Workers are compared pairwise; a missing worker diverges at index 0.
+        Workers with equal hashes are skipped, and so is the longest record
+        prefix whose (event count, hash) state both traces reach; only the
+        records after it are expanded, a record at a time, and compared as
+        arrays.
         """
-        workers = sorted(set(self._streams) | set(other._streams))
-        for w in workers:
-            idx = 0
-            mine = self.events(w)
-            theirs = other.events(w)
-            while True:
-                a = next(mine, None)
-                b = next(theirs, None)
-                if a is None and b is None:
-                    break
-                if a is None or b is None or a != b:
-                    return (w, idx, a, b)
-                idx += 1
+        for w in sorted(set(self._streams) | set(other._streams)):
+            mine, theirs = self._prefix_states(w), other._prefix_states(w)
+            if mine[-1] == theirs[-1]:
+                continue
+            reached = {state: j for j, state in enumerate(theirs)}
+            i = max(i for i, state in enumerate(mine) if state in reached)
+            found = _first_mismatch(self._event_chunks(w, i), other._event_chunks(w, reached[mine[i]]))
+            if found is not None:
+                idx, a, b = found
+                return w, mine[i][0] + idx, _event(w, a), _event(w, b)
         return None
+
+    def _event_chunks(self, worker, first):
+        """Per record from `first` on: an (region name, kind, offset) event array."""
+        for rec in self._streams[worker][first:] if worker in self._streams else ():
+            names, which, kinds, offs = self._expand(rec)
+            ev = np.empty(len(offs), _EVENT_DTYPE)
+            ev["region"] = np.array(names, dtype=object)[which]
+            ev["kind"] = kinds
+            ev["offset"] = offs
+            yield ev
+
+
+_EVENT_DTYPE = np.dtype([("region", object), ("kind", np.uint8), ("offset", np.uint64)])
+
+
+def _event(worker, ev):
+    if ev is None:
+        return None
+    return AccessEvent(worker, ev["region"], int(ev["offset"]), int(ev["kind"]))
+
+
+def _first_mismatch(mine, theirs):
+    """(index, ours, theirs) of the first differing event of two chunk streams.
+
+    An exhausted side reads as None; None if both streams are equal.
+    """
+    a = b = None
+    done = 0
+    while True:
+        if a is None or not len(a):
+            a = next((c for c in mine if len(c)), None)
+        if b is None or not len(b):
+            b = next((c for c in theirs if len(c)), None)
+        if a is None or b is None:
+            if a is None and b is None:
+                return None
+            return done, None if a is None else a[0], None if b is None else b[0]
+        n = min(len(a), len(b))
+        diff = np.flatnonzero((a[:n]["offset"] != b[:n]["offset"])
+                              | (a[:n]["kind"] != b[:n]["kind"])
+                              | (a[:n]["region"] != b[:n]["region"]))
+        if len(diff):
+            j = diff[0]
+            return done + int(j), a[j], b[j]
+        a, b, done = a[n:], b[n:], done + n
 
 
 class OMAlloc:
@@ -441,7 +673,7 @@ class Buffer:
     def write(self, lo, rows, worker=0):
         """Sequentially write `rows` at [lo, lo+len(rows))."""
         self.trace.seq(worker, self.name, WRITE, lo, len(rows))
-        self.data[lo:lo + len(rows)] = rows
+        assign_records(self.data[lo:lo + len(rows)], rows)
 
 
 class OMSim:

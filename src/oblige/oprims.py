@@ -25,7 +25,7 @@ network yields unsorted output.
 import numpy as np
 
 from .errors import OMUnavailable, SizeMismatch
-from .omsim import READ, WRITE, Buffer, copy_records
+from .omsim import READ, WRITE, Buffer, assign_records, copy_records
 
 
 def _pow2_floor(x):
@@ -161,7 +161,7 @@ def o_sort(buf, key, arena, worker=0):
         k *= 2
 
     trace.zip2(worker, scratch_name, READ, 0, buf.name, WRITE, 0, n)
-    buf.data[:] = buf.data[order[rank[:n]]]
+    assign_records(buf.data, buf.data[order[rank[:n]]])
     arena.free(om)
     stats.update(padded=padded, segment=seg, compare_exchanges=cx)
     return stats
@@ -183,7 +183,7 @@ def o_trans(buf, fn, out_name=None, worker=0):
     if out_name is None or out_name == buf.name:
         trace.zip2(worker, buf.name, READ, 0, buf.name, WRITE, 0, n)
         if result.dtype == buf.data.dtype:
-            buf.data[:] = result
+            assign_records(buf.data, result)
             return buf
         out = Buffer.wrap(trace, buf.name, copy_records(result))
         return out

@@ -487,6 +487,7 @@ class RunReport:
     workers: int
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     stage_digests: Dict[str, str] = field(default_factory=dict)
+    digest_seconds: Dict[str, float] = field(default_factory=dict)
     osort_lengths: List[int] = field(default_factory=list)
 
     def to_dict(self):
@@ -498,6 +499,7 @@ class RunReport:
             "workers": self.workers,
             "stage_seconds": self.stage_seconds,
             "stage_digests": self.stage_digests,
+            "digest_seconds": self.digest_seconds,
             "osort_lengths": self.osort_lengths,
         }
 
@@ -516,9 +518,12 @@ class _StageTimer:
             if err.stage is None:
                 err.stage = name
             raise
-        self.report.stage_seconds[name] = time.perf_counter() - start
+        done = time.perf_counter()
+        self.report.stage_seconds[name] = done - start
         if self.sim is not None:
             self.report.stage_digests[name] = self.sim.trace.digest(start=mark)
+            if self.sim.trace.enabled:
+                self.report.digest_seconds[name] = time.perf_counter() - done
         return result
 
 

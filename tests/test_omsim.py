@@ -1,20 +1,27 @@
 """Arena budgeting, trace recording, quantization and digest behavior."""
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblige.errors import CapacityExceeded
 from oblige.omsim import (
+    _X,
     CACHELINE,
     ELEMENT,
     READ,
     WRITE,
     AccessTrace,
+    Buffer,
     OMArena,
     OMSim,
+    assign_records,
 )
+from oblige.oprims import o_trans
 
 
 def test_alloc_exact_fit():
@@ -223,3 +230,328 @@ def test_disabled_trace_records_nothing():
     buf = sim.buffer_from_rows("a", np.zeros(4, dtype=[("v", "<u8")]))
     buf.read(0, 4)
     assert list(sim.trace.events()) == []
+
+
+# -- record validation ----------------------------------------------------------
+
+def _trace_ab():
+    trace = AccessTrace(granularity=ELEMENT)
+    trace.register("a", 16, 8)
+    trace.register("b", 8, 8)
+    return trace
+
+
+@pytest.mark.parametrize("stride,length", [(0, 0), (0, 8), (-1, 8), (2, 6), (4, 4), (3, 9)])
+def test_cx_pass_rejects_partial_pairs(stride, length):
+    with pytest.raises(ValueError):
+        _trace_ab().cx_pass(0, "a", stride, length)
+
+
+def test_cx_pass_rejects_length_past_region():
+    with pytest.raises(IndexError):
+        _trace_ab().cx_pass(0, "a", 2, 20)
+
+
+@pytest.mark.parametrize("sa,sb,count", [(14, 0, 3), (0, 6, 3), (-1, 0, 2), (0, -1, 2)])
+def test_zip2_bounds_checked(sa, sb, count):
+    with pytest.raises(IndexError):
+        _trace_ab().zip2(0, "a", READ, sa, "b", WRITE, sb, count)
+
+
+@pytest.mark.parametrize("offsets", [[16], [3, 16], [-1]])
+def test_points_bounds_checked(offsets):
+    with pytest.raises(IndexError):
+        _trace_ab().points(0, "a", READ, offsets)
+
+
+def test_in_region_records_accepted():
+    trace = _trace_ab()
+    trace.cx_pass(0, "a", 4, 16)
+    trace.zip2(0, "a", READ, 8, "b", WRITE, 0, 8)
+    trace.points(0, "a", READ, [0, 15])
+    assert trace.mark() == {0: 3}
+
+
+# -- byte-wise record assignment --------------------------------------------------
+
+REC_DTYPE = np.dtype([("k", "<u8"), ("tag", "u1"), ("w", "<f8")])
+
+
+def _records(n, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = np.zeros(n, dtype=REC_DTYPE)
+    rows["k"] = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+    rows["tag"] = rng.integers(0, 256, size=n)
+    rows["w"] = rng.standard_normal(n)
+    rows["w"][:3] = [-0.0, np.inf, np.nan]
+    return rows
+
+
+def test_assign_records_strided_bytes():
+    src = _records(40)
+    dst = np.zeros(20, dtype=REC_DTYPE)
+    assign_records(dst, src[::2])
+    assert dst.tobytes() == src[::2].copy().tobytes()
+    # and into a strided destination
+    wide = np.zeros(40, dtype=REC_DTYPE)
+    assign_records(wide[1::2], src[:20])
+    assert wide[1::2].tobytes() == src[:20].tobytes()
+    assert not wide[0::2].tobytes().strip(b"\0")
+
+
+def test_assign_records_converts_other_dtypes():
+    dst = np.zeros(3, dtype=[("v", "<u8")])
+    assign_records(dst, np.array([(1,), (2,), (3,)], dtype=[("v", "<u4")]))
+    assert dst["v"].tolist() == [1, 2, 3]
+
+
+def test_buffer_write_strided_rows_byte_equal():
+    sim = OMSim(4096)
+    buf = sim.buffer_from_rows("a", np.zeros(16, dtype=REC_DTYPE))
+    rows = _records(10, seed=1)
+    buf.write(3, rows[::2])
+    assert buf.data[3:8].tobytes() == rows[::2].copy().tobytes()
+    assert buf.data[:3].tobytes() == bytes(3 * REC_DTYPE.itemsize)
+
+
+def test_o_trans_in_place_byte_equal():
+    sim = OMSim(4096)
+    rows = _records(12, seed=2)
+    buf = sim.buffer_from_rows("a", rows)
+    out = o_trans(buf, lambda batch: batch[::-1])
+    assert out is buf
+    assert buf.data.tobytes() == rows[::-1].copy().tobytes()
+
+
+# -- the digest against its definition ----------------------------------------
+
+P127 = (1 << 127) - 1
+
+
+def explicit_worker_digests(trace):
+    """The documented hash, evaluated event by event."""
+    out = {}
+    for w in sorted(trace._streams):
+        h = n = 0
+        for ev in trace.events(w):
+            tag = int.from_bytes(hashlib.blake2b(ev.region.encode(), digest_size=4).digest(),
+                                 "little")
+            e = 1 + ev.offset + (ev.kind << 64) + (tag << 65)
+            h = (h * _X + e) % P127
+            n += 1
+        out[w] = hashlib.sha256(b"%d:%d" % (n, h)).hexdigest()
+    return out
+
+
+REGIONS = [("r0", 300, 8), ("r1", 260, 17), ("r2", 200, 40), ("r3", 128, 1), ("r4", 96, 128)]
+
+
+OPS = st.tuples(
+    st.sampled_from(["seq", "zip", "cx", "pts", "one"]),
+    st.integers(0, 2),                          # worker
+    st.integers(0, len(REGIONS) - 1),           # region
+    st.integers(0, len(REGIONS) - 1),           # second region (zip)
+    st.sampled_from([READ, WRITE]),
+    st.sampled_from([READ, WRITE]),
+    st.integers(0, 1 << 16),                    # start
+    st.integers(0, 1 << 16),                    # second start / stride pick
+    st.integers(0, 1 << 16),                    # count
+    st.lists(st.integers(0, 1 << 16), max_size=12),
+)
+
+
+@st.composite
+def traces(draw):
+    granularity = draw(st.sampled_from([ELEMENT, 1, 8, 24, 32, 64]))
+    return granularity, draw(st.lists(OPS, max_size=10))
+
+
+def build(granularity, ops):
+    trace = AccessTrace(granularity=granularity)
+    for name, length, width in REGIONS:
+        trace.register(name, length, width)
+    for code, w, ra, rb, ka, kb, x, y, z, pts in ops:
+        name, length, width = REGIONS[ra]
+        if code == "seq":
+            start = x % length
+            trace.seq(w, name, ka, start, z % (length - start + 1))
+        elif code == "zip":
+            other, olen, _ = REGIONS[rb]
+            count = z % (min(length, olen) + 1)
+            trace.zip2(w, name, ka, x % (length - count + 1), other, kb,
+                       y % (olen - count + 1), count)
+        elif code == "cx":
+            stride = [1, 2, 3, 4, 5, 7, 8, 16, 17, 32, 64][y % 11]
+            pairs = length // (2 * stride)
+            trace.cx_pass(w, name, stride, 2 * stride * (z % (pairs + 1)))
+        elif code == "pts":
+            trace.points(w, name, ka, [p % length for p in pts])
+        else:
+            trace.record(w, name, x % (length * width), ka)
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_worker_digests_match_explicit_hash(case):
+    trace = build(*case)
+    assert trace.worker_digests() == explicit_worker_digests(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces(), st.data())
+def test_stage_digests_match_explicit_hash(case, data):
+    trace = build(*case)
+    streams = {w: list(s) for w, s in trace._streams.items()}
+    cut = {w: data.draw(st.integers(0, len(s))) for w, s in streams.items()}
+    sub = AccessTrace(granularity=trace.granularity)
+    sub._regions = trace._regions
+    sub._streams = {w: s[cut[w]:] for w, s in streams.items()}
+    assert trace.worker_digests(start=cut) == explicit_worker_digests(sub)
+
+
+# -- the same events in different recorded forms ------------------------------
+
+def _pair(granularity=ELEMENT):
+    out = []
+    for _ in range(2):
+        trace = AccessTrace(granularity=granularity)
+        trace.register("a", 4096, 24)
+        trace.register("b", 4096, 8)
+        out.append(trace)
+    return out
+
+
+@pytest.mark.parametrize("granularity", [ELEMENT, 8, 64])
+def test_seq_split_in_two_digests_alike(granularity):
+    one, two = _pair(granularity)
+    one.seq(0, "a", READ, 5, 300)
+    two.seq(0, "a", READ, 5, 123)
+    two.seq(0, "a", READ, 128, 177)
+    assert one.digest() == two.digest()
+    assert one.first_divergence(two) is None
+
+
+@pytest.mark.parametrize("granularity", [ELEMENT, 8, 64])
+def test_seq_and_points_digest_alike(granularity):
+    one, two = _pair(granularity)
+    one.seq(1, "a", WRITE, 7, 100)
+    two.points(1, "a", WRITE, range(7, 107))
+    assert one.digest() == two.digest()
+
+
+def test_zip_of_one_and_two_single_records_digest_alike():
+    one, two = _pair(ELEMENT)
+    one.zip2(0, "a", READ, 3, "b", WRITE, 9, 1)
+    two.record(0, "a", 3 * 24, READ)
+    two.record(0, "b", 9 * 8, WRITE)
+    assert one.digest() == two.digest()
+
+
+@pytest.mark.parametrize("granularity", [ELEMENT, 8, 64])
+@pytest.mark.parametrize("stride,length", [(1, 16), (4, 64), (3, 48), (16, 2048)])
+def test_cx_pass_and_its_points_digest_alike(granularity, stride, length):
+    one, two = _pair(granularity)
+    one.cx_pass(0, "a", stride, length)
+    for i in range(length):
+        if (i // stride) % 2 == 0:
+            two.points(0, "a", READ, [i, i + stride])
+            two.points(0, "a", WRITE, [i, i + stride])
+    assert one.digest() == two.digest()
+    assert list(one.events()) == list(two.events())
+
+
+def test_different_events_digest_apart():
+    one, two = _pair(64)
+    one.seq(0, "a", READ, 0, 100)
+    two.seq(0, "a", READ, 0, 99)
+    assert one.digest() != two.digest()
+    two.seq(0, "a", READ, 99, 1)
+    assert one.digest() == two.digest()
+    two.seq(0, "a", WRITE, 0, 1)
+    assert one.digest() != two.digest()
+
+
+# -- first_divergence against an event walk --------------------------------------
+
+def walk_first_divergence(mine, theirs):
+    """Event-by-event comparison, the definition `first_divergence` must match."""
+    workers = sorted(set(mine._streams) | set(theirs._streams))
+    for w in workers:
+        idx = 0
+        a_events = mine.events(w)
+        b_events = theirs.events(w)
+        while True:
+            a = next(a_events, None)
+            b = next(b_events, None)
+            if a is None and b is None:
+                break
+            if a is None or b is None or a != b:
+                return (w, idx, a, b)
+            idx += 1
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces(), st.data())
+def test_first_divergence_matches_event_walk(case, data):
+    granularity, ops = case
+    other = list(ops)
+    edit = data.draw(st.sampled_from(["same", "replace", "insert", "delete"]))
+    if edit == "insert" or (edit != "same" and not other):
+        other.insert(data.draw(st.integers(0, len(other))), data.draw(OPS))
+    elif edit == "replace":
+        i = data.draw(st.integers(0, len(other) - 1))
+        other[i] = other[i][:8] + (data.draw(st.integers(0, 1 << 16)),) + other[i][9:]
+    elif edit == "delete":
+        del other[data.draw(st.integers(0, len(other) - 1))]
+    mine, theirs = build(granularity, ops), build(granularity, other)
+    assert mine.first_divergence(theirs) == walk_first_divergence(mine, theirs)
+    assert theirs.first_divergence(mine) == walk_first_divergence(theirs, mine)
+
+
+def test_first_divergence_after_long_cx_pass(monkeypatch):
+    length = 1 << 19  # 2^20 events in the pass
+    one, two = _pair(ELEMENT)
+    for trace in (one, two):
+        trace.register("big", length, 16)
+        trace.seq(0, "b", READ, 0, 10)
+        trace.cx_pass(0, "big", 1 << 10, length)
+    one.seq(0, "b", WRITE, 0, 3)
+    two.seq(0, "b", WRITE, 0, 2)
+    two.points(0, "b", WRITE, [7])
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("events() walked")
+
+    monkeypatch.setattr(AccessTrace, "events", no_walk)
+    worker, idx, a, b = one.first_divergence(two)
+    assert (worker, idx) == (0, 10 + 2 * length + 2)
+    assert (a.region, a.offset, a.kind) == ("b", 2, WRITE)
+    assert (b.region, b.offset, b.kind) == ("b", 7, WRITE)
+    assert two.first_divergence(one)[3].offset == 2
+
+
+def test_first_divergence_inside_long_cx_pass():
+    length = 1 << 19
+    one, two = _pair(ELEMENT)
+    for trace in (one, two):
+        trace.register("big", length, 16)
+    one.cx_pass(0, "big", 1 << 10, length)
+    two.cx_pass(0, "big", 1 << 10, length - (1 << 11))
+    two.seq(0, "big", READ, 0, 1)
+    worker, idx, a, b = one.first_divergence(two)
+    assert idx == 2 * (length - (1 << 11))
+    assert (a.offset, a.kind, b.offset, b.kind) == (length - (1 << 11), READ, 0, READ)
+
+
+def test_first_divergence_missing_worker_and_end_of_stream():
+    one, two = _pair(ELEMENT)
+    one.seq(0, "a", READ, 0, 4)
+    two.seq(0, "a", READ, 0, 4)
+    two.seq(2, "a", READ, 0, 1)
+    worker, idx, a, b = one.first_divergence(two)
+    assert (worker, idx, a) == (2, 0, None) and b.offset == 0
+    two.seq(0, "a", READ, 4, 1)
+    worker, idx, a, b = one.first_divergence(two)
+    assert (worker, idx, a) == (0, 4, None) and b.offset == 4

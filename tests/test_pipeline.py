@@ -438,6 +438,20 @@ def test_report_digests_reproducible():
     assert rep1.params == rep2.params
 
 
+def test_report_digest_seconds_per_traced_stage():
+    parties = [(["A", "C"], [("A", "C")]), (["B", "C"], [("B", "C")])]
+    for engine in ("oblige", "sortscan"):
+        _, rep, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT, engine=engine)
+        assert set(rep.digest_seconds) == set(rep.stage_digests) == set(rep.stage_seconds)
+        assert all(v >= 0 for v in rep.digest_seconds.values())
+        assert rep.to_dict()["digest_seconds"] == rep.digest_seconds
+        _, untraced, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT, engine=engine,
+                                        record=False)
+        assert untraced.digest_seconds == {}
+        assert untraced.to_dict()["digest_seconds"] == {}
+        assert set(untraced.stage_seconds) == set(rep.stage_seconds)
+
+
 def test_osort_log_on_oblige_engine_is_public():
     # Twin inputs: same key lists and per-party edge counts, other edges.
     parties = [(["A", "C", "D"], [("A", "C"), ("D", "A")]),
