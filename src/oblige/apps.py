@@ -1,4 +1,18 @@
-"""Graph analytics applications expressed as edge kernels over full scans.
+"""Graph analytics applications, each written once as a vertex program.
+
+A :class:`VertexProgram` is one round of edge-centric scatter/gather/apply,
+as in GridGraph: every edge (u, v) sends ``message(state, u)`` to v, the
+messages arriving at v fold with the `combine` ufunc, and `apply` turns the
+fold into v's next value; a program without `apply` folds the messages into
+v's old value instead.  All three engines derive their per-app code from it:
+
+* the grid scan (this module) runs ``combine.at(dst[field], doff,
+  message(src, soff))`` as its kernel, into a copy of the state or, with an
+  `apply`, into an accumulator cleared to the fold's identity;
+* the sort-scan baseline (`oblige.baselines`) computes `message` at each
+  edge from the vertex sorted before it, and folds with `combine.at` over
+  vertex groups;
+* the reference oracle folds with `combine.at` over whole arrays.
 
 Every application runs a fixed number of iterations with no convergence
 detection, frontier tracking or early exit: any of those would make the
@@ -31,29 +45,92 @@ LABEL_STATE = np.dtype([("label", "<u8")])
 INF = np.uint64(np.iinfo(np.uint64).max)
 
 
-# -- kernels (touch only the OM-resident chunks) ----------------------------
+class VertexProgram:
+    """One application: its vertex state, edge message and message fold.
+
+    `state_dtype` is the per-vertex record, `field` the value the program
+    computes and `region` the state buffer's trace region.  `init(n)` gives
+    the starting values of `field`; with `needs_source` the source vertex
+    starts at 0 instead (the scan engines seed it with `bfs_initial_dist`),
+    and with `needs_degrees` a `degree` field holds out-degrees.
+    `message(state, idx)` is what edges send from source vertices `idx`;
+    `combine` (np.add or np.minimum) folds the messages arriving at a
+    vertex; `apply(folded, f)` maps the fold to the new value (f is the
+    run's damping factor), or, when None, the fold takes in the old value
+    too.  A `symmetric` program runs over symmetrized edges; results travel
+    as the raw u64 bits of `field`, an 8-byte value.
+    """
+
+    def __init__(self, name, region, state_dtype, field, init, message,
+                 combine, apply=None, needs_degrees=False, needs_source=False,
+                 symmetric=False):
+        self.name = name
+        self.region = region
+        self.state_dtype = state_dtype
+        self.field = field
+        self.init = init
+        self.message = message
+        self.combine = combine
+        self.apply = apply
+        self.needs_degrees = needs_degrees
+        self.needs_source = needs_source
+        self.symmetric = symmetric
+        self.vwidth = state_dtype.itemsize
+        self.value = value = state_dtype[field]
+        self.result_kind = "f64" if value.kind == "f" else "u64"
+        # The fold's starting value: 0 for np.add, the top value for np.minimum.
+        self.identity = combine.identity if combine.identity is not None else (
+            np.inf if value.kind == "f" else np.iinfo(value).max)
+
+    def initial(self, n):
+        """State of n vertices with `field` at its initial values."""
+        state = np.zeros(n, dtype=self.state_dtype)
+        state[self.field] = self.init(n)
+        return state
+
+    def kernel(self, src, dst, soff, doff):
+        """Scan kernel: fold each edge's message into its destination."""
+        self.combine.at(dst[self.field], doff, self.message(src, soff))
+
+    def fold(self, old, idx, msg, f):
+        """New values of the vertices `old`, given messages `msg` to vertices `idx`."""
+        acc = np.full(len(old), self.identity, dtype=old.dtype)
+        self.combine.at(acc, idx, msg)
+        return self.combine(old, acc) if self.apply is None else self.apply(acc, f)
+
+    def result_bits(self, state_data):
+        """Final per-vertex results as raw u64 bits (wire representation)."""
+        return state_data[self.field].astype(self.value).view("<u8")
+
+    def bits_to_values(self, bits):
+        return np.asarray(bits, dtype="<u8").view(self.value).copy()
+
+
+def _hop(state, idx):
+    d = state["dist"][idx]
+    return np.where(d == INF, INF, d + np.uint64(1))
+
+
+APPS = {program.name: program for program in (
+    # degree >= 1 whenever an out-edge of that vertex exists
+    VertexProgram("pr", "pr.state", PR_STATE, "weight", np.ones,
+                  lambda state, idx: state["weight"][idx] / state["degree"][idx],
+                  np.add, apply=lambda acc, f: (1.0 - f) + f * acc,
+                  needs_degrees=True),
+    VertexProgram("bfs", "bfs.dist", DIST_STATE, "dist",
+                  lambda n: np.full(n, INF), _hop, np.minimum, needs_source=True),
+    VertexProgram("wcc", "wcc.label", LABEL_STATE, "label",
+                  lambda n: np.arange(n, dtype=np.uint64),
+                  lambda state, idx: state["label"][idx], np.minimum,
+                  symmetric=True),
+)}
+
+
+# -- the grid-scan engine ------------------------------------------------------
 
 def _degree_kernel(src_chunk, dst_chunk, soff, doff):
     np.add.at(src_chunk["degree"], soff, 1)
 
-
-def _pr_kernel(src_chunk, dst_chunk, soff, doff):
-    # degree >= 1 whenever an out-edge of that vertex exists
-    contrib = src_chunk["weight"][soff] / src_chunk["degree"][soff]
-    np.add.at(dst_chunk["weight"], doff, contrib)
-
-
-def _bfs_kernel(src_chunk, dst_chunk, soff, doff):
-    d = src_chunk["dist"][soff]
-    hop = np.where(d == INF, INF, d + np.uint64(1))
-    np.minimum.at(dst_chunk["dist"], doff, hop)
-
-
-def _wcc_kernel(src_chunk, dst_chunk, soff, doff):
-    np.minimum.at(dst_chunk["label"], doff, src_chunk["label"][soff])
-
-
-# -- out-degrees -------------------------------------------------------------
 
 def compute_out_degrees(sim, grid, workers=1):
     """Out-degree of every vertex via a row-major scan with a count kernel."""
@@ -64,138 +141,80 @@ def compute_out_degrees(sim, grid, workers=1):
                           out_name="degrees")
 
 
-# -- PageRank ----------------------------------------------------------------
-
-def pagerank_iteration(sim, grid, state, f=0.85, workers=1):
-    """One PR round: zeroed accumulation scan, then the damping transform."""
-    def zero_weight(batch):
-        out = copy_records(batch)
-        out["weight"] = 0.0
-        return out
-
-    acc = o_trans(state, zero_weight, out_name="pr.acc")
-    acc = full_scan(grid, state, acc, _pr_kernel, sim, workers=workers)
-
-    def finalize(batch):
-        out = copy_records(batch)
-        out["weight"] = (1.0 - f) + f * batch["weight"]
-        return out
-
-    return o_trans(acc, finalize, out_name="pr.state")
-
-
-def pagerank(sim, grid, t, f=0.85, workers=1):
-    """t full PR rounds; returns the final (weight, degree) state buffer."""
-    degrees = compute_out_degrees(sim, grid, workers=workers)
-
-    def seed(batch):
-        out = np.ones(len(batch), dtype=PR_STATE)
-        out["degree"] = batch["degree"]
-        return out
-
-    state = o_trans(degrees, seed, out_name="pr.state")
-    for _ in range(t):
-        state = pagerank_iteration(sim, grid, state, f=f, workers=workers)
-    return state
-
-
-# -- BFS ---------------------------------------------------------------------
-
 def bfs_initial_dist(sim, global_map, source_id):
-    """Distance array seeded by an equality scan over the merged ID map.
+    """BFS state seeded by an equality scan over the merged ID map.
 
     The map is stored in mapped-ID order, so position j holds the vertex
     mapped to j.  Comparing every entry against the source keeps the trace
     independent of which vertex (if any) matches; absence surfaces as
     :class:`UnknownSource` only after the full pass.
     """
+    program = APPS["bfs"]
     h, l = int(source_id["h"]), int(source_id["l"])
     found = []
 
     def seed(batch):
         hit = (batch["h"] == h) & (batch["l"] == l)
         found.append(bool(hit.any()))
-        out = np.full(len(batch), INF, dtype=DIST_STATE)
-        out["dist"][hit] = 0
+        out = program.initial(len(batch))
+        out[program.field][hit] = 0
         return out
 
-    dist = o_trans(global_map, seed, out_name="bfs.dist")
+    dist = o_trans(global_map, seed, out_name=program.region)
     if not found[0]:
         raise UnknownSource("source vertex is not present in the merged graph")
     return dist
 
 
-def bfs_iteration(sim, grid, state, workers=1):
-    return full_scan(grid, state, state, _bfs_kernel, sim, workers=workers)
+def initial_state(sim, grid, global_map, program, workers=1, source_id=None):
+    """The program's state buffer before its first round."""
+    if program.needs_source:
+        return bfs_initial_dist(sim, global_map, source_id)
+    if not program.needs_degrees:
+        return sim.buffer_from_rows(program.region, program.initial(grid.params.n))
+
+    def seed(batch):
+        out = program.initial(len(batch))
+        out["degree"] = batch["degree"]
+        return out
+
+    degrees = compute_out_degrees(sim, grid, workers=workers)
+    return o_trans(degrees, seed, out_name=program.region)
 
 
-def bfs(sim, grid, global_map, source_id, t, workers=1):
-    """t rounds of hop relaxation from `source_id`, no early exit."""
-    state = bfs_initial_dist(sim, global_map, source_id)
+def iteration(sim, grid, state, program, f=0.85, workers=1):
+    """One round: a scan folding every in-edge's message, then `apply`.
+
+    Without `apply` the scan folds straight into a copy of the state.  With
+    it the scan folds into an accumulator ("<name>.acc") cleared to the
+    fold's identity, and a transform applies the result.
+    """
+    if program.apply is None:
+        return full_scan(grid, state, state, program.kernel, sim, workers=workers)
+    field = program.field
+
+    def clear(batch):
+        out = copy_records(batch)
+        out[field] = program.identity
+        return out
+
+    def finish(batch):
+        out = copy_records(batch)
+        out[field] = program.apply(batch[field], f)
+        return out
+
+    acc = o_trans(state, clear, out_name=program.name + ".acc")
+    acc = full_scan(grid, state, acc, program.kernel, sim, workers=workers)
+    return o_trans(acc, finish, out_name=program.region)
+
+
+def run_app(sim, grid, global_map, program, t, workers=1, f=0.85, source_id=None):
+    """t rounds of `program` on the grid-scan engine; returns the state buffer."""
+    if program.symmetric and not grid.symmetrized:
+        raise SymmetryRequired("%s needs a grid built from symmetrized edges"
+                               % program.name)
+    state = initial_state(sim, grid, global_map, program, workers=workers,
+                          source_id=source_id)
     for _ in range(t):
-        state = bfs_iteration(sim, grid, state, workers=workers)
+        state = iteration(sim, grid, state, program, f=f, workers=workers)
     return state
-
-
-# -- WCC ---------------------------------------------------------------------
-
-def wcc_iteration(sim, grid, state, workers=1):
-    return full_scan(grid, state, state, _wcc_kernel, sim, workers=workers)
-
-
-def wcc(sim, grid, t, workers=1):
-    """t rounds of minimum-label propagation over a symmetrized grid."""
-    if not grid.symmetrized:
-        raise SymmetryRequired("wcc needs a grid built from symmetrized edges")
-    n = grid.params.n
-    labels = np.zeros(n, dtype=LABEL_STATE)
-    labels["label"] = np.arange(n, dtype=np.uint64)
-    state = sim.buffer_from_rows("wcc.label", labels)
-    for _ in range(t):
-        state = wcc_iteration(sim, grid, state, workers=workers)
-    return state
-
-
-# -- registry ----------------------------------------------------------------
-
-class AppSpec:
-    """Static per-application facts shared by all engines."""
-
-    def __init__(self, name, vwidth, symmetric, state_dtype, result_field,
-                 result_kind):
-        self.name = name
-        self.vwidth = vwidth
-        self.symmetric = symmetric
-        self.state_dtype = state_dtype
-        self.result_field = result_field
-        self.result_kind = result_kind  # "f64" or "u64"
-
-    def result_bits(self, state_data):
-        """Final per-vertex results as raw u64 bits (wire representation)."""
-        col = state_data[self.result_field]
-        if self.result_kind == "f64":
-            return col.astype("<f8").view("<u8").copy()
-        return col.astype("<u8").copy()
-
-    def bits_to_values(self, bits):
-        if self.result_kind == "f64":
-            return np.asarray(bits, dtype="<u8").view("<f8").copy()
-        return np.asarray(bits, dtype="<u8").copy()
-
-
-APPS = {
-    "pr": AppSpec("pr", PR_STATE.itemsize, False, PR_STATE, "weight", "f64"),
-    "bfs": AppSpec("bfs", DIST_STATE.itemsize, False, DIST_STATE, "dist", "u64"),
-    "wcc": AppSpec("wcc", LABEL_STATE.itemsize, True, LABEL_STATE, "label", "u64"),
-}
-
-
-def run_app(sim, grid, global_map, app, t, workers=1, f=0.85, source_id=None):
-    """Run one application on the scan engine; returns the final state buffer."""
-    if app == "pr":
-        return pagerank(sim, grid, t, f=f, workers=workers)
-    if app == "bfs":
-        return bfs(sim, grid, global_map, source_id, t, workers=workers)
-    if app == "wcc":
-        return wcc(sim, grid, t, workers=workers)
-    raise ValueError("unknown application %r" % app)

@@ -1,33 +1,28 @@
 """Comparison engines: the sort-scan oblivious baseline and a plain reference.
 
-The sort-scan baseline ports the classic approach of interleaving oblivious
-sorts with linear scans over a combined vertex+edge element list.  One
-iteration is: sort so each vertex precedes its out-edges, scan forward
-carrying the vertex payload onto the edges, sort so each vertex follows its
-in-edges, scan folding the edge messages into the vertex.  All passes are
+Both run the vertex programs of `oblige.apps`.  The sort-scan baseline ports
+the classic approach of interleaving oblivious sorts with linear scans over
+a combined vertex+edge element list.  One iteration is: sort so each vertex
+precedes its out-edges, scan forward computing each edge's `message` from
+the vertex before it, sort so each vertex follows its in-edges, scan folding
+the messages into the vertex with `combine.at` over the vertex groups.  An
+element is (kind, a, b), the program's state fields and a message of the
+state's value type: 41 bytes for PR, 33 for BFS and WCC.  All passes are
 built from the oblivious routines, so the per-iteration trace depends only
 on (n, m) and the record width; the element count n+m is treated as public
 here, unlike the grid engine where only the padded block total is.
 
 The reference engine is a non-oblivious adjacency engine with the same
-truncated-iteration semantics.  It exists purely as a correctness and
-performance oracle; nothing about it is access-pattern safe.
+truncated-iteration semantics, folding with `combine.at` over whole arrays.
+It exists purely as a correctness and performance oracle; nothing about it
+is access-pattern safe.
 """
 
 import numpy as np
 
-from .apps import APPS, INF
-from .omsim import copy_records
+from .apps import bfs_initial_dist
+from .omsim import Buffer, copy_records
 from .oprims import o_filter, o_sort, o_trans, o_trans_merge
-
-SS_PR = np.dtype([
-    ("kind", "u1"), ("a", "<u8"), ("b", "<u8"),
-    ("wgt", "<f8"), ("deg", "<u8"), ("msg", "<f8"),
-])
-SS_U64 = np.dtype([
-    ("kind", "u1"), ("a", "<u8"), ("b", "<u8"),
-    ("val", "<u8"), ("msg", "<u8"),
-])
 
 VERTEX, EDGE = 0, 1
 
@@ -43,21 +38,32 @@ def _gather_key(batch):
     return key, np.uint8(1) - batch["kind"]
 
 
+def _gather_by_source_key(batch):
+    # Out-edges first, their source vertex last (for degree counting).
+    return batch["a"], np.uint8(1) - batch["kind"]
+
+
 def _group_ids(keys):
     change = np.ones(len(keys), dtype=bool)
     change[1:] = keys[1:] != keys[:-1]
     return np.cumsum(change) - 1
 
 
-def build_elements(sim, init_vals, edges, dtype, vertex_fill, out_name="ss.elems"):
-    """Merge the vertex init buffer and the edge buffer into one element list."""
+def build_elements(init_vals, edges, kernel, out_name="ss.elems"):
+    """Merge the vertex init buffer and the edge buffer into one element list.
+
+    `init_vals` holds the program's `field` for every vertex in mapped-ID
+    order; `edges` holds (src, dst) pairs.
+    """
+    field = kernel.program.field
+
     def fn(batch, i):
-        out = np.zeros(len(batch), dtype=dtype)
+        out = np.zeros(len(batch), dtype=kernel.dtype)
         if i == 0:
             out["kind"] = VERTEX
             out["a"] = np.arange(len(batch), dtype=np.uint64)
             out["b"] = out["a"]
-            vertex_fill(out, batch)
+            out[field] = batch[field]
         else:
             out["kind"] = EDGE
             out["a"] = batch["src"]
@@ -68,49 +74,38 @@ def build_elements(sim, init_vals, edges, dtype, vertex_fill, out_name="ss.elems
 
 
 class SortScanKernel:
-    """Per-application scatter/gather folds for one sort-scan iteration."""
+    """A vertex program's scatter and gather folds for one sort-scan iteration."""
 
-    def __init__(self, app, f=0.85):
-        self.app = app
+    def __init__(self, program, f=0.85):
+        self.program = program
         self.f = f
-        self.dtype = SS_PR if app == "pr" else SS_U64
+        state = program.state_dtype
+        self.dtype = np.dtype(
+            [("kind", "u1"), ("a", "<u8"), ("b", "<u8")]
+            + [(name, state[name]) for name in state.names]
+            + [("msg", program.value)])
 
     def scatter(self, batch):
+        # Sorted by (a, kind): every edge's source vertex is the last vertex
+        # before it.
         out = copy_records(batch)
-        is_vertex = batch["kind"] == VERTEX
-        last_vertex = np.maximum.accumulate(
-            np.where(is_vertex, np.arange(len(batch)), -1)
-        )
-        if self.app == "pr":
-            src = last_vertex  # every edge's source vertex precedes it
-            msg = np.zeros(len(batch))
-            edges = ~is_vertex
-            msg[edges] = batch["wgt"][src[edges]] / batch["deg"][src[edges]]
-            out["msg"] = msg
-        else:
-            v = batch["val"][last_vertex]
-            if self.app == "bfs":
-                out["msg"] = np.where(v == INF, INF, v + np.uint64(1))
-            else:
-                out["msg"] = v
+        edges = batch["kind"] == EDGE
+        src = np.maximum.accumulate(np.where(edges, -1, np.arange(len(batch))))
+        out["msg"] = 0
+        out["msg"][edges] = self.program.message(batch, src[edges])
         return out
 
     def gather(self, batch):
+        # Sorted by (destination, 1 - kind): each vertex ends its group, and
+        # every group holds exactly one vertex, so groups count vertices.
+        field = self.program.field
         out = copy_records(batch)
-        gid = _group_ids(np.where(batch["kind"] == EDGE, batch["b"], batch["a"]))
-        groups = int(gid[-1]) + 1 if len(gid) else 0
         edges = batch["kind"] == EDGE
         verts = ~edges
-        if self.app == "pr":
-            acc = np.bincount(gid[edges], weights=batch["msg"][edges],
-                              minlength=groups)
-            out["wgt"][verts] = (1.0 - self.f) + self.f * acc[gid[verts]]
-            out["msg"] = 0.0
-        else:
-            best = np.full(groups, INF, dtype=np.uint64)
-            np.minimum.at(best, gid[edges], batch["msg"][edges])
-            out["val"][verts] = np.minimum(batch["val"][verts], best[gid[verts]])
-            out["msg"] = 0
+        gid = _group_ids(np.where(edges, batch["b"], batch["a"]))
+        out[field][verts] = self.program.fold(
+            batch[field][verts], gid[edges], batch["msg"][edges], self.f)
+        out["msg"] = 0
         return out
 
     def count_degrees(self, batch):
@@ -121,113 +116,92 @@ class SortScanKernel:
         out = copy_records(batch)
         counts = np.bincount(gid[edges], minlength=groups)
         verts = ~edges
-        out["deg"][verts] = counts[gid[verts]]
+        out["degree"][verts] = counts[gid[verts]]
         return out
 
 
-def sortscan_iteration(elems, kernel, arena, sim=None, worker=0):
+def sortscan_iteration(elems, kernel, arena, sim, worker=0):
     """One baseline iteration: scatter sort+scan, then gather sort+scan."""
-    stats = o_sort(elems, _scatter_key, arena, worker=worker)
-    if sim is not None:
-        sim.osort_log.append(stats)
+    sim.osort_log.append(o_sort(elems, _scatter_key, arena, worker=worker))
     elems = o_trans(elems, kernel.scatter, worker=worker)
-    stats = o_sort(elems, _gather_key, arena, worker=worker)
-    if sim is not None:
-        sim.osort_log.append(stats)
+    sim.osort_log.append(o_sort(elems, _gather_key, arena, worker=worker))
     return o_trans(elems, kernel.gather, worker=worker)
 
 
-def sortscan_run(sim, n, edges_buf, app, t, f=0.85, init_bits=None):
-    """Run an application on the sort-scan engine.
+def sortscan_run(sim, n, edges_buf, program, t, f=0.85, init_bits=None):
+    """Run a vertex program on the sort-scan engine.
 
-    `edges_buf` holds (src, dst) mapped pairs; `init_bits` (a u64 buffer)
-    seeds the vertex values for bfs.  Returns a buffer of per-vertex result
-    bits in mapped-ID order.
+    `edges_buf` holds (src, dst) mapped pairs; `init_bits` (a buffer with
+    the program's `field`) seeds the vertex values, which otherwise start at
+    the program's `init` in a fresh "ss.init" buffer.  Returns a buffer of
+    per-vertex result bits in mapped-ID order.
     """
-    spec = APPS[app]
-    kernel = SortScanKernel(app, f=f)
+    kernel = SortScanKernel(program, f=f)
     arena = sim.new_arena()
 
-    if app == "pr":
-        def vertex_fill(out, batch):
-            out["wgt"] = 1.0
-    elif app == "bfs":
-        def vertex_fill(out, batch):
-            out["val"] = batch["dist"]
-    else:
-        def vertex_fill(out, batch):
-            out["val"] = np.arange(len(batch), dtype=np.uint64)
-
     if init_bits is None:
-        seed = sim.buffer_from_rows(
-            "ss.init", np.zeros(n, dtype=[("dist", "<u8")]))
-    else:
-        seed = init_bits
-    elems = build_elements(sim, seed, edges_buf, kernel.dtype, vertex_fill)
+        rows = np.zeros(n, dtype=[(program.field, program.value)])
+        rows[program.field] = program.init(n)
+        init_bits = sim.buffer_from_rows("ss.init", rows)
+    elems = build_elements(init_bits, edges_buf, kernel)
 
-    if app == "pr":
+    if program.needs_degrees:
         # Degree pre-pass: one sort grouping edges by source, one count scan.
-        stats = o_sort(elems, _gather_by_source_key, arena)
-        sim.osort_log.append(stats)
+        sim.osort_log.append(o_sort(elems, _gather_by_source_key, arena))
         elems = o_trans(elems, kernel.count_degrees)
 
     for _ in range(t):
-        elems = sortscan_iteration(elems, kernel, arena, sim=sim)
+        elems = sortscan_iteration(elems, kernel, arena, sim)
 
     verts = o_filter(elems, lambda b: (b["kind"] == VERTEX).astype(np.int64),
                      n, "ss.verts", arena)
-    stats = o_sort(verts, lambda b: b["a"], arena)
-    sim.osort_log.append(stats)
-
-    field = "wgt" if app == "pr" else "val"
+    sim.osort_log.append(o_sort(verts, lambda b: b["a"], arena))
 
     def extract(batch):
         out = np.zeros(len(batch), dtype=[("result", "<u8")])
-        col = batch[field]
-        out["result"] = col.view("<u8") if spec.result_kind == "f64" else col
+        out["result"] = program.result_bits(batch)
         return out
 
     return o_trans(verts, extract, out_name="ss.result")
 
 
-def _gather_by_source_key(batch):
-    # Out-edges first, their source vertex last (for degree counting).
-    return batch["a"], np.uint8(1) - batch["kind"]
+def sortscan_on_grid(sim, grid, global_map, program, t, f=0.85, source_id=None):
+    """The sort-scan engine on a merged grid; returns its result-bits buffer.
+
+    The grid's edge slots are copied out ("ss.gridedges") and obliviously
+    filtered down to the grid's m real edges ("ss.edges"); a program that
+    needs a source is seeded by `bfs_initial_dist` over the global map.
+    """
+    ecopy = o_trans(Buffer.wrap(sim.trace, grid.region_name, grid.edges),
+                    lambda b: b, out_name="ss.gridedges")
+    edges = o_filter(ecopy, lambda b: (b["pad"] == 0).astype(np.int64),
+                     grid.m, "ss.edges", sim.new_arena())
+    init = None
+    if program.needs_source:
+        init = bfs_initial_dist(sim, global_map, source_id)
+    return sortscan_run(sim, grid.params.n, edges, program, t, f=f, init_bits=init)
 
 
 # -- non-oblivious reference oracle ------------------------------------------
 
-def reference_run(app, n, src, dst, t, f=0.85, source=None):
+def reference_run(program, n, src, dst, t, f=0.85, source=None):
     """Adjacency-style engine with the same t-round semantics, no obliviousness.
 
     BFS/WCC rounds are Jacobi relaxations, so results match the scan engine
     exactly; PR sums in a different order, so comparisons use a relative
     tolerance.  For wcc the caller passes already-symmetrized edges.
+    Returns the final values of the program's `field`.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if app == "pr":
-        deg = np.bincount(src, minlength=n).astype(np.float64)
-        w = np.ones(n)
-        for _ in range(t):
-            acc = np.zeros(n)
-            np.add.at(acc, dst, w[src] / deg[src])
-            w = (1.0 - f) + f * acc
-        return w
-    if app == "bfs":
-        d = np.full(n, INF, dtype=np.uint64)
-        d[source] = 0
-        for _ in range(t):
-            hop = np.where(d[src] == INF, INF, d[src] + np.uint64(1))
-            nd = d.copy()
-            np.minimum.at(nd, dst, hop)
-            d = nd
-        return d
-    if app == "wcc":
-        lab = np.arange(n, dtype=np.uint64)
-        for _ in range(t):
-            nl = lab.copy()
-            np.minimum.at(nl, dst, lab[src])
-            lab = nl
-        return lab
-    raise ValueError("unknown application %r" % app)
+    state = program.initial(n)
+    if program.needs_source:
+        state[program.field][source] = 0
+    if program.needs_degrees:
+        state["degree"] = np.bincount(src, minlength=n)
+    for _ in range(t):
+        new = copy_records(state)
+        new[program.field] = program.fold(
+            state[program.field], dst, program.message(state, src), f)
+        state = new
+    return np.ascontiguousarray(state[program.field])

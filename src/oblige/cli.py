@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import kron
-from .errors import ObligeError, ObliviousnessViolation
+from .apps import APPS
+from .errors import InputNotFound, ObligeError, ObliviousnessViolation, UsageError
 from .omsim import ELEMENT
-from .pipeline import run_end_to_end
+from .pipeline import ENGINES, run_end_to_end
 from .tracecheck import STAGES, CheckConfig, check_stage
 
 DEFAULT_OM = int(1.25 * 1024 * 1024)  # per-core L2-sized oblivious memory
@@ -27,16 +28,37 @@ _SUFFIXES = {"b": 1, "kib": 1024, "mib": 1024 ** 2, "gib": 1024 ** 3}
 def parse_size(text):
     """Byte sizes with binary suffixes: '1.25MiB', '64KiB', '4096'."""
     t = text.strip().lower()
-    for suffix, scale in sorted(_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
-        if t.endswith(suffix):
-            return int(float(t[:-len(suffix)]) * scale)
-    return int(t)
+    try:
+        for suffix, scale in sorted(_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
+            if t.endswith(suffix):
+                return int(float(t[:-len(suffix)]) * scale)
+        return int(t)
+    except (ValueError, OverflowError):
+        raise UsageError("%r is not a byte size" % text) from None
 
 
 def parse_granularity(text):
     if text == "element":
         return ELEMENT
-    return parse_size(text)
+    size = parse_size(text)
+    if size < 1:
+        raise UsageError("granularity must be 'element' or a positive byte count")
+    return size
+
+
+def _numbers(parse, text):
+    """A comma-separated list of numbers, such as '12,14'."""
+    try:
+        return [parse(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError("%r is not a comma-separated list of numbers" % text) from None
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except OSError as err:
+        raise InputNotFound("cannot read %s: %s" % (path, err.strerror or err)) from None
 
 
 def _salt_from_seed(seed):
@@ -52,7 +74,7 @@ def cmd_gen_kron(args):
 
 
 def cmd_partition(args):
-    src, dst = kron.read_edge_list(args.edges)
+    src, dst = _read(kron.read_edge_list, args.edges)
     num_vertices = args.vertices or (int(max(src.max(), dst.max())) + 1 if len(src) else 1)
     owner = kron.assign_parties(num_vertices, args.parties, args.mode, args.seed)
     parties = kron.split_parties(src, dst, owner, args.parties)
@@ -64,7 +86,7 @@ def cmd_partition(args):
 
 
 def _load_parties(paths):
-    return [kron.read_party_file(p) for p in paths]
+    return [_read(kron.read_party_file, p) for p in paths]
 
 
 def cmd_run(args):
@@ -132,28 +154,20 @@ def _bench_once(app, n_scale, m_scale, om_bytes, t, seed, workers, engine):
 
 
 def cmd_bench(args):
-    rows = []
     om = parse_size(args.om)
     if args.mode == "scale":
-        n_scales = [int(x) for x in args.n_scales.split(",")]
-        m_scales = [int(x) for x in args.m_scales.split(",")]
-        cells = [(ns, ms) for ns in n_scales for ms in m_scales if ns <= ms]
-        for ns, ms in cells:
-            tob = _bench_once(args.app, ns, ms, om, args.iterations,
-                              args.seed, args.workers, "oblige")
-            tss = _bench_once(args.app, ns, ms, om, args.iterations,
-                              args.seed, args.workers, "sortscan")
-            rows.append((1 << ns, 1 << ms, om, tob, tss, tss / tob))
+        n_scales = _numbers(int, args.n_scales)
+        m_scales = _numbers(int, args.m_scales)
+        cells = [(ns, ms, om) for ns in n_scales for ms in m_scales if ns <= ms]
     else:
-        factors = [float(x) for x in args.factors.split(",")]
-        ns, ms = args.fixed_scale, args.fixed_edge_scale
-        for factor in factors:
-            om_f = int(om * factor)
-            tob = _bench_once(args.app, ns, ms, om_f, args.iterations,
-                              args.seed, args.workers, "oblige")
-            tss = _bench_once(args.app, ns, ms, om_f, args.iterations,
-                              args.seed, args.workers, "sortscan")
-            rows.append((1 << ns, 1 << ms, om_f, tob, tss, tss / tob))
+        cells = [(args.fixed_scale, args.fixed_edge_scale, int(om * factor))
+                 for factor in _numbers(float, args.factors)]
+    rows = []
+    for ns, ms, cell_om in cells:
+        tob, tss = (_bench_once(args.app, ns, ms, cell_om, args.iterations,
+                                args.seed, args.workers, engine)
+                    for engine in ("oblige", "sortscan"))
+        rows.append((1 << ns, 1 << ms, cell_om, tob, tss, tss / tob))
 
     out = open(args.output, "w") if args.output else sys.stdout
     try:
@@ -192,12 +206,11 @@ def build_parser():
 
     r = sub.add_parser("run", help="run one engine end to end over party files")
     r.add_argument("party_files", nargs="+")
-    r.add_argument("--app", choices=["pr", "bfs", "wcc"], required=True)
+    r.add_argument("--app", choices=sorted(APPS), required=True)
     r.add_argument("-t", "--iterations", type=int, default=10)
     r.add_argument("--om", default="1.25MiB")
     r.add_argument("--workers", type=int, default=1)
-    r.add_argument("--engine", choices=["oblige", "sortscan", "reference"],
-                   default="oblige")
+    r.add_argument("--engine", choices=sorted(ENGINES), default="oblige")
     r.add_argument("--granularity", default="element",
                    help="'element' or a byte line size such as 64")
     r.add_argument("--no-trace", action="store_true",
@@ -225,7 +238,7 @@ def build_parser():
 
     b = sub.add_parser("bench", help="desk-scale engine comparison table")
     b.add_argument("--mode", choices=["scale", "om"], default="scale")
-    b.add_argument("--app", choices=["pr", "bfs", "wcc"], default="pr")
+    b.add_argument("--app", choices=sorted(APPS), default="pr")
     b.add_argument("--n-scales", default="12,14")
     b.add_argument("--m-scales", default="12,14,16")
     b.add_argument("--factors", default="0.25,0.5,1,2,4")

@@ -48,6 +48,14 @@ class MissingID(ObligeError):
     """A MAP_RETURN or RESULT_RETURN message lacks one of the party's own IDs."""
 
 
+class InputNotFound(ObligeError):
+    """An input file named on the command line cannot be opened."""
+
+
+class UsageError(ObligeError):
+    """A command-line value (a size, granularity or number list) is malformed."""
+
+
 class ParamMismatch(ObligeError):
     """Parties submitted grids built against inconsistent public parameters."""
 

@@ -273,11 +273,6 @@ def parse_grid_header(payload):
             "header_nbytes": _HEADER.size}
 
 
-def grid_block_payload(payload, header, r, c):
-    off = header["header_nbytes"] + (r * header["b"] + c) * header["block_nbytes"]
-    return payload[off:off + header["block_nbytes"]]
-
-
 def encode_grid(n, k, b, stored_edges, l):
     """Encode flat block storage (as built by group_into_blocks) to a payload.
 
@@ -294,32 +289,3 @@ def block_coordinates(b):
     """Row and column of each of the b^2 blocks, in row-major storage order."""
     return np.repeat(np.arange(b), b), np.tile(np.arange(b), b)
 
-
-def save_grid(path, grid):
-    payload = encode_grid(grid.params.n, grid.params.k, grid.params.b,
-                          grid.edges, grid.params.l)
-    with open(path, "wb") as fp:
-        fp.write(payload)
-
-
-def load_grid(path, params=None, symmetrized=False):
-    """Load a grid container; checks (n, k, b) against `params` when given."""
-    with open(path, "rb") as fp:
-        payload = fp.read()
-    header = parse_grid_header(payload)
-    if params is not None:
-        if (header["n"], header["k"], header["b"]) != (params.n, params.k, params.b):
-            raise ParamMismatch("grid file was built for different public params")
-    else:
-        params = PublicParams.derive(
-            p=1, n_i=[header["n"]], n=header["n"], t=0,
-            s=2 * header["k"] * 8 + RESERVE_BYTES, vwidth=8,
-            l_i=[header["l"]],
-        )
-    b, l, k = header["b"], header["l"], header["k"]
-    edges = decode_block(memoryview(payload)[header["header_nbytes"]:], k, l,
-                         *block_coordinates(b))
-    m = int((edges["pad"] == 0).sum())
-    if params.l != l:
-        params = params.with_block_lengths([l])
-    return GridGraph(params, edges, m, symmetrized=symmetrized)

@@ -229,8 +229,16 @@ class AccessTrace:
     # -- region registry ---------------------------------------------------
 
     def register(self, name, length, width=1):
-        """Register (or rebind) a named non-OM buffer of `length` records."""
-        self._regions[name] = _Region(name, length, width)
+        """Register (or rebind) a named non-OM buffer of `length` records.
+
+        Records already taken keep the region they were taken against, so
+        rebinding a name never changes how they quantize.  Registering the
+        same shape again keeps the region, so its records stay equal to the
+        earlier ones (a digest hashes each distinct record once).
+        """
+        reg = self._regions.get(name)
+        if reg is None or (reg.length, reg.width) != (length, width):
+            self._regions[name] = _Region(name, length, width)
 
     def _require(self, name):
         region = self._regions.get(name)
@@ -247,39 +255,27 @@ class AccessTrace:
     # -- recording ---------------------------------------------------------
 
     def _check_run(self, name, start, count):
-        """Check that elements [start, start+count) lie inside region `name`."""
+        """Region `name`, checked to hold elements [start, start+count)."""
         reg = self._require(name)
         if not (0 <= start and start + count <= reg.length):
             raise IndexError("run [%d,%d) outside region %r" % (start, start + count, name))
-
-    def record(self, worker, region, byte_offset, kind):
-        """Record a single access at a byte offset, quantized to granularity."""
-        if not self.enabled:
-            return
-        reg = self._require(region)
-        if not 0 <= byte_offset < reg.length * reg.width:
-            raise IndexError("offset %d outside region %r" % (byte_offset, region))
-        if self.granularity is ELEMENT:
-            offset = byte_offset // reg.width
-        else:
-            offset = byte_offset // self.granularity
-        self._stream(worker).append(("one", region, kind, int(offset)))
+        return reg
 
     def seq(self, worker, region, kind, start, count):
         """Record a sequential run over elements [start, start+count)."""
         if not self.enabled or count == 0:
             return
-        self._check_run(region, start, count)
-        self._stream(worker).append(("seq", region, kind, int(start), int(count)))
+        reg = self._check_run(region, start, count)
+        self._stream(worker).append(("seq", reg, kind, int(start), int(count)))
 
     def zip2(self, worker, region_a, kind_a, start_a, region_b, kind_b, start_b, count):
         """Record two interleaved element runs: a0, b0, a1, b1, ..."""
         if not self.enabled or count == 0:
             return
-        self._check_run(region_a, start_a, count)
-        self._check_run(region_b, start_b, count)
+        reg_a = self._check_run(region_a, start_a, count)
+        reg_b = self._check_run(region_b, start_b, count)
         self._stream(worker).append(
-            ("zip", region_a, kind_a, int(start_a), region_b, kind_b, int(start_b), int(count))
+            ("zip", reg_a, kind_a, int(start_a), reg_b, kind_b, int(start_b), int(count))
         )
 
     def cx_pass(self, worker, region, stride, length):
@@ -296,8 +292,8 @@ class AccessTrace:
         if stride < 1 or length % (2 * stride):
             raise ValueError("cx pass of length %d at stride %d is not whole pairs of "
                              "stride-long runs" % (length, stride))
-        self._check_run(region, 0, length)
-        self._stream(worker).append(("cx", region, int(stride), int(length)))
+        reg = self._check_run(region, 0, length)
+        self._stream(worker).append(("cx", reg, int(stride), int(length)))
 
     def points(self, worker, region, kind, offsets):
         """Record accesses at explicit element offsets (in the given order)."""
@@ -307,55 +303,50 @@ class AccessTrace:
         offsets = tuple(int(o) for o in offsets)
         if min(offsets) < 0 or max(offsets) >= reg.length:
             raise IndexError("point outside region %r" % region)
-        self._stream(worker).append(("pts", region, kind, offsets))
+        self._stream(worker).append(("pts", reg, kind, offsets))
 
     # -- expansion ---------------------------------------------------------
 
-    def _ratio(self, region):
+    def _ratio(self, reg):
         """Element width over the granularity, in lowest terms (1/1 at ELEMENT)."""
         if self.granularity is ELEMENT:
             return 1, 1
-        width = self._regions[region].width
-        g = math.gcd(width, self.granularity)
-        return width // g, self.granularity // g
+        g = math.gcd(reg.width, self.granularity)
+        return reg.width // g, self.granularity // g
 
-    def _quantize(self, region, element_offsets):
-        num, den = self._ratio(region)
+    def _quantize(self, reg, element_offsets):
+        num, den = self._ratio(reg)
         return (np.asarray(element_offsets, dtype=np.uint64) * np.uint64(num)) // np.uint64(den)
 
     def _expand(self, rec):
         """(region names, region index, kind and quantized offset per event)."""
         code = rec[0]
         if code == "seq":
-            _, region, kind, start, count = rec
-            offs = self._quantize(region, np.arange(start, start + count))
-            return (region,), np.zeros(count, np.uint8), np.full(count, kind, np.uint8), offs
-        if code == "one":
-            _, region, kind, offset = rec
-            # Already quantized at record time.
-            return ((region,), np.zeros(1, np.uint8), np.array([kind], np.uint8),
-                    np.array([offset], np.uint64))
+            _, reg, kind, start, count = rec
+            offs = self._quantize(reg, np.arange(start, start + count))
+            return ((reg.name,), np.zeros(count, np.uint8), np.full(count, kind, np.uint8),
+                    offs)
         if code == "pts":
-            _, region, kind, offsets = rec
+            _, reg, kind, offsets = rec
             n = len(offsets)
-            return ((region,), np.zeros(n, np.uint8), np.full(n, kind, np.uint8),
-                    self._quantize(region, offsets))
+            return ((reg.name,), np.zeros(n, np.uint8), np.full(n, kind, np.uint8),
+                    self._quantize(reg, offsets))
         if code == "zip":
             _, ra, ka, sa, rb, kb, sb, count = rec
             offs = np.empty((count, 2), np.uint64)
             offs[:, 0] = self._quantize(ra, np.arange(sa, sa + count))
             offs[:, 1] = self._quantize(rb, np.arange(sb, sb + count))
-            return ((ra, rb), np.tile(np.array([0, 1], np.uint8), count),
+            return ((ra.name, rb.name), np.tile(np.array([0, 1], np.uint8), count),
                     np.tile(np.array([ka, kb], np.uint8), count), offs.reshape(-1))
         if code == "cx":
-            _, region, stride, length = rec
+            _, reg, stride, length = rec
             half = np.arange(length // 2)
             i = (half // stride) * (2 * stride) + half % stride
             quad = np.stack([i, i + stride, i, i + stride], axis=1)
             n = len(quad) * 4
-            return ((region,), np.zeros(n, np.uint8),
+            return ((reg.name,), np.zeros(n, np.uint8),
                     np.tile(np.array([READ, READ, WRITE, WRITE], np.uint8), len(quad)),
-                    self._quantize(region, quad.reshape(-1)))
+                    self._quantize(reg, quad.reshape(-1)))
         raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
 
     def events(self, worker=None):
@@ -373,29 +364,26 @@ class AccessTrace:
 
     # -- digests -----------------------------------------------------------
 
-    def _lane(self, region, kind, start):
-        num, den = self._ratio(region)
-        return self._regions[region].event(int(kind)), start, num, den
+    def _lane(self, reg, kind, start):
+        num, den = self._ratio(reg)
+        return reg.event(int(kind)), start, num, den
 
     def _record_hash(self, rec):
         """(event count, polynomial hash) of one record's events."""
         code = rec[0]
         if code == "seq":
-            _, region, kind, start, count = rec
-            return count, _lanes_hash((self._lane(region, kind, start),), count)
+            _, reg, kind, start, count = rec
+            return count, _lanes_hash((self._lane(reg, kind, start),), count)
         if code == "zip":
             _, ra, ka, sa, rb, kb, sb, count = rec
             lanes = (self._lane(ra, ka, sa), self._lane(rb, kb, sb))
             return 2 * count, _lanes_hash(lanes, count)
         if code == "cx":
             return self._cx_hash(rec)
-        if code == "one":
-            _, region, kind, offset = rec
-            return 1, (self._regions[region].event(int(kind)) + offset) % _P
         if code == "pts":
-            _, region, kind, offsets = rec
-            c = self._regions[region].event(int(kind))
-            num, den = self._ratio(region)
+            _, reg, kind, offsets = rec
+            c = reg.event(int(kind))
+            num, den = self._ratio(reg)
             h = 0
             for o in offsets:
                 h = (h * _X + c + o * num // den) % _P
@@ -409,10 +397,10 @@ class AccessTrace:
         g with every offset raised by the same amount once 2sc elements are
         a whole number of quantization periods, c = den / gcd(den, 2s).
         """
-        _, region, s, length = rec
-        num, den = self._ratio(region)
-        read = self._regions[region].event(READ)
-        write = self._regions[region].event(WRITE)
+        _, reg, s, length = rec
+        num, den = self._ratio(reg)
+        read = reg.event(READ)
+        write = reg.event(WRITE)
         groups = length // (2 * s)
         c = den // math.gcd(den, 2 * s)
         m = 4 * s  # events per group
@@ -555,14 +543,13 @@ def _first_mismatch(mine, theirs):
 
 
 class OMAlloc:
-    """A live allocation inside an arena; `data` holds in-OM record storage."""
+    """A live allocation inside an arena (its storage is the caller's)."""
 
-    __slots__ = ("offset", "nbytes", "data")
+    __slots__ = ("offset", "nbytes")
 
-    def __init__(self, offset, nbytes, data=None):
+    def __init__(self, offset, nbytes):
         self.offset = offset
         self.nbytes = nbytes
-        self.data = data
 
 
 class OMArena:
@@ -609,13 +596,6 @@ class OMArena:
             "OM arena fragmented: no contiguous %d bytes available" % nbytes
         )
 
-    def alloc_array(self, dtype, count):
-        """Allocate OM space for `count` records and attach zeroed storage."""
-        dtype = np.dtype(dtype)
-        handle = self.alloc(dtype.itemsize * max(count, 1))
-        handle.data = np.zeros(count, dtype=dtype)
-        return handle
-
     def free(self, handle):
         if self._live.pop(id(handle), None) is None:
             raise ValueError("double free or foreign handle")
@@ -630,7 +610,6 @@ class OMArena:
             else:
                 merged.append((off, length))
         self._free = merged
-        handle.data = None
 
 
 class Buffer:

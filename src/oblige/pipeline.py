@@ -33,7 +33,7 @@ Message formats (all integers little-endian):
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Dict, List
 
@@ -109,10 +109,6 @@ def obfuscate_ids(raw_keys, salt):
 
     return np.frombuffer(bytearray().join(map(digest, _encode_keys(raw_keys))),
                          dtype=ID_DTYPE)
-
-
-def ids_to_bytes(ids):
-    return ids.astype(ID_DTYPE, copy=False).tobytes()
 
 
 def ids_from_bytes(payload):
@@ -227,7 +223,7 @@ class Party:
         return len(self.raw_keys)
 
     def vertex_submit_payload(self):
-        return ids_to_bytes(self.ids)
+        return self.ids.tobytes()
 
     def _own_rows(self, rows, message):
         """Row index of each of the party's own IDs, in key order."""
@@ -271,6 +267,18 @@ class Party:
 
 
 # -- server-side oblivious stages ---------------------------------------------
+
+def _split_to_parties(buf, sizes, dtype, out_prefix, arena, worker):
+    """Split `buf` by its party field into `sizes`-long buffers of the `dtype` fields."""
+    def project(batch):
+        out = np.zeros(len(batch), dtype=dtype)
+        for name in dtype.names:
+            out[name] = batch[name]
+        return out
+
+    return o_split_trans(buf, len(sizes), lambda b: b["party"].astype(np.int64),
+                         project, sizes, out_prefix, arena, worker=worker)
+
 
 def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
     """Merge, sort and dedup the submitted IDs into a dense 0-based mapping.
@@ -322,17 +330,7 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
         marked, lambda b: (b["mapped"] != NULL64).astype(np.int64),
         declared_n, "vm.global", arena, worker=worker,
     )
-
-    def project(batch):
-        out = np.zeros(len(batch), dtype=MAP_DTYPE)
-        out["h"], out["l"], out["mapped"] = batch["h"], batch["l"], batch["mapped"]
-        return out
-
-    maps = o_split_trans(
-        merged, len(vertex_ids), lambda b: b["party"].astype(np.int64),
-        project, sizes, "vm.map", arena, worker=worker,
-    )
-    return global_map, maps
+    return global_map, _split_to_parties(merged, sizes, MAP_DTYPE, "vm.map", arena, worker)
 
 
 def map_return_payload(sim, map_buf, worker=0):
@@ -394,14 +392,15 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
 
 
-def gather_results(sim, state_buf, app, worker=0):
-    """Collect the global result array in mapped-ID order 0..n-1."""
-    spec = apps_mod.APPS[app]
+def gather_results(sim, state_buf, result_bits, worker=0):
+    """Collect the global result array in mapped-ID order 0..n-1.
 
+    `result_bits` maps a batch of `state_buf` to its raw u64 result bits.
+    """
     def to_r(batch):
         out = np.zeros(len(batch), dtype=R_DTYPE)
         out["mapped"] = np.arange(len(batch), dtype=np.uint64)
-        out["result"] = spec.result_bits(batch)
+        out["result"] = result_bits(batch)
         return out
 
     return o_trans(state_buf, to_r, out_name="pipe.R", worker=worker)
@@ -459,16 +458,7 @@ def post_process(sim, results_buf, map_bufs, params, worker=0):
         combined, lambda b: (b["party"] != NULL64).astype(np.int64),
         params.N, "post.kept", arena, worker=worker,
     )
-
-    def project(batch):
-        out = np.zeros(len(batch), dtype=RES_DTYPE)
-        out["h"], out["l"], out["result"] = batch["h"], batch["l"], batch["result"]
-        return out
-
-    return o_split_trans(
-        kept, params.p, lambda b: b["party"].astype(np.int64),
-        project, params.n_i, "post.R", arena, worker=worker,
-    )
+    return _split_to_parties(kept, params.n_i, RES_DTYPE, "post.R", arena, worker)
 
 
 def result_return_payload(sim, result_buf, worker=0):
@@ -491,17 +481,9 @@ class RunReport:
     osort_lengths: List[int] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "app": self.app,
-            "engine": self.engine,
-            "params": self.params,
-            "salt": self.seed_salt,
-            "workers": self.workers,
-            "stage_seconds": self.stage_seconds,
-            "stage_digests": self.stage_digests,
-            "digest_seconds": self.digest_seconds,
-            "osort_lengths": self.osort_lengths,
-        }
+        out = asdict(self)
+        out["salt"] = out.pop("seed_salt")
+        return out
 
 
 class _StageTimer:
@@ -527,38 +509,46 @@ class _StageTimer:
         return result
 
 
-def _reference_end_to_end(parties, app, t, f, source_key):
-    """Oracle path: same merged graph and mapping, no obliviousness at all."""
-    all_ids = np.concatenate([p.ids for p in parties])
-    uniq = np.unique(all_ids)  # sorts by (h, l), matching the oblivious rank
-    rank = {(int(r["h"]), int(r["l"])): i for i, r in enumerate(uniq)}
-    n = len(uniq)
-    spec = apps_mod.APPS[app]
-    src, dst = [], []
-    for party in parties:
-        by_raw = {key: rank[(int(oid["h"]), int(oid["l"]))]
-                  for key, oid in zip(party.raw_keys, party.ids)}
-        for u, v in party.edges:
-            src.append(by_raw[u])
-            dst.append(by_raw[v])
-            if spec.symmetric:
-                src.append(by_raw[v])
-                dst.append(by_raw[u])
+def _reference_end_to_end(parties, program, t, f, source_key):
+    """Oracle path: same merged graph and mapping, no obliviousness at all.
+
+    Vertices are ranked by their own sort of the IDs (by (h, l), as the
+    oblivious mapping ranks them), independent of `vertex_mapping`.
+    """
+    uniq, rank = np.unique(np.concatenate([p.ids for p in parties]),
+                           return_inverse=True)
+    ranks = np.split(rank, np.cumsum([p.n_vertices for p in parties])[:-1])
+    src, dst = (np.concatenate([r[p._ends[side]] for r, p in zip(ranks, parties)])
+                for side in (0, 1))
+    if program.symmetric:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     source = None
-    if app == "bfs":
-        sid = obfuscate_ids([source_key], parties[0].salt)[0]
-        key = (int(sid["h"]), int(sid["l"]))
-        if key not in rank:
+    if program.needs_source:
+        found = _find(_id_keys(uniq), _id_keys(obfuscate_ids([source_key],
+                                                             parties[0].salt)))
+        if found is None:
             raise UnknownSource("source vertex is not present in the merged graph")
-        source = rank[key]
-    values = baselines.reference_run(app, n, src, dst, t, f=f, source=source)
-    out = {}
-    for party in parties:
-        res = {}
-        for key, oid in zip(party.raw_keys, party.ids):
-            res[key] = values[rank[(int(oid["h"]), int(oid["l"]))]]
-        out[party.index] = res
-    return out
+        source = found[0]
+    values = baselines.reference_run(program, len(uniq), src, dst, t, f=f,
+                                     source=source)
+    return {p.index: dict(zip(p.raw_keys, values[r])) for r, p in zip(ranks, parties)}
+
+
+def _scan_engine(sim, grid, global_map, program, t, f, workers, source_id):
+    state = apps_mod.run_app(sim, grid, global_map, program, t, workers=workers,
+                             f=f, source_id=source_id)
+    return gather_results(sim, state, program.result_bits)
+
+
+def _sortscan_engine(sim, grid, global_map, program, t, f, workers, source_id):
+    bits = baselines.sortscan_on_grid(sim, grid, global_map, program, t, f=f,
+                                      source_id=source_id)
+    return gather_results(sim, bits, lambda batch: batch["result"])
+
+
+# Engine name -> its compute stage; the reference oracle runs outside the
+# simulator.
+ENGINES = {"oblige": _scan_engine, "sortscan": _sortscan_engine, "reference": None}
 
 
 def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
@@ -572,9 +562,12 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     is computed the way the parties would jointly announce it.  The oblivious
     engines verify the declaration rather than trust it.
     """
-    if app not in apps_mod.APPS:
-        raise ValueError("unknown application %r" % app)
-    spec = apps_mod.APPS[app]
+    if app not in apps_mod.APPS or engine not in ENGINES:
+        raise ValueError("unknown application %r or engine %r" % (app, engine))
+    program = apps_mod.APPS[app]
+    compute = ENGINES[engine]
+    if program.needs_source and source_key is None:
+        raise UnknownSource("%s needs a source vertex key" % app)
     parties = [Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)]
     if len({p.key_kind for p in parties} - {None}) > 1:
         raise MalformedPartyFile("parties hold vertex keys of different types")
@@ -582,10 +575,10 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     report = RunReport(app=app, engine=engine, params={}, seed_salt=salt.hex(),
                        workers=workers)
 
-    if engine == "reference":
+    if compute is None:
         timer = _StageTimer(None, report)
         results = timer.run(
-            "compute", lambda: _reference_end_to_end(parties, app, t, f, source_key))
+            "compute", lambda: _reference_end_to_end(parties, program, t, f, source_key))
         return results, report, None
 
     if declared_n is None:
@@ -593,7 +586,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
 
     params = PublicParams.derive(
         p=len(parties), n_i=[p.n_vertices for p in parties], n=declared_n,
-        t=t, s=om_bytes, vwidth=spec.vwidth,
+        t=t, s=om_bytes, vwidth=program.vwidth,
     )
 
     sim = OMSim(om_bytes, granularity=granularity, enabled=record)
@@ -612,14 +605,14 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     def stage_preprocess():
         lengths = []
         for party in parties:
-            li = party.block_occupancy(params, symmetrize=spec.symmetric)
+            li = party.block_occupancy(params, symmetrize=program.symmetric)
             if block_length_override is not None:
                 li = block_length_override[party.index]
             lengths.append(li)
         full = params.with_block_lengths(lengths)
         payloads = [
             party.grid_submit_payload(full, full.l_i[party.index],
-                                      symmetrize=spec.symmetric)
+                                      symmetrize=program.symmetric)
             for party in parties
         ]
         return full, payloads
@@ -635,42 +628,11 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     grid = timer.run(
         "merge_grids",
         lambda: merge_grids(sim, grid_payloads, full_params,
-                            symmetrized=spec.symmetric))
+                            symmetrized=program.symmetric))
 
-    source_id = None
-    if app == "bfs":
-        if source_key is None:
-            raise UnknownSource("bfs needs a source vertex key")
-        source_id = obfuscate_ids([source_key], salt)[0]
-
-    def stage_compute():
-        if engine == "oblige":
-            state = apps_mod.run_app(sim, grid, global_map, app, t,
-                                     workers=workers, f=f, source_id=source_id)
-            return gather_results(sim, state, app)
-        if engine == "sortscan":
-            ecopy = o_trans(Buffer.wrap(sim.trace, grid.region_name, grid.edges),
-                            lambda b: b, out_name="ss.gridedges")
-            edges = o_filter(
-                ecopy, lambda b: (b["pad"] == 0).astype(np.int64),
-                grid.m, "ss.edges", sim.new_arena(),
-            )
-            init = None
-            if app == "bfs":
-                init = apps_mod.bfs_initial_dist(sim, global_map, source_id)
-            bits = baselines.sortscan_run(sim, full_params.n, edges, app, t,
-                                          f=f, init_bits=init)
-
-            def to_r(batch):
-                out = np.zeros(len(batch), dtype=R_DTYPE)
-                out["mapped"] = np.arange(len(batch), dtype=np.uint64)
-                out["result"] = batch["result"]
-                return out
-
-            return o_trans(bits, to_r, out_name="pipe.R")
-        raise ValueError("unknown engine %r" % engine)
-
-    results_buf = timer.run("compute", stage_compute)
+    source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
+    results_buf = timer.run("compute", lambda: compute(
+        sim, grid, global_map, program, t, f, workers, source_id))
 
     def stage_post():
         res_bufs = post_process(sim, results_buf, map_bufs, full_params)

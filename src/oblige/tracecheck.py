@@ -10,6 +10,8 @@ negative control: it performs one data-dependent access to a registered
 non-OM probe region, which a sound recorder must catch.
 """
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from . import apps as apps_mod
@@ -22,19 +24,18 @@ from .pipeline import obfuscate_ids, run_end_to_end, vertex_mapping
 from .scan import full_scan
 
 
+@dataclass
 class CheckConfig:
     """Fixed public parameters for one family of trials."""
 
-    def __init__(self, seed=0, p=4, n=256, overlap=32, edges_per_party=512,
-                 om_bytes=1 << 15, workers=2, t=1):
-        self.seed = seed
-        self.p = p
-        self.n = n
-        self.overlap = overlap
-        self.edges_per_party = edges_per_party
-        self.om_bytes = om_bytes
-        self.workers = workers
-        self.t = t
+    seed: int = 0
+    p: int = 4
+    n: int = 256
+    overlap: int = 32
+    edges_per_party: int = 512
+    om_bytes: int = 1 << 15
+    workers: int = 2
+    t: int = 1
 
     def salt(self):
         return b"tracecheck-salt!"[:16]
@@ -82,7 +83,7 @@ def _leaky_pr_kernel(sim):
     sim.trace.register("leak.probe", probe_len, 8)
 
     def kernel(src_chunk, dst_chunk, soff, doff):
-        apps_mod._pr_kernel(src_chunk, dst_chunk, soff, doff)
+        apps_mod.APPS["pr"].kernel(src_chunk, dst_chunk, soff, doff)
         secret = int(src_chunk["weight"][0] * 1e6) % probe_len
         sim.trace.points(0, "leak.probe", READ, [secret])
 
@@ -105,21 +106,27 @@ def _stage_o_sort(rng, cfg):
     return _staged(sim, lambda: o_sort(buf, lambda b: b["k"], sim.new_arena()))
 
 
-def _pr_fixture(rng, cfg, sim):
-    grid = _fixture_grid(rng, cfg, apps_mod.PR_STATE.itemsize, cfg.edges_per_party)
-    state = np.ones(cfg.n, dtype=apps_mod.PR_STATE)
-    state["weight"] = rng.random(cfg.n) + 0.25
-    state["degree"] = np.maximum(np.bincount(
-        grid.edges["src"][grid.edges["pad"] == 0].astype(np.int64),
-        minlength=cfg.n), 1)
-    return grid, sim.buffer_from_rows("pr.state", state)
+def _app_fixture(rng, cfg, sim, program):
+    """A random grid and a random state buffer of `program`."""
+    grid = _fixture_grid(rng, cfg, program.vwidth, cfg.edges_per_party)
+    grid.symmetrized = program.symmetric
+    state = program.initial(cfg.n)
+    if state[program.field].dtype.kind == "f":
+        state[program.field] = rng.random(cfg.n) + 0.25
+    else:
+        state[program.field] = rng.integers(0, cfg.n, size=cfg.n)
+    if program.needs_degrees:
+        state["degree"] = np.maximum(np.bincount(
+            grid.edges["src"][grid.edges["pad"] == 0].astype(np.int64),
+            minlength=cfg.n), 1)
+    return grid, sim.buffer_from_rows(program.region, state)
 
 
 def _stage_full_scan(rng, cfg):
     sim = OMSim(cfg.om_bytes)
-    grid, state = _pr_fixture(rng, cfg, sim)
+    grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
     return _staged(sim, lambda: full_scan(
-        grid, state, state, apps_mod._pr_kernel, sim, workers=cfg.workers,
+        grid, state, state, apps_mod.APPS["pr"].kernel, sim, workers=cfg.workers,
         out_name="chk.out"))
 
 
@@ -140,8 +147,9 @@ def _stage_vertex_mapping(rng, cfg):
 
 def _run_pipeline(rng, cfg, app, engine="oblige", leaky=False):
     parties = random_parties(rng, cfg)
-    source = parties[0][0][0] if app == "bfs" else None
-    sym = 2 if apps_mod.APPS[app].symmetric else 1
+    program = apps_mod.APPS[app]
+    source = parties[0][0][0] if program.needs_source else None
+    sym = 2 if program.symmetric else 1
     override = [cfg.edges_per_party * sym] * cfg.p
     return run_end_to_end(
         parties, app, cfg.t, cfg.om_bytes, cfg.salt(), workers=cfg.workers,
@@ -150,42 +158,24 @@ def _run_pipeline(rng, cfg, app, engine="oblige", leaky=False):
     )
 
 
-def _stage_merge_grids(rng, cfg):
-    # The merge digest is the slice of the pipeline between preprocessing and
-    # computing; run with t=0 so nothing after it contributes.
-    cfg0 = CheckConfig(**{**cfg.__dict__, "t": 0})
-    results, report, sim = _run_pipeline(rng, cfg0, "pr")
-    return sim, {None: report.stage_digests["merge_grids"]}
+def _stage_of_pipeline(stage):
+    # The stage's digest is its slice of a PR pipeline run with t=0, so no
+    # iteration contributes.
+    def runner(rng, cfg):
+        _, report, sim = _run_pipeline(rng, replace(cfg, t=0), "pr")
+        return sim, {None: report.stage_digests[stage]}
 
-def _stage_post_process(rng, cfg):
-    cfg0 = CheckConfig(**{**cfg.__dict__, "t": 0})
-    results, report, sim = _run_pipeline(rng, cfg0, "pr")
-    return sim, {None: report.stage_digests["post_process"]}
+    return runner
 
 
 def _stage_app_iteration(app):
+    program = apps_mod.APPS[app]
+
     def runner(rng, cfg):
         sim = OMSim(cfg.om_bytes)
-        if app == "pr":
-            grid, state = _pr_fixture(rng, cfg, sim)
-            return _staged(sim, lambda: apps_mod.pagerank_iteration(
-                sim, grid, state, workers=cfg.workers))
-        if app == "bfs":
-            grid = _fixture_grid(rng, cfg, apps_mod.DIST_STATE.itemsize,
-                                 cfg.edges_per_party)
-            dist = np.zeros(cfg.n, dtype=apps_mod.DIST_STATE)
-            dist["dist"] = rng.integers(0, 5, size=cfg.n)
-            state = sim.buffer_from_rows("bfs.dist", dist)
-            return _staged(sim, lambda: apps_mod.bfs_iteration(
-                sim, grid, state, workers=cfg.workers))
-        grid = _fixture_grid(rng, cfg, apps_mod.LABEL_STATE.itemsize,
-                             cfg.edges_per_party)
-        grid.symmetrized = True
-        lab = np.zeros(cfg.n, dtype=apps_mod.LABEL_STATE)
-        lab["label"] = rng.permutation(cfg.n)
-        state = sim.buffer_from_rows("wcc.label", lab)
-        return _staged(sim, lambda: apps_mod.wcc_iteration(
-            sim, grid, state, workers=cfg.workers))
+        grid, state = _app_fixture(rng, cfg, sim, program)
+        return _staged(sim, lambda: apps_mod.iteration(
+            sim, grid, state, program, workers=cfg.workers))
 
     return runner
 
@@ -197,20 +187,18 @@ def _stage_sortscan_iteration(rng, cfg):
     pairs["src"] = rng.integers(0, cfg.n, size=m)
     pairs["dst"] = rng.integers(0, cfg.n, size=m)
     edges = sim.buffer_from_rows("ss.edgein", pairs)
-    seed = sim.buffer_from_rows("ss.init", np.zeros(cfg.n, dtype=[("dist", "<u8")]))
-    kernel = baselines.SortScanKernel("pr")
-    elems = baselines.build_elements(
-        sim, seed, edges, kernel.dtype,
-        lambda out, batch: out.__setitem__("wgt", 1.0))
-    elems.data["deg"][elems.data["kind"] == baselines.VERTEX] = 1
+    seed = sim.buffer_from_rows("ss.init", np.ones(cfg.n, dtype=[("weight", "<f8")]))
+    kernel = baselines.SortScanKernel(apps_mod.APPS["pr"])
+    elems = baselines.build_elements(seed, edges, kernel)
+    elems.data["degree"][elems.data["kind"] == baselines.VERTEX] = 1
     arena = sim.new_arena()
     return _staged(sim, lambda: baselines.sortscan_iteration(
-        elems, kernel, arena, sim=sim))
+        elems, kernel, arena, sim))
 
 
 def _stage_pr_leaky(rng, cfg):
     sim = OMSim(cfg.om_bytes)
-    grid, state = _pr_fixture(rng, cfg, sim)
+    grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
     kernel = _leaky_pr_kernel(sim)
     return _staged(sim, lambda: full_scan(
         grid, state, state, kernel, sim, workers=cfg.workers, out_name="chk.out"))
@@ -229,14 +217,12 @@ STAGES = {
     "full_scan": _stage_full_scan,
     "full_scan_rows": _stage_full_scan_rows,
     "vertex_mapping": _stage_vertex_mapping,
-    "merge_grids": _stage_merge_grids,
-    "post_process": _stage_post_process,
-    "pr": _stage_app_iteration("pr"),
-    "bfs": _stage_app_iteration("bfs"),
-    "wcc": _stage_app_iteration("wcc"),
+    "merge_grids": _stage_of_pipeline("merge_grids"),
+    "post_process": _stage_of_pipeline("post_process"),
+    **{app: _stage_app_iteration(app) for app in apps_mod.APPS},
     "sortscan": _stage_sortscan_iteration,
     "pr_leaky": _stage_pr_leaky,
-    "pipeline_pr": _stage_whole_pipeline("pr"),
+    **{"pipeline_" + app: _stage_whole_pipeline(app) for app in apps_mod.APPS},
     "pipeline_sortscan": _stage_whole_pipeline("pr", engine="sortscan"),
 }
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from oblige.apps import APPS, run_app
-from oblige.baselines import reference_run, sortscan_run
+from oblige.baselines import reference_run, sortscan_on_grid
 from oblige.cli import DEFAULT_OM, main
 from oblige.grid import EDGE_DTYPE, RESERVE_BYTES, decode_block, encode_block
 from oblige.kron import assign_parties, generate_kronecker, split_parties
-from oblige.omsim import OMSim, Buffer
-from oblige.oprims import bitonic_cx_count, o_filter, o_sort, o_trans
+from oblige.omsim import OMSim
+from oblige.oprims import bitonic_cx_count, o_sort
 from oblige.pipeline import (
     Party,
     ids_from_bytes,
@@ -127,32 +127,24 @@ def test_criterion_3_oracle_equivalence():
                      int(obfuscate_ids([0], SALT)[0]["l"]))]
                 ssrc = np.concatenate([msrc, mdst])
                 sdst = np.concatenate([mdst, msrc])
-                refs["pr"] = reference_run("pr", n, msrc, mdst, t)
-                refs["bfs"] = reference_run("bfs", n, msrc, mdst, t, source=source)
-                refs["wcc"] = reference_run("wcc", n, ssrc, sdst, t)
+                refs["pr"] = reference_run(APPS["pr"], n, msrc, mdst, t)
+                refs["bfs"] = reference_run(APPS["bfs"], n, msrc, mdst, t, source=source)
+                refs["wcc"] = reference_run(APPS["wcc"], n, ssrc, sdst, t)
 
             for app in ("pr", "bfs", "wcc"):
                 sim, grid, global_map = _merged_grid(parties, n, app, om)
                 source_id = obfuscate_ids([0], SALT)[0] if app == "bfs" else None
-                state = run_app(sim, grid, global_map, app, t,
-                                source_id=source_id)
                 spec = APPS[app]
-                got = state.data[spec.result_field]
+                state = run_app(sim, grid, global_map, spec, t,
+                                source_id=source_id)
+                got = state.data[spec.field]
                 if app == "pr":
                     np.testing.assert_allclose(got, refs["pr"], rtol=1e-9)
                 else:
                     assert (got == refs[app]).all(), (idx, split, app)
 
-                ecopy = o_trans(
-                    Buffer.wrap(sim.trace, grid.region_name, grid.edges),
-                    lambda b: b, out_name="ss.gridedges")
-                edges = o_filter(ecopy, lambda b: (b["pad"] == 0).astype(np.int64),
-                                 grid.m, "ss.edges", sim.new_arena())
-                init = None
-                if app == "bfs":
-                    from oblige.apps import bfs_initial_dist
-                    init = bfs_initial_dist(sim, global_map, source_id)
-                bits = sortscan_run(sim, n, edges, app, t, init_bits=init)
+                bits = sortscan_on_grid(sim, grid, global_map, spec, t,
+                                        source_id=source_id)
                 vals = spec.bits_to_values(bits.data["result"])
                 if app == "pr":
                     np.testing.assert_allclose(vals, refs["pr"], rtol=1e-9)
@@ -173,7 +165,6 @@ def test_criterion_4_om_budget():
     within = all(arena.peak <= arena.capacity for arena in sim.arenas)
 
     # exactness of the scan budget on a grid where every worker owns columns
-    from oblige.apps import pagerank
     from oblige.grid import build_grid
 
     vwidth = APPS["pr"].vwidth
@@ -184,7 +175,7 @@ def test_criterion_4_om_budget():
     rng = np.random.default_rng(3)
     grid = build_grid(rng.integers(0, 64, size=(96, 2)), params)
     sim2 = OMSim(params.s)
-    pagerank(sim2, grid, t=1, workers=2)
+    run_app(sim2, grid, None, APPS["pr"], 1, workers=2)
     expect = 2 * k * vwidth + RESERVE_BYTES
     exact = sim2.last_scan_peaks == [expect, expect]
     within2 = all(arena.peak <= arena.capacity for arena in sim2.arenas)

@@ -6,18 +6,19 @@ import pytest
 from oblige.apps import (
     APPS,
     INF,
-    bfs,
+    VertexProgram,
     bfs_initial_dist,
     compute_out_degrees,
-    pagerank,
-    pagerank_iteration,
-    wcc,
+    iteration,
+    run_app,
 )
-from oblige.baselines import reference_run
+from oblige.baselines import reference_run, sortscan_on_grid
 from oblige.errors import SymmetryRequired, UnknownSource
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
 from oblige.omsim import OMSim
 from oblige.pipeline import ID_DTYPE
+
+PR, BFS, WCC = APPS["pr"], APPS["bfs"], APPS["wcc"]
 
 
 def fixture_grid(edges, n, k=None, l=None, vwidth=16, symmetrized=False):
@@ -59,14 +60,14 @@ def test_out_degrees_all_null():
 def test_pr_two_cycle_fixed_point():
     grid = fixture_grid([(0, 1), (1, 0)], 2)
     sim = OMSim(grid.params.s)
-    state = pagerank(sim, grid, t=100)
+    state = run_app(sim, grid, None, PR, 100)
     assert state.data["weight"].tolist() == [1.0, 1.0]  # exact fixed point
 
 
 def test_pr_isolated_vertex():
     grid = fixture_grid([(0, 1)], 3)
     sim = OMSim(grid.params.s)
-    state = pagerank(sim, grid, t=1)
+    state = run_app(sim, grid, None, PR, 1)
     assert state.data["weight"][2] == pytest.approx(0.15)
 
 
@@ -77,8 +78,8 @@ def test_pr_matches_reference_on_kron():
     n = 1 << 7
     grid = fixture_grid(list(zip(src.tolist(), dst.tolist())), n, k=40)
     sim = OMSim(grid.params.s)
-    state = pagerank(sim, grid, t=10)
-    ref = reference_run("pr", n, src, dst, t=10)
+    state = run_app(sim, grid, None, PR, 10)
+    ref = reference_run(PR, n, src, dst, t=10)
     np.testing.assert_allclose(state.data["weight"], ref, rtol=1e-9)
 
 
@@ -88,18 +89,18 @@ def test_pr_weight_conservation_without_dangling():
     edges = [(v, int(rng.integers(0, n))) for v in range(n) for _ in range(2)]
     grid = fixture_grid(edges, n, k=17)
     sim = OMSim(grid.params.s)
-    state = pagerank(sim, grid, t=8)
+    state = run_app(sim, grid, None, PR, 8)
     assert float(state.data["weight"].sum()) == pytest.approx(n, rel=1e-6)
 
 
 def test_pr_iteration_digest_constant_across_iterations():
     grid = fixture_grid([(0, 1), (1, 2), (2, 0)], 3)
     sim = OMSim(grid.params.s)
-    state = pagerank(sim, grid, t=0)
+    state = run_app(sim, grid, None, PR, 0)
     digests = []
     for _ in range(3):
         mark = sim.trace.mark()
-        state = pagerank_iteration(sim, grid, state)
+        state = iteration(sim, grid, state, PR)
         digests.append(sim.trace.digest(start=mark))
     assert digests[0] == digests[1] == digests[2]
 
@@ -107,14 +108,14 @@ def test_pr_iteration_digest_constant_across_iterations():
 def test_bfs_path_graph():
     grid = fixture_grid([(0, 1), (1, 2)], 3, vwidth=8)
     sim = OMSim(grid.params.s)
-    state = bfs(sim, grid, index_map(sim, 3), source_id(0), t=2)
+    state = run_app(sim, grid, index_map(sim, 3), BFS, 2, source_id=source_id(0))
     assert state.data["dist"].tolist() == [0, 1, 2]
 
 
 def test_bfs_zero_rounds():
     grid = fixture_grid([(0, 1), (1, 2)], 3, vwidth=8)
     sim = OMSim(grid.params.s)
-    state = bfs(sim, grid, index_map(sim, 3), source_id(1), t=0)
+    state = run_app(sim, grid, index_map(sim, 3), BFS, 0, source_id=source_id(1))
     assert state.data["dist"].tolist() == [int(INF), 0, int(INF)]
 
 
@@ -122,7 +123,7 @@ def test_bfs_unknown_source():
     grid = fixture_grid([(0, 1)], 2, vwidth=8)
     sim = OMSim(grid.params.s)
     with pytest.raises(UnknownSource):
-        bfs(sim, grid, index_map(sim, 2), source_id(99), t=1)
+        run_app(sim, grid, index_map(sim, 2), BFS, 1, source_id=source_id(99))
 
 
 def _dict_bfs_rounds(n, edges, source, t):
@@ -147,14 +148,14 @@ def test_bfs_truncated_rounds_match_oracle():
     grid = fixture_grid(edges, n, k=7, vwidth=8)
     for t in (1, 2, 5, n):
         sim = OMSim(grid.params.s)
-        state = bfs(sim, grid, index_map(sim, n), source_id(0), t=t)
+        state = run_app(sim, grid, index_map(sim, n), BFS, t, source_id=source_id(0))
         assert state.data["dist"].tolist() == _dict_bfs_rounds(n, edges, 0, t)
 
 
 def test_bfs_exact_at_full_rounds():
     grid = fixture_grid([(0, 1), (1, 2), (2, 3), (0, 3)], 4, vwidth=8)
     sim = OMSim(grid.params.s)
-    state = bfs(sim, grid, index_map(sim, 4), source_id(0), t=3)
+    state = run_app(sim, grid, index_map(sim, 4), BFS, 3, source_id=source_id(0))
     assert state.data["dist"].tolist() == [0, 1, 2, 1]
 
 
@@ -162,7 +163,7 @@ def test_wcc_requires_symmetry():
     grid = fixture_grid([(0, 1)], 2, vwidth=8, symmetrized=False)
     sim = OMSim(grid.params.s)
     with pytest.raises(SymmetryRequired):
-        wcc(sim, grid, t=1)
+        run_app(sim, grid, None, WCC, 1)
 
 
 def _sym(edges):
@@ -173,14 +174,14 @@ def test_wcc_two_cycles():
     edges = _sym([(0, 1), (2, 3)])
     grid = fixture_grid(edges, 4, vwidth=8, symmetrized=True)
     sim = OMSim(grid.params.s)
-    state = wcc(sim, grid, t=2)
+    state = run_app(sim, grid, None, WCC, 2)
     assert state.data["label"].tolist() == [0, 0, 2, 2]
 
 
 def test_wcc_zero_rounds_identity():
     grid = fixture_grid(_sym([(0, 1)]), 3, vwidth=8, symmetrized=True)
     sim = OMSim(grid.params.s)
-    state = wcc(sim, grid, t=0)
+    state = run_app(sim, grid, None, WCC, 0)
     assert state.data["label"].tolist() == [0, 1, 2]
 
 
@@ -195,7 +196,7 @@ def test_wcc_converges_to_component_minimum():
     edges = _sym(base)
     grid = fixture_grid(edges, n, k=13, vwidth=8, symmetrized=True)
     sim = OMSim(grid.params.s)
-    state = wcc(sim, grid, t=n)
+    state = run_app(sim, grid, None, WCC, n)
 
     if base:
         rows, cols = zip(*base)
@@ -216,11 +217,10 @@ def test_per_iteration_digest_constant_bfs_wcc():
     for app, make in (("bfs", lambda sim: bfs_initial_dist(sim, index_map(sim, 3), source_id(0))),):
         sim = OMSim(grid.params.s)
         state = make(sim)
-        from oblige.apps import bfs_iteration
         digests = []
         for _ in range(3):
             mark = sim.trace.mark()
-            state = bfs_iteration(sim, grid, state)
+            state = iteration(sim, grid, state, BFS)
             digests.append(sim.trace.digest(start=mark))
         assert len(set(digests)) == 1
 
@@ -231,3 +231,46 @@ def test_app_registry_metadata():
     assert APPS["wcc"].symmetric
     bits = APPS["pr"].result_bits(np.array([(1.5, 2)], dtype=APPS["pr"].state_dtype))
     assert APPS["pr"].bits_to_values(bits)[0] == 1.5
+
+
+# -- a fourth program, defined here only: every engine derives from it -----------
+
+def khop_program(sources):
+    """k-hop reachability from a source set: 0 once reached, 1 before."""
+    def init(n):
+        reach = np.ones(n, dtype=np.uint64)
+        reach[sources] = 0
+        return reach
+
+    return VertexProgram("khop", "khop.reach", np.dtype([("reach", "<u8")]), "reach",
+                         init, lambda state, idx: state["reach"][idx], np.minimum)
+
+
+def _within_hops(n, edges, sources, k):
+    reached = set(int(s) for s in sources)
+    for _ in range(k):
+        reached |= {v for u, v in edges if u in reached}
+    return [0 if v in reached else 1 for v in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_khop_program_identical_on_all_engines(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    m = int(rng.integers(0, 120))
+    edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2))]
+    sources = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    hops = int(rng.integers(0, 5))
+    program = khop_program(sources)
+    grid = fixture_grid(edges, n, k=max(2, n // 4), vwidth=8)
+
+    sim = OMSim(grid.params.s)
+    scan = run_app(sim, grid, None, program, hops, workers=int(rng.integers(1, 4)))
+    sim = OMSim(grid.params.s)
+    bits = sortscan_on_grid(sim, grid, None, program, hops)
+    ref = reference_run(program, n, [u for u, _ in edges], [v for _, v in edges], hops)
+
+    expect = np.array(_within_hops(n, edges, sources, hops), dtype=np.uint64)
+    assert scan.data["reach"].tobytes() == expect.tobytes()
+    assert bits.data["result"].tobytes() == expect.tobytes()
+    assert ref.tobytes() == expect.tobytes()

@@ -208,3 +208,19 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
                  "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "MalformedPartyFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["run", "{missing}", "--app", "pr", "--outdir", "{out}"], "InputNotFound"),
+    (["run", "{party}", "--app", "pr", "--om", "12QB", "--outdir", "{out}"],
+     "UsageError"),
+    (["run", "{party}", "--app", "pr", "--granularity", "abc", "--outdir", "{out}"],
+     "UsageError"),
+    (["bench", "--n-scales", "x"], "UsageError"),
+], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales"])
+def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
+    party = tmp_path / "p.txt"
+    party.write_text("v 5\nv 6\ne 5 6\n")
+    names = dict(missing=tmp_path / "missing.txt", party=party, out=tmp_path / "out")
+    assert main([a.format(**names) for a in argv]) == 2
+    assert error in capsys.readouterr().err

@@ -70,7 +70,7 @@ def test_scan_budget_two_chunks():
 def test_record_quantizes_byte_offsets():
     trace = AccessTrace(granularity=CACHELINE)
     trace.register("edges", 100, width=1)
-    trace.record(0, "edges", 70, READ)
+    trace.seq(0, "edges", READ, 70, 1)  # byte 70 -> line 1
     (ev,) = list(trace.events())
     assert ev.offset == 1 and ev.region == "edges" and ev.kind == READ
 
@@ -78,16 +78,32 @@ def test_record_quantizes_byte_offsets():
 def test_element_granularity_uses_record_index():
     trace = AccessTrace(granularity=ELEMENT)
     trace.register("x", 10, width=16)
-    trace.record(0, "x", 70, READ)  # byte 70 of 16-byte records -> element 4
+    trace.seq(0, "x", READ, 4, 1)  # bytes 64..79 of 16-byte records
     (ev,) = list(trace.events())
     assert ev.offset == 4
 
 
+@pytest.mark.parametrize("granularity", [ELEMENT, CACHELINE])
+def test_rebinding_a_region_keeps_earlier_records(granularity):
+    trace = AccessTrace(granularity=granularity)
+    trace.register("r", 64, 8)
+    trace.seq(0, "r", READ, 0, 64)
+    before = trace.digest(), [ev.astuple() for ev in trace.events()]
+    trace.register("r", 64, 16)
+    assert (trace.digest(), [ev.astuple() for ev in trace.events()]) == before
+    # Records taken after the rebind use the new width.
+    trace.seq(0, "r", READ, 0, 64)
+    assert [ev.offset for ev in trace.events()][-1] == (63 if granularity is ELEMENT
+                                                        else 63 * 16 // 64)
+
+
 def test_om_accesses_invisible():
     sim = OMSim(4096)
-    handle = sim.new_arena().alloc_array(np.dtype("<u8"), 16)
-    handle.data[:] = np.arange(16)
-    handle.data[3] = 99
+    arena = sim.new_arena()
+    handle = arena.alloc(16 * 8)
+    data = np.arange(16, dtype="<u8")  # the allocation's storage
+    data[3] = 99
+    arena.free(handle)
     assert list(sim.trace.events()) == []
 
 
@@ -347,7 +363,7 @@ REGIONS = [("r0", 300, 8), ("r1", 260, 17), ("r2", 200, 40), ("r3", 128, 1), ("r
 
 
 OPS = st.tuples(
-    st.sampled_from(["seq", "zip", "cx", "pts", "one"]),
+    st.sampled_from(["seq", "zip", "cx", "pts"]),
     st.integers(0, 2),                          # worker
     st.integers(0, len(REGIONS) - 1),           # region
     st.integers(0, len(REGIONS) - 1),           # second region (zip)
@@ -371,7 +387,7 @@ def build(granularity, ops):
     for name, length, width in REGIONS:
         trace.register(name, length, width)
     for code, w, ra, rb, ka, kb, x, y, z, pts in ops:
-        name, length, width = REGIONS[ra]
+        name, length, _ = REGIONS[ra]
         if code == "seq":
             start = x % length
             trace.seq(w, name, ka, start, z % (length - start + 1))
@@ -384,10 +400,8 @@ def build(granularity, ops):
             stride = [1, 2, 3, 4, 5, 7, 8, 16, 17, 32, 64][y % 11]
             pairs = length // (2 * stride)
             trace.cx_pass(w, name, stride, 2 * stride * (z % (pairs + 1)))
-        elif code == "pts":
-            trace.points(w, name, ka, [p % length for p in pts])
         else:
-            trace.record(w, name, x % (length * width), ka)
+            trace.points(w, name, ka, [p % length for p in pts])
     return trace
 
 
@@ -443,8 +457,8 @@ def test_seq_and_points_digest_alike(granularity):
 def test_zip_of_one_and_two_single_records_digest_alike():
     one, two = _pair(ELEMENT)
     one.zip2(0, "a", READ, 3, "b", WRITE, 9, 1)
-    two.record(0, "a", 3 * 24, READ)
-    two.record(0, "b", 9 * 8, WRITE)
+    two.seq(0, "a", READ, 3, 1)
+    two.seq(0, "b", WRITE, 9, 1)
     assert one.digest() == two.digest()
 
 

@@ -383,6 +383,7 @@ def test_end_to_end_pr_matches_reference():
 
 
 def test_end_to_end_single_party_equals_direct_run():
+    from oblige.apps import APPS
     from oblige.baselines import reference_run
 
     rng = np.random.default_rng(2)
@@ -397,7 +398,7 @@ def test_end_to_end_single_party_equals_direct_run():
     rank = {k: oracle[id_key(obfuscate_ids([k], SALT)[0])] for k in keys}
     src = [rank[u] for u, v in edges]
     dst = [rank[v] for u, v in edges]
-    w = reference_run("pr", n, src, dst, 5)
+    w = reference_run(APPS["pr"], n, src, dst, 5)
     for key in keys:
         assert got[0][key] == pytest.approx(w[rank[key]], rel=1e-9)
 

@@ -323,9 +323,7 @@ def test_column_scan_matches_block_scan_drawn(n, k, data):
 
 APP_KERNELS = {
     "degree": (apps._degree_kernel, apps.DEGREE_STATE),
-    "pr": (apps._pr_kernel, apps.PR_STATE),
-    "bfs": (apps._bfs_kernel, apps.DIST_STATE),
-    "wcc": (apps._wcc_kernel, apps.LABEL_STATE),
+    **{app: (program.kernel, program.state_dtype) for app, program in apps.APPS.items()},
 }
 
 

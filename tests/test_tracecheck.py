@@ -18,6 +18,12 @@ def test_stage_trace_purity(stage):
     assert report["trials"] == 3
 
 
+@pytest.mark.parametrize("stage", ["pipeline_bfs", "pipeline_wcc"])
+def test_whole_pipeline_trace_purity(stage):
+    report = check_stage(stage, trials=3, seed=3, cfg=CheckConfig(**FAST_CFG))
+    assert report["trials"] == 3 and report["digests"]
+
+
 def test_leaky_kernel_detected_with_location():
     with pytest.raises(ObliviousnessViolation) as info:
         check_stage("pr_leaky", trials=3, seed=17, cfg=CheckConfig(**FAST_CFG))
