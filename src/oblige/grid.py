@@ -16,6 +16,7 @@ encoded size is a pure function of (k, l).
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -98,7 +99,9 @@ class GridGraph:
 
     Immutable after construction; `edges` is one flat array with block (r, c)
     stored row-major at [(r*b + c) * l, ...).  `m` (the non-null total) stays
-    out of the public parameter set.
+    out of the public parameter set.  The real edges in the order each scan
+    direction visits them (`column_order`, `row_order`) are computed on
+    first use and kept.
     """
 
     region_name = GRID_REGION
@@ -120,8 +123,31 @@ class GridGraph:
 
     def nonnull_edges(self):
         """The (src, dst) pairs of all real edges, in storage order."""
-        real = self.edges[self.edges["pad"] == 0]
-        return real["src"].copy(), real["dst"].copy()
+        return tuple(side.view(np.uint64).copy() for side in self.row_order)
+
+    @cached_property
+    def column_order(self):
+        """Real edges as read-only int64 (src, dst), in column-scan order.
+
+        Columns 0..b-1; within a column, block rows 0..b-1; within a block,
+        stored order.
+        """
+        b, l = self.params.b, self.params.l
+        return _real_edges(self.edges.reshape(b, b, l).transpose(1, 0, 2))
+
+    @cached_property
+    def row_order(self):
+        """Real edges as read-only int64 (src, dst), in storage (row-scan) order."""
+        return _real_edges(self.edges)
+
+
+def _real_edges(slots):
+    """(src, dst) of the non-null `slots`, in their C order, as read-only int64."""
+    real = slots["pad"] == 0
+    out = slots["src"][real].view(np.int64), slots["dst"][real].view(np.int64)
+    for side in out:
+        side.flags.writeable = False
+    return out
 
 
 def group_into_blocks(src, dst, k, b, block_length):

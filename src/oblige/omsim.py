@@ -620,7 +620,8 @@ class Buffer:
     bulk helpers keep the recorded pattern and the actual data movement side
     by side so they cannot drift apart.  The grid scan is the exception: it
     records its per-block reads with ``trace.seq`` directly and copies
-    nothing, then moves each column's data in one step (see `oblige.scan`).
+    nothing for them, then moves a whole scan's edge data in one kernel call,
+    with its output buffer's data as the owned side (see `oblige.scan`).
     """
 
     def __init__(self, trace, name, data, record_init=False, worker=0):

@@ -47,6 +47,7 @@ from .errors import (
     ObligeError,
     ParamMismatch,
     UnknownSource,
+    UsageError,
 )
 from .grid import (
     EDGE_DTYPE,
@@ -561,36 +562,50 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     in for the out-of-band agreement on the merged vertex count; when None it
     is computed the way the parties would jointly announce it.  The oblivious
     engines verify the declaration rather than trust it.
+
+    The run is timed as consecutive stages in `report.stage_seconds`:
+    party_setup (the parties read their inputs and obfuscate their IDs),
+    declare_n (only when `declared_n` is None), vertex_mapping,
+    edge_preprocess, merge_grids, compute and post_process; the reference
+    engine has party_setup and compute only.
     """
     if app not in apps_mod.APPS or engine not in ENGINES:
         raise ValueError("unknown application %r or engine %r" % (app, engine))
+    if workers < 1:
+        raise UsageError("a run needs at least one worker, not %r" % (workers,))
     program = apps_mod.APPS[app]
     compute = ENGINES[engine]
     if program.needs_source and source_key is None:
         raise UnknownSource("%s needs a source vertex key" % app)
-    parties = [Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)]
-    if len({p.key_kind for p in parties} - {None}) > 1:
-        raise MalformedPartyFile("parties hold vertex keys of different types")
 
     report = RunReport(app=app, engine=engine, params={}, seed_salt=salt.hex(),
                        workers=workers)
+    sim = None if compute is None else OMSim(om_bytes, granularity=granularity,
+                                             enabled=record)
+    timer = _StageTimer(sim, report)
+
+    def stage_parties():
+        parties = [Party(i, keys, edges, salt)
+                   for i, (keys, edges) in enumerate(party_inputs)]
+        if len({p.key_kind for p in parties} - {None}) > 1:
+            raise MalformedPartyFile("parties hold vertex keys of different types")
+        return parties
+
+    parties = timer.run("party_setup", stage_parties)
 
     if compute is None:
-        timer = _StageTimer(None, report)
         results = timer.run(
             "compute", lambda: _reference_end_to_end(parties, program, t, f, source_key))
         return results, report, None
 
     if declared_n is None:
-        declared_n = len(np.unique(_id_keys(np.concatenate([p.ids for p in parties]))))
+        declared_n = timer.run("declare_n", lambda: len(np.unique(
+            _id_keys(np.concatenate([p.ids for p in parties])))))
 
     params = PublicParams.derive(
         p=len(parties), n_i=[p.n_vertices for p in parties], n=declared_n,
         t=t, s=om_bytes, vwidth=program.vwidth,
     )
-
-    sim = OMSim(om_bytes, granularity=granularity, enabled=record)
-    timer = _StageTimer(sim, report)
 
     def stage_mapping():
         payloads = [p.vertex_submit_payload() for p in parties]
@@ -633,6 +648,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
     results_buf = timer.run("compute", lambda: compute(
         sim, grid, global_map, program, t, f, workers, source_id))
+    del grid  # with its cached scan orders, before post-processing allocates
 
     def stage_post():
         res_bufs = post_process(sim, results_buf, map_bufs, full_params)

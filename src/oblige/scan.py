@@ -7,36 +7,42 @@ entire fixed-length edge list, padding included; finally the destination
 chunk is written back whether or not it changed.  The observable pattern is
 therefore a pure function of (b, k, l, record widths, worker assignment).
 
-The trace is recorded block by block in exactly that order (other chunk,
-then the block's l slots), but the simulator moves the data once per column:
-the kernel is called once with the real edges of the whole column (block
-rows 0..b-1, stored order within each block), so a scan makes b kernel calls
-and b edge gathers rather than b^2.  The per-block reads are recorded with
-``trace.seq`` and copy nothing.
+The trace is recorded line by line in exactly that order: the owned chunk's
+read, then per block the other chunk and the block's l slots, then the
+owned chunk's write-back.  The chunk read and write-back go through
+`Buffer.read` and `Buffer.write`, so the output buffer ends up a raw-byte
+copy of the owned input (the owned chunks are disjoint and cover it).  The
+per-block reads are recorded with ``trace.seq`` and copy nothing; with
+recording off they are skipped, so an untraced pass does O(b) Python work.
+The kernel then runs once per scan, over every real edge in the order the
+lines visit them: the grid's cached `column_order` (columns 0..b-1, block
+rows 0..b-1 within a column, stored order within a block), or `row_order`
+for `full_scan_rows`.
 
 Kernel contract: ``kernel(src, dst, src_off, dst_off)`` is vectorized and
-called once per column (per row for `full_scan_rows`).  The side the scan
-direction owns (the destination chunk for `full_scan`, the source chunk for
-`full_scan_rows`) is its OM-resident chunk with chunk-relative offsets, and
-the kernel mutates it.  The other side is the whole vertex array with global
-offsets; the kernel only reads it, and only at endpoints of this column's
-edges, whose chunks the recorded per-block reads cover, so the null-edge
-check and all value-dependent work stay invisible.  No input array is
-written during a scan: the other side is handed over as one private copy
-per scan (a kernel that writes it changes nothing the caller sees), and
-write-back goes to a fresh output buffer.  Repeated
-indices are applied in stored order, so float accumulation is bit-identical
-to a block-at-a-time scan and reproducible run to run.
+called once per scan.  Both vertex sides are whole arrays indexed by global
+vertex offsets.  The side the scan direction owns (the destination for
+`full_scan`, the source for `full_scan_rows`) is the output buffer's data,
+and the kernel folds into it.  The other side is one private copy per scan
+of the other input; the kernel only reads it (a kernel that writes it
+changes nothing the caller sees), and only at endpoints of real edges,
+whose chunks the recorded per-block reads cover, so the null-edge check and
+all value-dependent work stay invisible.  No input array is written during
+a scan.  The offset arrays are read-only.  Every owned vertex belongs to one
+line, and repeated indices are applied in order, so each vertex folds the
+same messages in the same order as a block-at-a-time scan: float
+accumulation is bit-identical to it and reproducible run to run.
 
-Columns are assigned to workers statically and cyclically (column c goes to
-worker c mod W); each worker gets a private OM arena of the full capacity,
-and per-worker traces are independent, so the parallel scan is as oblivious
-as the serial one.
+Lines are assigned to workers statically and cyclically (column c goes to
+worker c mod W); each worker that owns a line holds the reserve and two
+vertex chunks in a private OM arena of the full capacity (an idle worker's
+peak stays 0), and per-worker traces are independent, so the parallel scan
+is as oblivious as the serial one.
 """
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, UsageError
 from .grid import RESERVE_BYTES
 from .omsim import READ, Buffer, copy_records
 
@@ -51,6 +57,8 @@ def _check_vertex_width(params, *bufs):
 
 
 def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
+    if workers < 1:
+        raise UsageError("a scan needs at least one worker, not %r" % (workers,))
     params = grid.params
     k, b, l, n = params.k, params.b, params.l, params.n
     _check_vertex_width(params, src_vals, dst_vals)
@@ -61,7 +69,6 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     trace = sim.trace
     trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
     out = Buffer.wrap(trace, out_name, np.empty_like(owned_vals.data))
-    blocks = grid.edges.reshape(b, b, l)
     # The kernels' private copy: a read-only view would not do, since
     # ufunc.at writes through it.
     other = copy_records(other_vals.data)
@@ -69,36 +76,31 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     peaks = []
     for w in range(workers):
         arena = sim.new_arena()
-        for outer in range(w, b, workers):
-            reserve = arena.alloc(RESERVE_BYTES)
-            owned_om = arena.alloc(k * params.vwidth)
-            other_om = arena.alloc(k * params.vwidth)
+        lines = range(w, b, workers)
+        held = [arena.alloc(RESERVE_BYTES), arena.alloc(k * params.vwidth),
+                arena.alloc(k * params.vwidth)] if lines else []
+        for outer in lines:
             lo = outer * k
-            hi = min(lo + k, n)
-            owned = owned_vals.read(lo, hi, worker=w)
-            for inner in range(b):
-                ilo = inner * k
-                trace.seq(w, other_vals.name, READ, ilo, min(ilo + k, n) - ilo)
-                base = ((outer * b + inner) if by_rows else (inner * b + outer)) * l
-                trace.seq(w, grid.region_name, READ, base, l)
-            # One kernel call over the real edges of blocks 0..b-1 of the line.
-            line = blocks[outer] if by_rows else blocks[:, outer]
-            real = line["pad"] == 0
-            src = line["src"][real].view(np.int64)
-            dst = line["dst"][real].view(np.int64)
-            if by_rows:
-                src -= lo
-                kernel(owned, other, src, dst)
-            else:
-                dst -= lo
-                kernel(other, owned, src, dst)
-            # Unconditional write-back, changed or not.
+            owned = owned_vals.read(lo, min(lo + k, n), worker=w)
+            if trace.enabled:  # the per-block reads move no data
+                for inner in range(b):
+                    ilo = inner * k
+                    trace.seq(w, other_vals.name, READ, ilo, min(ilo + k, n) - ilo)
+                    block = (outer * b + inner) if by_rows else (inner * b + outer)
+                    trace.seq(w, grid.region_name, READ, block * l, l)
+            # Unconditional write-back, changed or not; the kernel folds into
+            # the written chunks once every line is done.
             out.write(lo, owned, worker=w)
-            arena.free(other_om)
-            arena.free(owned_om)
-            arena.free(reserve)
+        for handle in reversed(held):
+            arena.free(handle)
         peaks.append(arena.peak)
     sim.last_scan_peaks = peaks
+
+    # One kernel call over every real edge, in the order the lines visit them.
+    if by_rows:
+        kernel(out.data, other, *grid.row_order)
+    else:
+        kernel(other, out.data, *grid.column_order)
     return out
 
 

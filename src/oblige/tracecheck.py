@@ -16,7 +16,7 @@ import numpy as np
 
 from . import apps as apps_mod
 from . import baselines
-from .errors import ObliviousnessViolation
+from .errors import ObliviousnessViolation, UsageError
 from .grid import PublicParams, build_grid
 from .omsim import ELEMENT, READ, OMSim
 from .oprims import o_sort
@@ -78,7 +78,11 @@ def _fixture_grid(rng, cfg, vwidth, block_length):
 
 
 def _leaky_pr_kernel(sim):
-    """PR kernel that also probes a non-OM table at a secret-derived offset."""
+    """PR kernel that also probes a non-OM table at a secret-derived offset.
+
+    The scan calls its kernel once, so a scan makes one probe, at an offset
+    derived from vertex 0's secret weight.
+    """
     probe_len = 1 << 16
     sim.trace.register("leak.probe", probe_len, 8)
 
@@ -116,9 +120,8 @@ def _app_fixture(rng, cfg, sim, program):
     else:
         state[program.field] = rng.integers(0, cfg.n, size=cfg.n)
     if program.needs_degrees:
-        state["degree"] = np.maximum(np.bincount(
-            grid.edges["src"][grid.edges["pad"] == 0].astype(np.int64),
-            minlength=cfg.n), 1)
+        state["degree"] = np.maximum(
+            np.bincount(grid.row_order[0], minlength=cfg.n), 1)
     return grid, sim.buffer_from_rows(program.region, state)
 
 
@@ -235,10 +238,12 @@ def check_stage(stage, trials, seed, cfg=None):
     """
     if trials < 2:
         raise ValueError("need at least 2 trials to compare traces")
+    cfg = cfg or CheckConfig(seed=seed)
+    if cfg.workers < 1:
+        raise UsageError("a check needs at least one worker, not %r" % (cfg.workers,))
     if stage not in STAGES:
         raise ValueError("unknown stage %r (choose from %s)"
                          % (stage, ", ".join(sorted(STAGES))))
-    cfg = cfg or CheckConfig(seed=seed)
     rng = np.random.default_rng(seed)
     runner = STAGES[stage]
     base_sim, base_digests = runner(rng, cfg)

@@ -217,7 +217,14 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["run", "{party}", "--app", "pr", "--granularity", "abc", "--outdir", "{out}"],
      "UsageError"),
     (["bench", "--n-scales", "x"], "UsageError"),
-], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales"])
+    (["run", "{party}", "--app", "pr", "--workers", "0", "--outdir", "{out}"],
+     "UsageError"),
+    (["bench", "--n-scales", "6", "--m-scales", "6", "--om", "16KiB", "-t", "1",
+      "--workers", "0"], "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--workers", "0"],
+     "UsageError"),
+], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
+        "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")

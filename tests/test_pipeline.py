@@ -1,12 +1,14 @@
 """Multi-party workflow: mapping, preprocessing, merging, post-processing."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oblige import kron
 from oblige.errors import (
     MalformedPartyFile,
     MissingID,
@@ -14,6 +16,7 @@ from oblige.errors import (
     ParamMismatch,
     SizeMismatch,
     UnknownSource,
+    UsageError,
 )
 from oblige.grid import RESERVE_BYTES, PublicParams
 from oblige.omsim import OMSim
@@ -603,3 +606,35 @@ def test_end_to_end_matches_reference_drawn(party_inputs, k):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=0)
             else:
                 assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("engine", ["oblige", "sortscan", "reference"])
+def test_run_rejects_fewer_than_one_worker(engine):
+    parties = [([1, 2, 3], [(1, 2), (2, 3)])]
+    for workers in (0, -2):
+        with pytest.raises(UsageError):
+            run_end_to_end(parties, "pr", 2, 1 << 16, SALT, workers=workers,
+                           engine=engine)
+
+
+def test_stage_seconds_cover_the_run():
+    src, dst = kron.generate_kronecker(10, 1 << 12, seed=3)
+    owner = kron.assign_parties(1 << 10, 3, "random", seed=3)
+    parties = kron.split_parties(src, dst, owner, 3)
+    stages = ["party_setup", "declare_n", "vertex_mapping", "edge_preprocess",
+              "merge_grids", "compute", "post_process"]
+    for engine in ("oblige", "sortscan"):
+        for record in (False, True):
+            covered = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _, rep, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT,
+                                           engine=engine, record=record)
+                wall = time.perf_counter() - start
+                assert list(rep.stage_seconds) == stages
+                # Digest hashing is timed apart from its stage.
+                timed = sum(rep.stage_seconds.values()) + sum(rep.digest_seconds.values())
+                covered.append(timed / wall)
+            assert 0.95 <= max(covered) <= 1.0, (engine, record, covered)
+    _, rep, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT, declared_n=1 << 10)
+    assert "declare_n" not in rep.stage_seconds and "party_setup" in rep.stage_seconds

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblige import apps
-from oblige.errors import CapacityExceeded
+from oblige.errors import CapacityExceeded, UsageError
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
 from oblige.omsim import CACHELINE, ELEMENT, Buffer, OMSim
 from oblige.scan import full_scan, full_scan_rows
@@ -355,3 +355,92 @@ def test_app_kernels_leave_scan_inputs_unchanged(app, by_rows):
     with np.errstate(divide="ignore", invalid="ignore"):
         scan(grid, src, dst, kernel, sim, workers=2, out_name="vout")
     assert (src.data.tobytes(), dst.data.tobytes()) == before
+
+
+# -- one kernel call per scan, over the grid's cached line orders -----------------
+
+def short_chunk_grid():
+    """n=11, k=3: b=4 with a short last chunk, repeated destinations."""
+    params = PublicParams.derive(p=1, n_i=[11], n=11, t=1,
+                                 s=2 * 3 * 8 + RESERVE_BYTES, vwidth=8)
+    assert (params.k, params.b) == (3, 4)
+    edges = repeated_dst_edges(11, seed=9)
+    return build_grid(edges, params, block_length=len(edges))
+
+
+def test_grid_line_orders_concatenate_block_edges():
+    grid = short_chunk_grid()
+    b = grid.params.b
+
+    def concat(coords):
+        blocks = [grid.block(r, c) for r, c in coords]
+        real = [blk[blk["pad"] == 0] for blk in blocks]
+        return [np.concatenate([e[side] for e in real]).astype(np.int64)
+                for side in ("src", "dst")]
+
+    by_column = concat((r, c) for c in range(b) for r in range(b))
+    by_row = concat((r, c) for r in range(b) for c in range(b))
+    for order, want in ((grid.column_order, by_column), (grid.row_order, by_row)):
+        assert [side.dtype for side in order] == [np.int64, np.int64]
+        assert [side.tolist() for side in order] == [side.tolist() for side in want]
+        assert not any(side.flags.writeable for side in order)
+    assert grid.column_order is grid.column_order  # computed once
+    assert grid.row_order is grid.row_order
+    assert [side.tolist() for side in grid.nonnull_edges()] == \
+        [side.tolist() for side in by_row]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_one_kernel_call_per_scan_at_global_offsets(by_rows, workers):
+    grid = short_chunk_grid()
+    n = grid.params.n
+    sim = OMSim(grid.params.s)
+    src = sim.buffer_from_rows("vsrc", np.arange(n, dtype=np.float64).view(VAL))
+    dst = sim.buffer_from_rows("vdst", np.zeros(n, dtype=VAL))
+    calls = []
+
+    def counting_kernel(src_side, dst_side, soff, doff):
+        calls.append((len(src_side), len(dst_side), soff.tolist(), doff.tolist()))
+        (pull_kernel if by_rows else mixed_add_kernel)(src_side, dst_side, soff, doff)
+
+    scan = full_scan_rows if by_rows else full_scan
+    out = scan(grid, src, dst, counting_kernel, sim, workers=workers, out_name="vout")
+    order = grid.row_order if by_rows else grid.column_order
+    assert calls == [(n, n, order[0].tolist(), order[1].tolist())]
+    if by_rows:
+        want = src.data["v"].copy()
+        np.add.at(want, order[0], dst.data["v"][order[1]] + 0.1)
+    else:
+        want = dst.data["v"].copy()
+        np.add.at(want, order[1], src.data["v"][order[0]] * 0.7)
+    assert out.data["v"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_idle_workers_peak_zero(by_rows):
+    # b=4 lines over 6 workers: workers 4 and 5 own nothing and allocate nothing
+    edges = repeated_dst_edges(11, seed=2)
+    assert_matches_block_scan(edges, n=11, k=3, workers=6, by_rows=by_rows,
+                              same_buffer=False, granularity=ELEMENT)
+    params = micro_params()
+    sim = OMSim(params.s)
+    grid = build_grid([(0, 3), (1, 0)], params)
+    src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
+    dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
+    scan = full_scan_rows if by_rows else full_scan
+    scan(grid, src, dst, add_kernel, sim, workers=5, out_name="vout")
+    busy = 2 * params.k * params.vwidth + RESERVE_BYTES
+    assert sim.last_scan_peaks == [busy, busy, 0, 0, 0]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("scan", [full_scan, full_scan_rows])
+def test_scan_rejects_fewer_than_one_worker(scan, workers):
+    params = micro_params()
+    sim = OMSim(params.s)
+    grid = build_grid([(0, 1)], params)
+    src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
+    dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
+    with pytest.raises(UsageError):
+        scan(grid, src, dst, add_kernel, sim, workers=workers, out_name="vout")
