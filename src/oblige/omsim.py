@@ -85,6 +85,16 @@ def copy_records(rows):
     return _raw(rows).copy().view(rows.dtype)
 
 
+def gather_records(rows, index):
+    """``rows[index]`` for an integer index array, gathered as raw record bytes.
+
+    A structured fancy gather converts field by field; gathering the opaque
+    fixed-width values moves each record whole.  Indexing follows numpy:
+    negative indices count from the end, out-of-range ones raise IndexError.
+    """
+    return _raw(rows)[index].view(rows.dtype)
+
+
 def assign_records(dst, rows):
     """Write `rows` into `dst` (same length) as raw record bytes.
 

@@ -13,19 +13,24 @@ vectorized key columns; ties are broken by original position, so the result
 matches a stable sort and downstream passes are deterministic even under
 duplicate keys.
 
-The simulator runs that network on one int64 rank column instead of the
+The simulator runs that network on one int32 rank column instead of the
 scratch records it traces: each record's rank in the (pad, keys, position)
 total order.  Ranks compare exactly as the records do, so each pass is a
-vectorized min/max over a reshaped view and the in-OM segments are one row
-sort.  The records move once, at the end: slot i receives the record whose
-rank the network left in slot i.  Nothing else orders them, so a broken
-network yields unsorted output.
+min/max into the ascending and descending halves of a reshaped view, with no
+per-pair direction mask, and the in-OM segments are one row sort whose
+descending segments are reversed through a view.  The records move once, at
+the end, as raw bytes: slot i receives the record whose rank the network
+left in slot i.  Nothing else orders them, so a broken network yields
+unsorted output.
 """
 
 import numpy as np
 
 from .errors import OMUnavailable, SizeMismatch
-from .omsim import READ, WRITE, Buffer, assign_records, copy_records
+from .omsim import READ, WRITE, Buffer, assign_records, copy_records, gather_records
+
+# Ranks are int32, so the padded length may not pass 2^31.
+_MAX_PADDED = 1 << 31
 
 
 def _pow2_floor(x):
@@ -60,16 +65,24 @@ def _cx_pass(rank, j, k):
     """One compare-exchange pass at stride `j` of merge stage `k`, in place.
 
     Pair (i, i+j) is ordered ascending when i's `k` bit is clear.  Viewed as
-    (P/2j, 2, j), row r holds the pairs of block [r*2j, (r+1)*2j), whose
-    direction is fixed by the block start since j < k.
+    (P/2k, 2, k/2j, 2, j), index 0 of axis 1 holds the ascending half of
+    every 2k-block and index 1 the descending half; axis 3 separates each
+    pair's low and high positions.  The last stage, k = P, is all ascending.
     """
-    pairs = rank.reshape(-1, 2, j)
-    asc = ((np.arange(len(pairs)) * (2 * j) & k) == 0)[:, None]
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    small = np.minimum(lo, hi)
-    large = np.maximum(lo, hi)
-    lo[...] = np.where(asc, small, large)
-    hi[...] = np.where(asc, large, small)
+    if k == len(rank):
+        pairs = rank.reshape(-1, 2, j)
+        _order_pairs(pairs[:, 0], pairs[:, 1])
+        return
+    halves = rank.reshape(-1, 2, k // (2 * j), 2, j)
+    _order_pairs(halves[:, 0, :, 0], halves[:, 0, :, 1])
+    _order_pairs(halves[:, 1, :, 1], halves[:, 1, :, 0])
+
+
+def _order_pairs(lo, hi):
+    """Leave each pair's min in `lo` and its max in `hi`, in place."""
+    low = np.minimum(lo, hi)
+    np.maximum(lo, hi, out=hi)
+    lo[...] = low
 
 
 def o_sort(buf, key, arena, worker=0):
@@ -88,7 +101,8 @@ def o_sort(buf, key, arena, worker=0):
     position) total order, so every compare-exchange takes the same branch
     as on the full entries.  The records are then placed by the ranks the
     network left in the first n slots, so the output is sorted only if the
-    network sorted.  Float keys must not be NaN (ValueError).
+    network sorted.  Float keys must not be NaN, and the padded length may
+    not exceed 2^31, the int32 rank range (ValueError for either).
 
     Returns a stats dict with the padded length, in-OM segment size and the
     super-OM compare-exchange count (a pure function of the public sizes).
@@ -98,12 +112,14 @@ def o_sort(buf, key, arena, worker=0):
     if n <= 1:
         return stats
 
+    padded = _pow2_ceil(n)
+    if padded > _MAX_PADDED:
+        raise ValueError("o_sort of %d records pads past 2^31, beyond int32 ranks" % n)
     trace = buf.trace
     cols = _key_columns(key, buf.data)
     for c in cols:
         if c.dtype.kind == "f" and np.isnan(c).any():
             raise ValueError("o_sort key column holds NaN, which has no order")
-    padded = _pow2_ceil(n)
     dt = np.dtype(
         [("_pad", "u1")]
         + [("_k%d" % i, c.dtype) for i, c in enumerate(cols)]
@@ -125,13 +141,12 @@ def o_sort(buf, key, arena, worker=0):
     # Copy in (one interleaved read/write pass), then write the pad tail.
     trace.zip2(worker, buf.name, READ, 0, scratch_name, WRITE, 0, n)
     order = np.lexsort(cols[::-1])
-    rank = np.empty(padded, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = np.empty(padded, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
     trace.seq(worker, scratch_name, WRITE, n, padded - n)
-    rank[n:] = np.arange(n, padded)
+    rank[n:] = np.arange(n, padded, dtype=np.int32)
 
     segments = rank.reshape(-1, seg)
-    starts = np.arange(0, padded, seg)
 
     def sort_segments(k):
         """Sort every segment, descending where its start has bit `k`."""
@@ -139,8 +154,9 @@ def o_sort(buf, key, arena, worker=0):
             trace.seq(worker, scratch_name, READ, start, seg)
             trace.seq(worker, scratch_name, WRITE, start, seg)
         segments.sort(axis=1)
-        desc = (starts & k) != 0
-        segments[desc] = segments[desc, ::-1]
+        if k < padded:  # the second k-long half of every 2k-block descends
+            desc = rank.reshape(-1, 2, k // seg, seg)[:, 1]
+            desc[...] = desc[..., ::-1]
 
     # Build sorted runs of length `seg`, alternating direction as the full
     # network would have left them after its first log2(seg) stages.
@@ -161,7 +177,7 @@ def o_sort(buf, key, arena, worker=0):
         k *= 2
 
     trace.zip2(worker, scratch_name, READ, 0, buf.name, WRITE, 0, n)
-    assign_records(buf.data, buf.data[order[rank[:n]]])
+    assign_records(buf.data, gather_records(buf.data, order[rank[:n]]))
     arena.free(om)
     stats.update(padded=padded, segment=seg, compare_exchanges=cx)
     return stats
@@ -235,12 +251,12 @@ def o_split_trans(buf, nbuckets, bucket_fn, project_fn, sizes, out_prefix,
     ids = np.asarray(bucket_fn(buf.data))
     if len(ids) and (ids.min() < 0 or ids.max() >= nbuckets):
         raise ValueError("bucket ids out of range")
+    # Counts do not depend on order, so they come from the unsorted ids.
+    counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=nbuckets)
 
     o_sort(buf, lambda batch: np.asarray(bucket_fn(batch), dtype=np.int64),
            arena, worker=worker)
 
-    counts = np.bincount(np.asarray(bucket_fn(buf.data), dtype=np.int64),
-                         minlength=nbuckets)
     if list(counts) != [int(s) for s in sizes]:
         raise SizeMismatch(
             "declared bucket sizes %s but found %s" % (list(sizes), counts.tolist())

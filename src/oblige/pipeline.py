@@ -371,20 +371,22 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
         body = memoryview(payloads[i])[header["header_nbytes"]:]
         decoded = Buffer.wrap(trace, "grid.party%d" % i,
                               decode_block(body, k, li, *coords))
-        for x in range(b * b):
-            trace.seq(worker, msg_buf.name, READ,
-                      header["header_nbytes"] + x * nbytes, nbytes)
-            trace.seq(worker, decoded.name, WRITE, x * li, li)
+        if trace.enabled:  # the per-block passes move no data
+            for x in range(b * b):
+                trace.seq(worker, msg_buf.name, READ,
+                          header["header_nbytes"] + x * nbytes, nbytes)
+                trace.seq(worker, decoded.name, WRITE, x * li, li)
         party_bufs.append(decoded)
 
     merged = Buffer.wrap(trace, GridGraph.region_name,
                          np.zeros(b * b * l, dtype=EDGE_DTYPE))
     # Block-wise concatenation in party order (public lengths).
     starts = np.cumsum((0,) + params.l_i).tolist()
-    for x in range(b * b):
-        for i, pbuf in enumerate(party_bufs):
-            trace.zip2(worker, pbuf.name, READ, x * params.l_i[i],
-                       merged.name, WRITE, x * l + starts[i], params.l_i[i])
+    if trace.enabled:
+        for x in range(b * b):
+            for i, pbuf in enumerate(party_bufs):
+                trace.zip2(worker, pbuf.name, READ, x * params.l_i[i],
+                           merged.name, WRITE, x * l + starts[i], params.l_i[i])
     for i, pbuf in enumerate(party_bufs):
         merged.data.reshape(b * b, l)[:, starts[i]:starts[i + 1]] = \
             pbuf.data.reshape(b * b, params.l_i[i])

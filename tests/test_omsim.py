@@ -20,6 +20,7 @@ from oblige.omsim import (
     OMArena,
     OMSim,
     assign_records,
+    gather_records,
 )
 from oblige.oprims import o_trans
 
@@ -319,6 +320,33 @@ def test_assign_records_converts_other_dtypes():
     dst = np.zeros(3, dtype=[("v", "<u8")])
     assign_records(dst, np.array([(1,), (2,), (3,)], dtype=[("v", "<u4")]))
     assert dst["v"].tolist() == [1, 2, 3]
+
+
+def _random_rows(dtype, n, seed):
+    raw = np.random.default_rng(seed).integers(0, 256, size=n * dtype.itemsize,
+                                               dtype=np.uint8)
+    return raw.view(dtype)
+
+
+@pytest.mark.parametrize("which", ["edge", "s", "strided"])
+def test_gather_records_equals_fancy_index_bytes(which):
+    from oblige.grid import EDGE_DTYPE
+    from oblige.pipeline import S_DTYPE
+
+    assert EDGE_DTYPE.itemsize == 17  # packed, no alignment padding
+    rows = {"edge": _random_rows(EDGE_DTYPE, 50, 1),
+            "s": _random_rows(S_DTYPE, 50, 2),
+            "strided": _records(150, seed=3)[::3]}[which]
+    rng = np.random.default_rng(4)
+    for index in (rng.permutation(50), rng.integers(-50, 50, size=80),
+                  np.array([-1, -50, 0, 49]), np.array([], dtype=np.intp),
+                  np.array([], dtype=np.int32)):
+        got = gather_records(rows, index)
+        assert got.dtype == rows.dtype and got.shape == index.shape
+        assert got.tobytes() == rows[index].tobytes()
+    for bad in ([50], [-51], [0, 1 << 40]):
+        with pytest.raises(IndexError):
+            gather_records(rows, np.array(bad))
 
 
 def test_buffer_write_strided_rows_byte_equal():

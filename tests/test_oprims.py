@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblige.errors import OMUnavailable, SizeMismatch
-from oblige.omsim import CACHELINE, ELEMENT, READ, WRITE, OMSim
+from oblige.omsim import CACHELINE, ELEMENT, READ, WRITE, Buffer, OMSim
 from oblige.oprims import (
     _key_columns,
     _pow2_ceil,
@@ -275,6 +275,61 @@ def test_o_sort_output_comes_from_the_network(monkeypatch):
     assert buf.data["k"].tolist() != sorted(values)
 
 
+def _where_cx_pass(rank, j, k):
+    """The masked pass `_cx_pass` replaced: a per-row direction and np.where."""
+    pairs = rank.reshape(-1, 2, j)
+    asc = ((np.arange(len(pairs)) * (2 * j) & k) == 0)[:, None]
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    small = np.minimum(lo, hi)
+    large = np.maximum(lo, hi)
+    lo[...] = np.where(asc, small, large)
+    hi[...] = np.where(asc, large, small)
+
+
+def test_cx_pass_matches_masked_pass_at_every_stage_and_stride():
+    from oblige.oprims import _cx_pass
+
+    rng = np.random.default_rng(11)
+    for bits in range(1, 13):
+        padded = 1 << bits
+        k = 2
+        while k <= padded:
+            j = k // 2
+            while j >= 1:
+                rank = rng.permutation(padded).astype(np.int32)
+                expect = rank.copy()
+                _where_cx_pass(expect, j, k)
+                _cx_pass(rank, j, k)
+                assert rank.tobytes() == expect.tobytes(), (padded, j, k)
+                j //= 2
+            k *= 2
+
+
+@pytest.mark.parametrize("segments", [1, 2, 4])
+def test_o_sort_matches_structured_network_at_few_segments(segments):
+    # One segment skips the descending reversal; two reverse through a
+    # (1, 2, 1, seg) view.
+    rng = np.random.default_rng(segments)
+    rows = np.zeros(40, dtype=[("k0", "<u8"), ("v", "<u8")])
+    rows["k0"] = rng.integers(0, 9, size=40)
+    rows["v"] = np.arange(40)
+    entry = 1 + 8 + 8 + rows.dtype.itemsize
+    om = (64 // segments) * entry
+    for granularity in (ELEMENT, CACHELINE):
+        got = _sort_run(o_sort, rows, om, 0, granularity)
+        assert got[3]["segment"] * segments == got[3]["padded"] == 64
+        assert got == _sort_run(structured_o_sort, rows, om, 0, granularity)
+    assert got[0] == rows[np.argsort(rows["k0"], kind="stable")].tobytes()
+
+
+def test_o_sort_refuses_more_than_int32_ranks():
+    # Zero-width records: 2^31 + 1 of them take no memory.
+    sim = OMSim(1 << 12)
+    buf = Buffer.wrap(sim.trace, "huge", np.zeros((1 << 31) + 1, dtype=np.dtype([])))
+    with pytest.raises(ValueError, match="2\\^31"):
+        o_sort(buf, lambda b: np.broadcast_to(np.int64(0), len(b)), sim.new_arena())
+
+
 def test_o_trans_examples():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [1, 2, 3])
@@ -371,6 +426,26 @@ def test_o_split_trans_size_mismatch():
     with pytest.raises(SizeMismatch):
         o_split_trans(buf, 3, lambda b: b["k"].astype(np.int64), lambda b: b,
                       [1, 2, 1], "bkt", sim.new_arena())
+
+
+def test_o_split_trans_evaluates_bucket_fn_twice():
+    # Once for the range check and counts, once as o_sort's key.
+    calls = []
+
+    def bucket(batch):
+        calls.append(len(batch))
+        return batch["k"].astype(np.int64)
+
+    sim = OMSim(1 << 10)
+    buf = key_buf(sim, [2, 1, 2, 0])
+    o_split_trans(buf, 3, bucket, lambda b: b, [1, 1, 2], "bkt", sim.new_arena())
+    assert calls == [4, 4]
+    calls.clear()
+    with pytest.raises(SizeMismatch, match=r"declared bucket sizes \[1, 2, 1\] but "
+                                           r"found \[1, 1, 2\]"):
+        o_split_trans(key_buf(sim, [2, 1, 2, 0], name="b2"), 3, bucket, lambda b: b,
+                      [1, 2, 1], "bkt2", sim.new_arena())
+    assert calls == [4, 4]
 
 
 def test_o_split_trans_equals_sort_then_trans():

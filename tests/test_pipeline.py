@@ -18,8 +18,8 @@ from oblige.errors import (
     UnknownSource,
     UsageError,
 )
-from oblige.grid import RESERVE_BYTES, PublicParams
-from oblige.omsim import OMSim
+from oblige.grid import RESERVE_BYTES, GridGraph, PublicParams, parse_grid_header
+from oblige.omsim import AccessTrace, OMSim
 from oblige.pipeline import (
     ID_DTYPE,
     MAP_DTYPE,
@@ -283,6 +283,51 @@ def test_merged_multiset_is_union():
     )
     src, dst = grid.nonnull_edges()
     assert sorted(zip(src.tolist(), dst.tolist())) == expect
+
+
+def test_merge_grids_records_every_block_traced_and_none_untraced(monkeypatch):
+    rng = np.random.default_rng(9)
+    raw = [([int(x) for x in range(0, 30)],
+            [(int(rng.integers(0, 30)), int(rng.integers(0, 30))) for _ in range(40)]),
+           ([int(x) for x in range(20, 50)],
+            [(int(rng.integers(20, 50)), int(rng.integers(20, 50))) for _ in range(25)])]
+    parties = [Party(i, keys, edges, SALT) for i, (keys, edges) in enumerate(raw)]
+    _mapped_parties(parties, 50)
+    params = PublicParams.derive(p=2, n_i=[30, 30], n=50, t=1,
+                                 s=2 * 8 * 8 + RESERVE_BYTES, vwidth=8)
+    full = params.with_block_lengths([p.block_occupancy(params) for p in parties])
+    payloads = [p.grid_submit_payload(full, full.l_i[p.index]) for p in parties]
+    b, l, l_i = full.b, full.l, full.l_i
+    assert b > 1
+
+    traced = OMSim(1 << 14)
+    grid = merge_grids(traced, payloads, full)
+    expect = []
+    for i, payload in enumerate(payloads):
+        expect += [("pipe.gridmsg%d" % i, o, "write") for o in range(len(payload))]
+    for i, payload in enumerate(payloads):
+        header = parse_grid_header(payload)
+        hdr, nbytes = header["header_nbytes"], header["block_nbytes"]
+        for x in range(b * b):
+            expect += [("pipe.gridmsg%d" % i, hdr + x * nbytes + o, "read")
+                       for o in range(nbytes)]
+            expect += [("grid.party%d" % i, x * l_i[i] + o, "write")
+                       for o in range(l_i[i])]
+    for x in range(b * b):
+        for i in range(2):
+            start = x * l + sum(l_i[:i])
+            for o in range(l_i[i]):
+                expect += [("grid.party%d" % i, x * l_i[i] + o, "read"),
+                           (GridGraph.region_name, start + o, "write")]
+    assert [e.astuple()[1:] for e in traced.trace.events()] == expect
+
+    calls = []
+    monkeypatch.setattr(AccessTrace, "seq", lambda self, *a: calls.append(a))
+    monkeypatch.setattr(AccessTrace, "zip2", lambda self, *a: calls.append(a))
+    untraced = OMSim(1 << 14, enabled=False)
+    again = merge_grids(untraced, payloads, full)
+    assert len(calls) == 2  # the message buffers' initial writes
+    assert again.edges.tobytes() == grid.edges.tobytes() and again.m == grid.m
 
 
 # -- post-processing ---------------------------------------------------------------
