@@ -27,6 +27,9 @@ from .errors import BlockOverflow, MalformedBlock, OMTooSmall, ParamMismatch
 # for the constant-size register state the algorithms keep.
 RESERVE_BYTES = 4096
 
+# Encoded fields `decode_block` unpacks per batch of blocks.
+_DECODE_FIELDS = 1 << 15
+
 EDGE_DTYPE = np.dtype([("src", "<u8"), ("dst", "<u8"), ("pad", "u1")])
 
 GRID_MAGIC = b"OBGE"
@@ -245,7 +248,8 @@ def decode_block(data, k, l, r, c):
     decoded blocks are returned concatenated.  Raises
     :class:`MalformedBlock` on a wrong payload length, an offset in
     (k, 2^w), or a half-null pair (exactly one field equal to k): none of
-    these can be produced by a conforming client.
+    these can be produced by a conforming client.  Blocks are decoded a
+    batch at a time, so the working arrays stay small beside the output.
     """
     rows = np.atleast_1d(np.asarray(r, dtype=np.uint64))
     cols = np.atleast_1d(np.asarray(c, dtype=np.uint64))
@@ -258,13 +262,30 @@ def decode_block(data, k, l, r, c):
     out = np.zeros(n_blocks * l, dtype=EDGE_DTYPE)
     if not len(out):
         return out
-    w, byte, shift = _field_layout(k, l)
-    padded = np.zeros((n_blocks, expected // n_blocks + 8), dtype=np.uint8)
-    padded[:, :-8] = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, -1)
-    word = np.zeros((n_blocks, 2 * l), dtype=np.uint64)
+    msg = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, -1)
+    blocks = out.reshape(n_blocks, l)
+    layout = _field_layout(k, l)
+    step = max(1, _DECODE_FIELDS // (2 * l))
+    for lo in range(0, n_blocks, step):
+        hi = lo + step
+        _decode_batch(msg[lo:hi], k, layout, rows[lo:hi], cols[lo:hi], blocks[lo:hi])
+    return out
+
+
+def _decode_batch(msg, k, layout, rows, cols, blocks):
+    """Decode the (B, nbytes) encoded blocks `msg` into the (B, l) `blocks`."""
+    n_blocks, l = blocks.shape
+    w, byte, shift = layout
+    padded = np.zeros((n_blocks, msg.shape[1] + 8), dtype=np.uint8)
+    padded[:, :-8] = msg
+    fields = np.zeros((n_blocks, 2 * l), dtype=np.uint64)
+    part = np.empty_like(fields)
     for t in range((w + 14) // 8):
-        word |= padded[:, byte + t].astype(np.uint64) << np.uint64(8 * t)
-    fields = (word >> shift) & np.uint64((1 << w) - 1)
+        part[...] = padded[:, byte + t]
+        part <<= np.uint64(8 * t)
+        fields |= part
+    fields >>= shift
+    fields &= np.uint64((1 << w) - 1)
     src_off, dst_off = fields[:, 0::2], fields[:, 1::2]
     if int(fields.max()) > k:
         raise MalformedBlock("offset exceeds the null sentinel value k=%d" % k)
@@ -272,10 +293,11 @@ def decode_block(data, k, l, r, c):
     if (src_null != (dst_off == k)).any():
         raise MalformedBlock("half-null edge encoding")
     kk = np.uint64(k)
-    out["pad"] = src_null.reshape(-1)
-    out["src"] = np.where(src_null, 0, src_off + rows[:, None] * kk).reshape(-1)
-    out["dst"] = np.where(src_null, 0, dst_off + cols[:, None] * kk).reshape(-1)
-    return out
+    blocks["pad"] = src_null
+    for off, base, field in ((src_off, rows, "src"), (dst_off, cols, "dst")):
+        off += base[:, None] * kk
+        np.copyto(off, 0, where=src_null)
+        blocks[field] = off
 
 
 def encoded_block_nbytes(k, l):

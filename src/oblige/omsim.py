@@ -19,10 +19,15 @@ strictest test) or quantized to a line size in bytes (offset = starting byte
 equality implies line-level equality, so tests default to element
 granularity.
 
-The recorder stores access runs in a compressed form: sequential runs,
-interleaved two-region runs, compare-exchange passes, explicit points.
-The digest is nevertheless defined on the expanded event sequence.  Event
-(region, quantized offset q, kind) is the integer
+The recorder stores access runs in a compressed form.  A `seq` record is
+one sequential run, a `zip` record two runs interleaved element by element,
+a `cx` record a whole compare-exchange pass and a `pts` record explicit
+offsets.  A `rep` record (`AccessTrace.repeat`) is a group of runs repeated
+`count` times, each run's offsets rising by a constant per copy; it stands
+for a scan line's b (chunk, block) pairs, an o_sort round's P/seg segment
+reads and writes, or the b^2 blocks of a grid decode or merge, in one
+record.  The digest is nevertheless defined on the expanded event sequence.
+Event (region, quantized offset q, kind) is the integer
 
     e = 1 + q + (kind << 64) + (tag << 65),
 
@@ -35,16 +40,21 @@ is a root of their difference, a nonzero polynomial of degree below N, so
 for streams chosen without regard to X the chance is at most N/p; streams
 of different lengths differ in N.  Because H is a function of the events
 alone, one run or two, a run or the same points, a compare-exchange pass or
-its quads spelled out all digest alike.
+its quads spelled out, a repeated group or its copies one by one all digest
+alike.
 
-H is evaluated per record in closed form, never by expanding events.  A
-record is a block of m events repeated A times, copy a adding a*delta_j to
-event j; with y = X^m and d = sum_j delta_j * X^(m-1-j) it hashes to
-h * S0(y, A) + d * S1(y, A), where S0 and S1 are the plain and index-weighted
-geometric sums (computed by doubling and memoized per exponent), and
-records concatenate as H <- H * X^m_rec + h_rec.  A digest therefore costs
-O(records), and the same prefix states locate a divergence without walking
-the events before it.
+H is evaluated per record in closed form, never by expanding events.  Every
+record but `pts` is a block of m events repeated A times, copy a adding
+a*delta_j to event j (a `cx` pass is four lanes of `stride` rounds,
+repeated with rise 2*stride); with y = X^m and d = sum_j delta_j *
+X^(m-1-j) it hashes to h * S0(y, A) + d * S1(y, A), where S0 and S1 are the
+plain and index-weighted geometric sums (computed by doubling and memoized
+per exponent), and records concatenate as H <- H * X^m_rec + h_rec.  At
+line granularity a quantized offset rises by a constant only every c
+copies, c the least common period of the lanes, so the block is c copies
+hashed one by one, then repeated, then a remainder.  A digest therefore
+costs O(records), and the same prefix states locate a divergence without
+walking the events before it.
 """
 
 import functools
@@ -305,6 +315,42 @@ class AccessTrace:
         reg = self._check_run(region, 0, length)
         self._stream(worker).append(("cx", reg, int(stride), int(length)))
 
+    def repeat(self, worker, runs, count):
+        """Record `count` copies of a group of runs, each copy's runs risen by a constant.
+
+        Each run is (region, kind, start, length, rise).  The events are, for
+        a = 0 .. count-1 and each run in order, elements start + a*rise ..
+        start + a*rise + length-1.  A run of interleaved lanes gives region,
+        kind, start and rise as equal-length tuples, one entry per lane, and
+        takes one element from each lane in turn, as `zip2` does.  Every
+        lane's first and last copy must lie inside its region (IndexError)
+        and no rise may be negative (ValueError).  Runs of length 0 add
+        nothing.
+        """
+        if not self.enabled or count == 0:
+            return
+        if count < 0:
+            raise ValueError("repeat count %d is negative" % count)
+        packed = []
+        for region, kind, start, length, rise in runs:
+            if length < 0:
+                raise ValueError("run length %d is negative" % length)
+            if isinstance(region, str):
+                region, kind, start, rise = (region,), (kind,), (start,), (rise,)
+            if not len(region) == len(kind) == len(start) == len(rise):
+                raise ValueError("an interleaved run needs a kind, start and rise per lane")
+            lanes = []
+            for name, k, x, r in zip(region, kind, start, rise):
+                if r < 0:
+                    raise ValueError("run rise %d is negative" % r)
+                reg = self._check_run(name, x, length)
+                self._check_run(name, x + (count - 1) * r, length)
+                lanes.append((reg, int(k), int(x), int(r)))
+            if length:
+                packed.append((tuple(lanes), int(length)))
+        if packed:
+            self._stream(worker).append(("rep", tuple(packed), int(count)))
+
     def points(self, worker, region, kind, offsets):
         """Record accesses at explicit element offsets (in the given order)."""
         if not self.enabled or len(offsets) == 0:
@@ -328,36 +374,55 @@ class AccessTrace:
         num, den = self._ratio(reg)
         return (np.asarray(element_offsets, dtype=np.uint64) * np.uint64(num)) // np.uint64(den)
 
-    def _expand(self, rec):
-        """(region names, region index, kind and quantized offset per event)."""
+    def _runs(self, rec):
+        """(runs, count) of any record but `pts`, in the form `repeat` stores.
+
+        A run is (lanes, length), a lane (region, kind, start, rise).
+        """
         code = rec[0]
+        if code == "rep":
+            return rec[1], rec[2]
         if code == "seq":
             _, reg, kind, start, count = rec
-            offs = self._quantize(reg, np.arange(start, start + count))
-            return ((reg.name,), np.zeros(count, np.uint8), np.full(count, kind, np.uint8),
-                    offs)
-        if code == "pts":
+            return ((((reg, kind, start, 0),), count),), 1
+        if code == "zip":
+            _, ra, ka, sa, rb, kb, sb, count = rec
+            return ((((ra, ka, sa, 0), (rb, kb, sb, 0)), count),), 1
+        if code == "cx":
+            # Group g of a pass is `stride` quads at [2sg, 2sg + 2s).
+            _, reg, s, length = rec
+            lanes = tuple((reg, kind, x, 2 * s)
+                          for kind, x in ((READ, 0), (READ, s), (WRITE, 0), (WRITE, s)))
+            return ((lanes, s),), length // (2 * s)
+        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
+
+    def _expand(self, rec):
+        """(region names, region index, kind and quantized offset per event)."""
+        if rec[0] == "pts":
             _, reg, kind, offsets = rec
             n = len(offsets)
             return ((reg.name,), np.zeros(n, np.uint8), np.full(n, kind, np.uint8),
                     self._quantize(reg, offsets))
-        if code == "zip":
-            _, ra, ka, sa, rb, kb, sb, count = rec
-            offs = np.empty((count, 2), np.uint64)
-            offs[:, 0] = self._quantize(ra, np.arange(sa, sa + count))
-            offs[:, 1] = self._quantize(rb, np.arange(sb, sb + count))
-            return ((ra.name, rb.name), np.tile(np.array([0, 1], np.uint8), count),
-                    np.tile(np.array([ka, kb], np.uint8), count), offs.reshape(-1))
-        if code == "cx":
-            _, reg, stride, length = rec
-            half = np.arange(length // 2)
-            i = (half // stride) * (2 * stride) + half % stride
-            quad = np.stack([i, i + stride, i, i + stride], axis=1)
-            n = len(quad) * 4
-            return ((reg.name,), np.zeros(n, np.uint8),
-                    np.tile(np.array([READ, READ, WRITE, WRITE], np.uint8), len(quad)),
-                    self._quantize(reg, quad.reshape(-1)))
-        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
+        runs, count = self._runs(rec)
+        names = []
+        # Per run: start, rise, region index, kind, num and den of each event
+        # of copy 0.
+        parts = []
+        for lanes, length in runs:
+            lane = []
+            for reg, kind, start, rise in lanes:
+                if reg.name not in names:
+                    names.append(reg.name)
+                lane.append((start, rise, names.index(reg.name), kind) + self._ratio(reg))
+            lane = np.array(lane, dtype=np.uint64).T
+            parts.append(np.repeat(lane[:, None, :], length, axis=1))
+            parts[-1][0] += np.arange(length, dtype=np.uint64)[:, None]
+        start, rise, which, kinds, num, den = (
+            np.concatenate([p[f].reshape(-1) for p in parts]) for f in range(6))
+        copies = np.arange(count, dtype=np.uint64)[:, None]
+        offs = ((start + copies * rise) * num // den).reshape(-1)
+        return (tuple(names), np.tile(which.astype(np.uint8), count),
+                np.tile(kinds.astype(np.uint8), count), offs)
 
     def events(self, worker=None):
         """Iterate the fully expanded event sequence (one worker or all).
@@ -380,17 +445,7 @@ class AccessTrace:
 
     def _record_hash(self, rec):
         """(event count, polynomial hash) of one record's events."""
-        code = rec[0]
-        if code == "seq":
-            _, reg, kind, start, count = rec
-            return count, _lanes_hash((self._lane(reg, kind, start),), count)
-        if code == "zip":
-            _, ra, ka, sa, rb, kb, sb, count = rec
-            lanes = (self._lane(ra, ka, sa), self._lane(rb, kb, sb))
-            return 2 * count, _lanes_hash(lanes, count)
-        if code == "cx":
-            return self._cx_hash(rec)
-        if code == "pts":
+        if rec[0] == "pts":
             _, reg, kind, offsets = rec
             c = reg.event(int(kind))
             num, den = self._ratio(reg)
@@ -398,41 +453,54 @@ class AccessTrace:
             for o in offsets:
                 h = (h * _X + c + o * num // den) % _P
             return len(offsets), h
-        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
+        return self._repeat_hash(*self._runs(rec))
 
-    def _cx_hash(self, rec):
-        """A cx pass is groups of `stride` quads, group g covering [2sg, 2sg + 2s).
+    def _repeat_hash(self, runs, count):
+        """(event count, hash) of `count` copies of a group of runs (see `_runs`).
 
-        A group is four lanes of `stride` rounds.  Group g + c repeats group
-        g with every offset raised by the same amount once 2sc elements are
-        a whole number of quantization periods, c = den / gcd(den, 2s).
+        A lane's quantized offset rises by the same amount from copy a to
+        a + c once c * rise is a whole number of quantization periods,
+        c = den / gcd(den, rise * num).  So `period`, the lcm of those c, copies
+        are hashed one by one and repeated as a block, and a remainder of
+        copies follows.
         """
-        _, reg, s, length = rec
-        num, den = self._ratio(reg)
-        read = reg.event(READ)
-        write = reg.event(WRITE)
-        groups = length // (2 * s)
-        c = den // math.gcd(den, 2 * s)
-        m = 4 * s  # events per group
-        rise = c * 2 * s * num // den  # per event from group g to g + c
-        hashes = []
-        for g in range(min(c, groups)):
-            x = 2 * s * g
-            lanes = ((read, x, num, den), (read, x + s, num, den),
-                     (write, x, num, den), (write, x + s, num, den))
-            hashes.append(_lanes_hash(lanes, s))
-        copies, rem = divmod(groups, c)
+        m = sum(len(lanes) * length for lanes, length in runs)
+
+        def copy_hash(a):
+            h = 0
+            for lanes, length in runs:
+                lane = tuple(self._lane(reg, kind, start + a * rise)
+                             for reg, kind, start, rise in lanes)
+                h = (h * _xpow(len(lanes) * length) + _lanes_hash(lane, length)) % _P
+            return h
+
+        if count == 1:  # a seq or zip record
+            return m, copy_hash(0)
+        period = 1
+        for lanes, _ in runs:
+            for reg, _, _, rise in lanes:
+                num, den = self._ratio(reg)
+                period = math.lcm(period, den // math.gcd(den, rise * num))
+        # d: how much each event has risen after `period` copies, as a hash.
+        d = 0
+        for lanes, length in runs:
+            step = 0
+            for reg, _, _, rise in lanes:
+                num, den = self._ratio(reg)
+                step = step * _X + period * rise * num // den
+            d = (d * _xpow(len(lanes) * length) + step * _geo(len(lanes), length)[0]) % _P
+        hashes = [copy_hash(a) for a in range(min(period, count))]
+        blocks, rem = divmod(count, period)
         h = 0
-        if copies:
+        if blocks:
             block = 0
-            for hg in hashes:
-                block = (block * _xpow(m) + hg) % _P
-            s0, s1 = _geo(c * m, copies)
-            h = block * s0 + rise * _geo(1, c * m)[0] * s1
-        lift = copies * rise * _geo(1, m)[0]
-        for hg in hashes[:rem]:
-            h = (h * _xpow(m) + hg + lift) % _P
-        return groups * m, h % _P
+            for hc in hashes:
+                block = (block * _xpow(m) + hc) % _P
+            s0, s1 = _geo(period * m, blocks)
+            h = block * s0 + d * _geo(m, period)[0] * s1
+        for hc in hashes[:rem]:
+            h = (h * _xpow(m) + hc + blocks * d) % _P
+        return count * m, h % _P
 
     def _prefix_states(self, worker, start=0, end=None):
         """(event count, hash) of the worker's stream after each record, from (0, 0)."""
@@ -629,7 +697,7 @@ class Buffer:
     in-OM computation over values already accounted for by a recorded access;
     bulk helpers keep the recorded pattern and the actual data movement side
     by side so they cannot drift apart.  The grid scan is the exception: it
-    records its per-block reads with ``trace.seq`` directly and copies
+    records its per-block reads with ``trace.repeat`` directly and copies
     nothing for them, then moves a whole scan's edge data in one kernel call,
     with its output buffer's data as the owned side (see `oblige.scan`).
     """

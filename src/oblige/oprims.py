@@ -15,13 +15,16 @@ duplicate keys.
 
 The simulator runs that network on one int32 rank column instead of the
 scratch records it traces: each record's rank in the (pad, keys, position)
-total order.  Ranks compare exactly as the records do, so each pass is a
-min/max into the ascending and descending halves of a reshaped view, with no
-per-pair direction mask, and the in-OM segments are one row sort whose
-descending segments are reversed through a view.  The records move once, at
-the end, as raw bytes: slot i receives the record whose rank the network
-left in slot i.  Nothing else orders them, so a broken network yields
-unsorted output.
+total order.  The ranks come from stable 16-bit radix passes over the key
+columns, each mapped to order-preserving uint64 values, and only over the
+bits each column's range spans.  Ranks compare exactly as the records do,
+so each pass is a min/max into the ascending and descending halves of a
+reshaped view, with no per-pair direction mask, and the in-OM segments are
+one row sort whose descending segments are reversed through a view; each
+round of segment reads and writes is one repeated trace record.  The
+records move once, at the end, as raw bytes: slot i receives the record
+whose rank the network left in slot i.  Nothing else orders them, so a
+broken network yields unsorted output.
 """
 
 import numpy as np
@@ -59,6 +62,57 @@ def _key_columns(key, batch):
     if isinstance(cols, np.ndarray):
         cols = (cols,)
     return tuple(np.asarray(c) for c in cols)
+
+
+def _sortable(col):
+    """`col` as uint64 values in the same order, less their minimum.
+
+    Signed integers flip their sign bit; floats flip every bit of a negative
+    value and the sign bit of the rest, after -0.0 is made +0.0 so the two
+    zeros tie as they compare.
+    """
+    kind = col.dtype.kind
+    if kind in "ub":
+        u = col.astype(np.uint64)
+    elif kind == "i":
+        u = col.astype(np.int64).view(np.uint64) ^ np.uint64(1 << 63)
+    elif kind == "f":
+        bits = (col.astype(np.float64) + 0.0).view(np.uint64)
+        u = bits ^ np.where(bits >> np.uint64(63), np.uint64((1 << 64) - 1),
+                            np.uint64(1 << 63))
+    else:
+        raise TypeError("o_sort cannot order key columns of dtype %s" % col.dtype)
+    return u - u.min(initial=np.iinfo(np.uint64).max)
+
+
+def _stable_order(cols):
+    """The stable permutation sorting by `cols`, the first most significant.
+
+    Equal to ``np.lexsort(cols[::-1])``.  Each column is mapped to ordered
+    uint64 values, and neighbouring columns whose ranges fit in 64 bits
+    together are packed into one key.  The keys are sorted by stable 16-bit
+    least-significant-digit passes (numpy's radix sort), last key first,
+    over only the bits a key's range spans, so a constant column costs none.
+    """
+    keys = []  # (values, bits), most significant first
+    for col in cols:
+        u = _sortable(col)
+        bits = int(u.max(initial=0)).bit_length()
+        if keys and keys[-1][1] + bits <= 64:
+            high, high_bits = keys.pop()
+            u = (high << np.uint64(bits)) | u
+            bits += high_bits
+        keys.append((u, bits))
+    order = None
+    for u, bits in reversed(keys):
+        if order is not None:
+            u = u[order]
+        for shift in range(0, bits, 16):
+            o = np.argsort((u >> np.uint64(shift)).astype(np.uint16), kind="stable")
+            order = o if order is None else order[o]
+            if shift + 16 < bits:
+                u = u[o]
+    return np.arange(len(cols[0])) if order is None else order
 
 
 def _cx_pass(rank, j, k):
@@ -101,8 +155,11 @@ def o_sort(buf, key, arena, worker=0):
     position) total order, so every compare-exchange takes the same branch
     as on the full entries.  The records are then placed by the ranks the
     network left in the first n slots, so the output is sorted only if the
-    network sorted.  Float keys must not be NaN, and the padded length may
-    not exceed 2^31, the int32 rank range (ValueError for either).
+    network sorted.  The stable (keys, position) order comes from radix
+    passes (see `_stable_order`).  Key columns must be bool, integer or
+    float (TypeError otherwise), float keys must not be NaN, and the padded
+    length may not exceed 2^31, the int32 rank range (ValueError for
+    either).
 
     Returns a stats dict with the padded length, in-OM segment size and the
     super-OM compare-exchange count (a pure function of the public sizes).
@@ -140,7 +197,7 @@ def o_sort(buf, key, arena, worker=0):
 
     # Copy in (one interleaved read/write pass), then write the pad tail.
     trace.zip2(worker, buf.name, READ, 0, scratch_name, WRITE, 0, n)
-    order = np.lexsort(cols[::-1])
+    order = _stable_order(cols)
     rank = np.empty(padded, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     trace.seq(worker, scratch_name, WRITE, n, padded - n)
@@ -150,9 +207,8 @@ def o_sort(buf, key, arena, worker=0):
 
     def sort_segments(k):
         """Sort every segment, descending where its start has bit `k`."""
-        for start in range(0, padded, seg):
-            trace.seq(worker, scratch_name, READ, start, seg)
-            trace.seq(worker, scratch_name, WRITE, start, seg)
+        trace.repeat(worker, [(scratch_name, READ, 0, seg, seg),
+                              (scratch_name, WRITE, 0, seg, seg)], padded // seg)
         segments.sort(axis=1)
         if k < padded:  # the second k-long half of every 2k-block descends
             desc = rank.reshape(-1, 2, k // seg, seg)[:, 1]
@@ -224,7 +280,7 @@ def o_trans_merge(bufs, fn, out_name, worker=0, out=None, out_offset=0):
     pos = out_offset
     for b, part in zip(bufs, parts):
         trace.zip2(worker, b.name, READ, 0, out.name, WRITE, pos, len(part))
-        out.data[pos:pos + len(part)] = part
+        assign_records(out.data[pos:pos + len(part)], part)
         pos += len(part)
     return out
 

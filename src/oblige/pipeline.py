@@ -59,7 +59,7 @@ from .grid import (
     group_into_blocks,
     parse_grid_header,
 )
-from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, copy_records
+from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, assign_records, copy_records
 from .oprims import o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
 
 NULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -344,14 +344,15 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
     """Decode the party grids and concatenate them block by block.
 
     Everything here is fixed by (p, b, k, {l_i}): the message sizes, the
-    per-block decode passes and the merge order.  The passes are recorded
-    block by block; the data moves in one decode and one copy per party.
+    per-block decode passes and the merge order.  Each party's b^2 decode
+    passes are one repeated record, and so are the b^2 block merges of all
+    parties.  The data moves in one decode and one raw-byte copy per party,
+    one party at a time, so only one decoded party grid is alive at once.
     """
     if params.l_i is None or len(payloads) != params.p:
         raise ParamMismatch("need one published block length per party")
     trace = sim.trace
     headers = []
-    msg_bufs = []
     for i, payload in enumerate(payloads):
         header = parse_grid_header(payload)
         if (header["n"], header["k"], header["b"]) != (params.n, params.k, params.b):
@@ -359,37 +360,31 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
         if header["l"] != params.l_i[i]:
             raise ParamMismatch("party %d grid length differs from its published l_i" % i)
         headers.append(header)
-        msg = np.frombuffer(payload, dtype=np.uint8)
-        msg_bufs.append(Buffer.from_rows(trace, "pipe.gridmsg%d" % i, msg,
-                                         worker=worker))
+        # The message arrives by one sequential write of its bytes.
+        trace.register("pipe.gridmsg%d" % i, len(payload), 1)
+        trace.seq(worker, "pipe.gridmsg%d" % i, WRITE, 0, len(payload))
 
     b, l, k = params.b, params.l, params.k
     coords = block_coordinates(b)
-    party_bufs = []
-    for i, (header, msg_buf) in enumerate(zip(headers, msg_bufs)):
-        li, nbytes = params.l_i[i], header["block_nbytes"]
-        body = memoryview(payloads[i])[header["header_nbytes"]:]
-        decoded = Buffer.wrap(trace, "grid.party%d" % i,
-                              decode_block(body, k, li, *coords))
-        if trace.enabled:  # the per-block passes move no data
-            for x in range(b * b):
-                trace.seq(worker, msg_buf.name, READ,
-                          header["header_nbytes"] + x * nbytes, nbytes)
-                trace.seq(worker, decoded.name, WRITE, x * li, li)
-        party_bufs.append(decoded)
-
     merged = Buffer.wrap(trace, GridGraph.region_name,
                          np.zeros(b * b * l, dtype=EDGE_DTYPE))
-    # Block-wise concatenation in party order (public lengths).
+    blocks = merged.data.reshape(b * b, l)
     starts = np.cumsum((0,) + params.l_i).tolist()
-    if trace.enabled:
-        for x in range(b * b):
-            for i, pbuf in enumerate(party_bufs):
-                trace.zip2(worker, pbuf.name, READ, x * params.l_i[i],
-                           merged.name, WRITE, x * l + starts[i], params.l_i[i])
-    for i, pbuf in enumerate(party_bufs):
-        merged.data.reshape(b * b, l)[:, starts[i]:starts[i + 1]] = \
-            pbuf.data.reshape(b * b, params.l_i[i])
+    for i, header in enumerate(headers):
+        li, nbytes = params.l_i[i], header["block_nbytes"]
+        name = "grid.party%d" % i
+        trace.register(name, b * b * li, EDGE_DTYPE.itemsize)
+        trace.repeat(worker, [("pipe.gridmsg%d" % i, READ, header["header_nbytes"],
+                               nbytes, nbytes),
+                              (name, WRITE, 0, li, li)], b * b)
+        body = memoryview(payloads[i])[header["header_nbytes"]:]
+        assign_records(blocks[:, starts[i]:starts[i + 1]],
+                       decode_block(body, k, li, *coords).reshape(b * b, li))
+
+    # Block-wise concatenation in party order (public lengths).
+    trace.repeat(worker, [(("grid.party%d" % i, merged.name), (READ, WRITE),
+                           (0, starts[i]), li, (li, l))
+                          for i, li in enumerate(params.l_i)], b * b)
 
     m = int((merged.data["pad"] == 0).sum())
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
@@ -646,6 +641,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         "merge_grids",
         lambda: merge_grids(sim, grid_payloads, full_params,
                             symmetrized=program.symmetric))
+    del grid_payloads  # the merged grid holds everything they carried
 
     source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
     results_buf = timer.run("compute", lambda: compute(

@@ -12,8 +12,11 @@ read, then per block the other chunk and the block's l slots, then the
 owned chunk's write-back.  The chunk read and write-back go through
 `Buffer.read` and `Buffer.write`, so the output buffer ends up a raw-byte
 copy of the owned input (the owned chunks are disjoint and cover it).  The
-per-block reads are recorded with ``trace.seq`` and copy nothing; with
-recording off they are skipped, so an untraced pass does O(b) Python work.
+per-block reads copy nothing.  A line's blocks over full chunks are one
+``trace.repeat`` record, since from block to block the other chunk rises by
+k and the block by b*l (a column) or l (a row); a short last chunk and its
+block are two ``trace.seq`` records.  A scan thus records O(b) records and
+does O(b) Python work, traced or not.
 The kernel then runs once per scan, over every real edge in the order the
 lines visit them: the grid's cached `column_order` (columns 0..b-1, block
 rows 0..b-1 within a column, stored order within a block), or `row_order`
@@ -73,6 +76,8 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     # ufunc.at writes through it.
     other = copy_records(other_vals.data)
 
+    full = n // k  # whole other chunks per line; a short last one is recorded apart
+    rise = l if by_rows else b * l
     peaks = []
     for w in range(workers):
         arena = sim.new_arena()
@@ -83,11 +88,12 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
             lo = outer * k
             owned = owned_vals.read(lo, min(lo + k, n), worker=w)
             if trace.enabled:  # the per-block reads move no data
-                for inner in range(b):
-                    ilo = inner * k
-                    trace.seq(w, other_vals.name, READ, ilo, min(ilo + k, n) - ilo)
-                    block = (outer * b + inner) if by_rows else (inner * b + outer)
-                    trace.seq(w, grid.region_name, READ, block * l, l)
+                first = outer * b * l if by_rows else outer * l
+                trace.repeat(w, [(other_vals.name, READ, 0, k, k),
+                                 (grid.region_name, READ, first, l, rise)], full)
+                for inner in range(full, b):
+                    trace.seq(w, other_vals.name, READ, inner * k, n - inner * k)
+                    trace.seq(w, grid.region_name, READ, first + inner * rise, l)
             # Unconditional write-back, changed or not; the kernel folds into
             # the written chunks once every line is done.
             out.write(lo, owned, worker=w)

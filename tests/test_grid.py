@@ -252,3 +252,24 @@ def test_grid_decode_rejects_any_bad_block():
             decode_block(body, k, l, rows, cols)
     with pytest.raises(MalformedBlock):
         decode_block(b"".join(blocks)[:-1], k, l, rows, cols)
+
+
+@pytest.mark.parametrize("batch_fields", [1, 6, 14, 1 << 16])
+def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
+    import oblige.grid as grid_mod
+
+    k, b, l = 5, 7, 3
+    n = b * k - 2
+    rng = np.random.default_rng(3)
+    src = rng.integers(0, n, size=200, dtype=np.uint64)
+    dst = rng.integers(0, n, size=200, dtype=np.uint64)
+    ids = (src // k) * b + dst // k
+    keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)])
+    stored, _ = group_into_blocks(src[keep], dst[keep], k, b, l)
+    body = b"".join(encode_block(stored[x * l:(x + 1) * l], k) for x in range(b * b))
+    monkeypatch.setattr(grid_mod, "_DECODE_FIELDS", batch_fields)
+    assert decode_block(body, k, l, *block_coordinates(b)).tobytes() == stored.tobytes()
+    bad = np.packbits(np.array([1, 1, 1] * 2 * l, dtype=np.uint8),
+                      bitorder="little").tobytes()[:encoded_block_nbytes(k, l)]
+    with pytest.raises(MalformedBlock):
+        decode_block(body[:-len(bad)] + bad, k, l, *block_coordinates(b))

@@ -597,3 +597,146 @@ def test_first_divergence_missing_worker_and_end_of_stream():
     two.seq(0, "a", READ, 4, 1)
     worker, idx, a, b = one.first_divergence(two)
     assert (worker, idx, a) == (0, 4, None) and b.offset == 4
+
+
+# -- repeated run groups ------------------------------------------------------
+
+REP_WIDTHS = [1, 8, 17, 40, 49, 57, 128]
+REP_LENGTH = 1 << 15
+
+LANE = st.tuples(st.integers(0, 1),               # region
+                 st.sampled_from([READ, WRITE]),
+                 st.integers(0, 64),              # start
+                 st.one_of(st.just(0), st.integers(1, 80)))  # rise
+RUN = st.tuples(st.lists(LANE, min_size=1, max_size=2), st.integers(0, 24))
+
+
+@st.composite
+def repeat_cases(draw):
+    granularity = draw(st.sampled_from([ELEMENT, 1, 8, 24, 32, 64]))
+    widths = draw(st.lists(st.sampled_from(REP_WIDTHS), min_size=2, max_size=2))
+    workers = draw(st.integers(1, 3))
+    record = st.tuples(st.integers(0, workers - 1),
+                       st.lists(RUN, min_size=1, max_size=3), st.integers(1, 200))
+    return granularity, widths, draw(st.lists(record, min_size=1, max_size=3))
+
+
+def build_repeats(granularity, widths, records, per_copy, skip=None):
+    """The records as `repeat` calls, or as per-copy seq/zip2 records.
+
+    A plain seq record precedes each one, so marks fall between kinds.
+    `skip` = (record, copy) leaves that copy out (per-copy form only).
+    """
+    trace = AccessTrace(granularity=granularity)
+    for r, width in enumerate(widths):
+        trace.register("q%d" % r, REP_LENGTH, width)
+    marks = [trace.mark()]
+    for i, (w, runs, count) in enumerate(records):
+        trace.seq(w, "q0", READ, w, 3)
+        if not per_copy:
+            spec = []
+            for lanes, length in runs:
+                regions, kinds, starts, rises = zip(*lanes)
+                names = tuple("q%d" % r for r in regions)
+                spec.append((names[0], kinds[0], starts[0], length, rises[0])
+                            if len(lanes) == 1 else (names, kinds, starts, length, rises))
+            trace.repeat(w, spec, count)
+        for a in range(count) if per_copy else ():
+            if (i, a) == skip:
+                continue
+            for lanes, length in runs:
+                at = [("q%d" % r, kind, x + a * rise) for r, kind, x, rise in lanes]
+                if len(at) == 1:
+                    trace.seq(w, *at[0], length)
+                else:
+                    trace.zip2(w, *at[0], *at[1], length)
+        marks.append(trace.mark())
+    return trace, marks
+
+
+def event_tuples(trace):
+    return [e.astuple() for e in trace.events()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(repeat_cases(), st.data())
+def test_repeat_equals_its_copies(case, data):
+    rep, rep_marks = build_repeats(*case, per_copy=False)
+    cop, cop_marks = build_repeats(*case, per_copy=True)
+    assert rep.worker_digests() == cop.worker_digests()
+    assert event_tuples(rep) == event_tuples(cop)
+    i = data.draw(st.integers(0, len(rep_marks) - 1))
+    j = data.draw(st.integers(i, len(rep_marks) - 1))
+    assert rep.worker_digests(start=rep_marks[i], end=rep_marks[j]) \
+        == cop.worker_digests(start=cop_marks[i], end=cop_marks[j])
+    records = case[2]
+    r = data.draw(st.integers(0, len(records) - 1))
+    skip = (r, data.draw(st.integers(0, records[r][2] - 1)))
+    other, _ = build_repeats(*case, per_copy=True, skip=skip)
+    assert rep.first_divergence(other) == cop.first_divergence(other)
+    assert other.first_divergence(rep) == other.first_divergence(cop)
+
+
+@pytest.mark.parametrize("granularity", [ELEMENT, 64])
+def test_repeat_scan_line_digest_and_count(granularity):
+    # b pairs of (chunk k, block l) down a column: one record, not 2b.
+    b, k, l = 40, 24, 7
+    one, two = AccessTrace(granularity), AccessTrace(granularity)
+    for trace in (one, two):
+        trace.register("v", b * k, 16)
+        trace.register("g", b * b * l, 17)
+    one.repeat(0, [("v", READ, 0, k, k), ("g", READ, 3 * l, l, b * l)], b)
+    for inner in range(b):
+        two.seq(0, "v", READ, inner * k, k)
+        two.seq(0, "g", READ, (inner * b + 3) * l, l)
+    assert one.mark() == {0: 1} and two.mark() == {0: 2 * b}
+    assert one.digest() == two.digest()
+    assert one.first_divergence(two) is None
+
+
+def _rep_trace():
+    trace = AccessTrace(ELEMENT)
+    trace.register("a", 100, 8)
+    trace.register("b", 100, 8)
+    return trace
+
+
+def test_repeat_rejects_first_copy_outside_region():
+    with pytest.raises(IndexError):
+        _rep_trace().repeat(0, [("a", READ, 95, 10, 0)], 1)
+
+
+def test_repeat_rejects_last_copy_outside_region():
+    trace = _rep_trace()
+    trace.repeat(0, [("a", READ, 0, 10, 10)], 10)  # copies end at 100
+    with pytest.raises(IndexError):
+        trace.repeat(0, [("a", READ, 0, 10, 10)], 11)
+    with pytest.raises(IndexError):
+        trace.repeat(0, [(("a", "b"), (READ, WRITE), (0, 0), 10, (1, 10))], 11)
+
+
+def test_repeat_rejects_negative_rise():
+    with pytest.raises(ValueError):
+        _rep_trace().repeat(0, [("a", READ, 50, 10, -1)], 2)
+
+
+def test_repeat_rejects_negative_count_and_length():
+    with pytest.raises(ValueError):
+        _rep_trace().repeat(0, [("a", READ, 0, 10, 0)], -1)
+    with pytest.raises(ValueError):
+        _rep_trace().repeat(0, [("a", READ, 0, -1, 0)], 1)
+
+
+def test_repeat_rejects_lanes_of_unequal_arity():
+    with pytest.raises(ValueError):
+        _rep_trace().repeat(0, [(("a", "b"), (READ,), (0, 0), 4, (1, 1))], 2)
+
+
+def test_repeat_records_nothing_when_empty_or_disabled():
+    trace = _rep_trace()
+    trace.repeat(0, [("a", READ, 0, 10, 1)], 0)
+    trace.repeat(0, [("a", READ, 0, 0, 1), ("b", WRITE, 0, 0, 1)], 5)
+    assert trace.mark() == {}
+    off = AccessTrace(ELEMENT, enabled=False)
+    off.repeat(0, [("missing", READ, 0, 10, 1)], 3)
+    assert off.mark() == {}

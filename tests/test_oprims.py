@@ -11,6 +11,7 @@ from oblige.oprims import (
     _key_columns,
     _pow2_ceil,
     _pow2_floor,
+    _stable_order,
     bitonic_cx_count,
     o_filter,
     o_merge,
@@ -249,8 +250,8 @@ def _sort_run(sort, rows, om, worker, granularity):
                      arena, worker=worker)
     except OMUnavailable:
         stats = "OMUnavailable"
-    return (buf.data.tobytes(), sim.trace.worker_digests(), sim.trace.mark(),
-            stats, arena.peak, arena.used)
+    return (buf.data.tobytes(), sim.trace.worker_digests(),
+            [e.astuple() for e in sim.trace.events()], stats, arena.peak, arena.used)
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,6 +261,43 @@ def test_o_sort_matches_structured_network(case):
     for granularity in (ELEMENT, CACHELINE):
         assert _sort_run(o_sort, rows, om, worker, granularity) \
             == _sort_run(structured_o_sort, rows, om, worker, granularity)
+
+
+SPECIAL_KEYS = {
+    "u1": [0, 1, 255],
+    "<u8": [0, 1, (1 << 64) - 1, 1 << 63],
+    "<i8": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1],
+    "<f8": [-0.0, 0.0, np.inf, -np.inf, 1.5, -1.5, 5e-324],
+}
+
+
+@st.composite
+def order_cases(draw):
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, (1 << 32) - 1)))
+    cols = []
+    for dtype in draw(st.lists(st.sampled_from(KEY_DTYPES), min_size=1, max_size=3)):
+        mode = draw(st.sampled_from(["random", "few", "special", "constant"]))
+        special = np.array(SPECIAL_KEYS[dtype], dtype=dtype)
+        if mode == "random":
+            col = rng.integers(0, 256, size=(n, np.dtype(dtype).itemsize),
+                               dtype=np.uint8).view(dtype).reshape(-1)
+            if dtype == "<f8":
+                col[np.isnan(col)] = 0.0
+        elif mode == "few":
+            col = rng.choice(special[:2], size=n)
+        elif mode == "special":
+            col = rng.choice(special, size=n)
+        else:
+            col = np.full(n, special[rng.integers(len(special))], dtype=dtype)
+        cols.append(col)
+    return tuple(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_cases())
+def test_stable_order_equals_lexsort(cols):
+    assert np.array_equal(_stable_order(cols), np.lexsort(cols[::-1]))
 
 
 def test_o_sort_output_comes_from_the_network(monkeypatch):

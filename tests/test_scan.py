@@ -253,7 +253,8 @@ def assert_matches_block_scan(edges, n, k, workers, by_rows, same_buffer,
     want, ref_sim = run(lambda src, dst, sim: block_scan(
         grid, src, dst, kernel, sim, workers, "vout", by_rows))
     assert got.data.tobytes() == want.data.tobytes()
-    assert sim.trace.mark() == ref_sim.trace.mark()
+    assert [e.astuple() for e in sim.trace.events()] \
+        == [e.astuple() for e in ref_sim.trace.events()]
     assert sim.trace.worker_digests() == ref_sim.trace.worker_digests()
     assert sim.last_scan_peaks == ref_sim.last_scan_peaks
     return got
@@ -444,3 +445,23 @@ def test_scan_rejects_fewer_than_one_worker(scan, workers):
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
     with pytest.raises(UsageError):
         scan(grid, src, dst, add_kernel, sim, workers=workers, out_name="vout")
+
+
+@pytest.mark.parametrize("n", [200, 202])
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_traced_scan_records_o_of_b_records(n, by_rows):
+    # Per line: the chunk read, one repeated record over the full chunks,
+    # a short last pair as two records, the write-back.
+    k = 4
+    params = PublicParams.derive(p=1, n_i=[n], n=n, t=1,
+                                 s=2 * k * 8 + RESERVE_BYTES, vwidth=8)
+    b = params.b
+    edges = [(u, (7 * u + 3) % n) for u in range(n)]
+    grid = build_grid(edges, params, block_length=2)
+    sim = OMSim(params.s)
+    vals = sim.buffer_from_rows("v", np.zeros(n, dtype=VAL))
+    before = sum(sim.trace.mark().values())
+    scan = full_scan_rows if by_rows else full_scan
+    scan(grid, vals, vals, add_kernel, sim, workers=2, out_name="vout")
+    per_line = 3 if n % k == 0 else 5
+    assert sum(sim.trace.mark().values()) - before == per_line * b
