@@ -19,15 +19,16 @@ strictest test) or quantized to a line size in bytes (offset = starting byte
 equality implies line-level equality, so tests default to element
 granularity.
 
-The recorder stores access runs in a compressed form.  A `seq` record is
-one sequential run, a `zip` record two runs interleaved element by element,
-a `cx` record a whole compare-exchange pass and a `pts` record explicit
-offsets.  A `rep` record (`AccessTrace.repeat`) is a group of runs repeated
-`count` times, each run's offsets rising by a constant per copy; it stands
-for a scan line's b (chunk, block) pairs, an o_sort round's P/seg segment
-reads and writes, or the b^2 blocks of a grid decode or merge, in one
-record.  The digest is nevertheless defined on the expanded event sequence.
-Event (region, quantized offset q, kind) is the integer
+The recorder stores every access in one compressed form, the record made
+by `AccessTrace.repeat`: a group of runs repeated `count` times, each run's
+offsets rising by a constant per copy, a run being one sequential lane or
+several lanes interleaved element by element.  A `seq` is one lane once, a
+`zip2` two lanes once, a compare-exchange pass four lanes of `stride`
+rounds repeated with rise 2*stride, and `points` one run of length 1 per
+offset; a scan line's b (chunk, block) pairs, an o_sort round's P/seg
+segment reads and writes, or the b^2 blocks of a grid decode or merge are
+each one record too.  The digest is nevertheless defined on the expanded
+event sequence.  Event (region, quantized offset q, kind) is the integer
 
     e = 1 + q + (kind << 64) + (tag << 65),
 
@@ -43,18 +44,17 @@ alone, one run or two, a run or the same points, a compare-exchange pass or
 its quads spelled out, a repeated group or its copies one by one all digest
 alike.
 
-H is evaluated per record in closed form, never by expanding events.  Every
-record but `pts` is a block of m events repeated A times, copy a adding
-a*delta_j to event j (a `cx` pass is four lanes of `stride` rounds,
-repeated with rise 2*stride); with y = X^m and d = sum_j delta_j *
-X^(m-1-j) it hashes to h * S0(y, A) + d * S1(y, A), where S0 and S1 are the
-plain and index-weighted geometric sums (computed by doubling and memoized
-per exponent), and records concatenate as H <- H * X^m_rec + h_rec.  At
-line granularity a quantized offset rises by a constant only every c
-copies, c the least common period of the lanes, so the block is c copies
-hashed one by one, then repeated, then a remainder.  A digest therefore
-costs O(records), and the same prefix states locate a divergence without
-walking the events before it.
+H is evaluated per record in closed form, never by expanding events.  A
+record is a block of m events repeated A times, copy a adding a*delta_j to
+event j; with y = X^m and d = sum_j delta_j * X^(m-1-j) it hashes to
+h * S0(y, A) + d * S1(y, A), where S0 and S1 are the plain and
+index-weighted geometric sums (computed by doubling and memoized per
+exponent), and records concatenate as H <- H * X^m_rec + h_rec.  At line
+granularity a quantized offset rises by a constant only every c copies, c
+the least common period of the lanes, so the block is c copies hashed one
+by one, then repeated, then a remainder.  A digest therefore costs
+O(records), and the same prefix states locate a divergence without walking
+the events before it.
 """
 
 import functools
@@ -283,20 +283,12 @@ class AccessTrace:
 
     def seq(self, worker, region, kind, start, count):
         """Record a sequential run over elements [start, start+count)."""
-        if not self.enabled or count == 0:
-            return
-        reg = self._check_run(region, start, count)
-        self._stream(worker).append(("seq", reg, kind, int(start), int(count)))
+        self.repeat(worker, [(region, kind, start, count, 0)], 1)
 
     def zip2(self, worker, region_a, kind_a, start_a, region_b, kind_b, start_b, count):
         """Record two interleaved element runs: a0, b0, a1, b1, ..."""
-        if not self.enabled or count == 0:
-            return
-        reg_a = self._check_run(region_a, start_a, count)
-        reg_b = self._check_run(region_b, start_b, count)
-        self._stream(worker).append(
-            ("zip", reg_a, kind_a, int(start_a), reg_b, kind_b, int(start_b), int(count))
-        )
+        self.repeat(worker, [((region_a, region_b), (kind_a, kind_b), (start_a, start_b),
+                              count, (0, 0))], 1)
 
     def cx_pass(self, worker, region, stride, length):
         """Record one full compare-exchange pass at `stride` over [0, length).
@@ -305,27 +297,30 @@ class AccessTrace:
         i with the stride bit clear, in ascending i order; both positions are
         always written, so the pattern carries no data dependence.  `length`
         must be a multiple of 2 * stride (ValueError) inside the region
-        (IndexError).
+        (IndexError).  Group g of the pass is `stride` quads at
+        [2*stride*g, 2*stride*(g+1)).
         """
         if not self.enabled:
             return
         if stride < 1 or length % (2 * stride):
             raise ValueError("cx pass of length %d at stride %d is not whole pairs of "
                              "stride-long runs" % (length, stride))
-        reg = self._check_run(region, 0, length)
-        self._stream(worker).append(("cx", reg, int(stride), int(length)))
+        self.repeat(worker, [((region,) * 4, (READ, READ, WRITE, WRITE), (0, stride, 0, stride),
+                              stride, (2 * stride,) * 4)], length // (2 * stride))
 
     def repeat(self, worker, runs, count):
         """Record `count` copies of a group of runs, each copy's runs risen by a constant.
 
-        Each run is (region, kind, start, length, rise).  The events are, for
-        a = 0 .. count-1 and each run in order, elements start + a*rise ..
-        start + a*rise + length-1.  A run of interleaved lanes gives region,
-        kind, start and rise as equal-length tuples, one entry per lane, and
-        takes one element from each lane in turn, as `zip2` does.  Every
-        lane's first and last copy must lie inside its region (IndexError)
-        and no rise may be negative (ValueError).  Runs of length 0 add
-        nothing.
+        This is the one record form: the other recording calls are special
+        cases of it.  Each run is (region, kind, start, length, rise).  The
+        events are, for a = 0 .. count-1 and each run in order, elements
+        start + a*rise .. start + a*rise + length-1.  A run of interleaved
+        lanes gives region, kind, start and rise as equal-length tuples, one
+        entry per lane, and takes one element from each lane in turn, as
+        `zip2` does.  Every lane's first and last copy must lie inside its
+        region (IndexError) and no rise may be negative (ValueError).  Runs of
+        length 0 add nothing.  The record is stored as (runs, count), a run
+        as (lanes, length) and a lane as (region, kind, start, rise).
         """
         if not self.enabled or count == 0:
             return
@@ -349,17 +344,14 @@ class AccessTrace:
             if length:
                 packed.append((tuple(lanes), int(length)))
         if packed:
-            self._stream(worker).append(("rep", tuple(packed), int(count)))
+            self._stream(worker).append((tuple(packed), int(count)))
 
     def points(self, worker, region, kind, offsets):
-        """Record accesses at explicit element offsets (in the given order)."""
-        if not self.enabled or len(offsets) == 0:
-            return
-        reg = self._require(region)
-        offsets = tuple(int(o) for o in offsets)
-        if min(offsets) < 0 or max(offsets) >= reg.length:
-            raise IndexError("point outside region %r" % region)
-        self._stream(worker).append(("pts", reg, kind, offsets))
+        """Record accesses at explicit element offsets (in the given order).
+
+        Each offset is a run of length 1 (IndexError outside the region).
+        """
+        self.repeat(worker, [(region, kind, o, 1, 0) for o in offsets], 1)
 
     # -- expansion ---------------------------------------------------------
 
@@ -370,40 +362,9 @@ class AccessTrace:
         g = math.gcd(reg.width, self.granularity)
         return reg.width // g, self.granularity // g
 
-    def _quantize(self, reg, element_offsets):
-        num, den = self._ratio(reg)
-        return (np.asarray(element_offsets, dtype=np.uint64) * np.uint64(num)) // np.uint64(den)
-
-    def _runs(self, rec):
-        """(runs, count) of any record but `pts`, in the form `repeat` stores.
-
-        A run is (lanes, length), a lane (region, kind, start, rise).
-        """
-        code = rec[0]
-        if code == "rep":
-            return rec[1], rec[2]
-        if code == "seq":
-            _, reg, kind, start, count = rec
-            return ((((reg, kind, start, 0),), count),), 1
-        if code == "zip":
-            _, ra, ka, sa, rb, kb, sb, count = rec
-            return ((((ra, ka, sa, 0), (rb, kb, sb, 0)), count),), 1
-        if code == "cx":
-            # Group g of a pass is `stride` quads at [2sg, 2sg + 2s).
-            _, reg, s, length = rec
-            lanes = tuple((reg, kind, x, 2 * s)
-                          for kind, x in ((READ, 0), (READ, s), (WRITE, 0), (WRITE, s)))
-            return ((lanes, s),), length // (2 * s)
-        raise AssertionError("unknown trace record %r" % (code,))  # pragma: no cover
-
     def _expand(self, rec):
         """(region names, region index, kind and quantized offset per event)."""
-        if rec[0] == "pts":
-            _, reg, kind, offsets = rec
-            n = len(offsets)
-            return ((reg.name,), np.zeros(n, np.uint8), np.full(n, kind, np.uint8),
-                    self._quantize(reg, offsets))
-        runs, count = self._runs(rec)
+        runs, count = rec
         names = []
         # Per run: start, rise, region index, kind, num and den of each event
         # of copy 0.
@@ -443,20 +404,8 @@ class AccessTrace:
         num, den = self._ratio(reg)
         return reg.event(int(kind)), start, num, den
 
-    def _record_hash(self, rec):
-        """(event count, polynomial hash) of one record's events."""
-        if rec[0] == "pts":
-            _, reg, kind, offsets = rec
-            c = reg.event(int(kind))
-            num, den = self._ratio(reg)
-            h = 0
-            for o in offsets:
-                h = (h * _X + c + o * num // den) % _P
-            return len(offsets), h
-        return self._repeat_hash(*self._runs(rec))
-
     def _repeat_hash(self, runs, count):
-        """(event count, hash) of `count` copies of a group of runs (see `_runs`).
+        """(event count, hash) of `count` copies of a group of runs (see `repeat`).
 
         A lane's quantized offset rises by the same amount from copy a to
         a + c once c * rise is a whole number of quantization periods,
@@ -474,7 +423,7 @@ class AccessTrace:
                 h = (h * _xpow(len(lanes) * length) + _lanes_hash(lane, length)) % _P
             return h
 
-        if count == 1:  # a seq or zip record
+        if count == 1:  # a seq, zip2 or points record
             return m, copy_hash(0)
         period = 1
         for lanes, _ in runs:
@@ -510,7 +459,7 @@ class AccessTrace:
         for rec in self._streams.get(worker, [])[start:end]:
             hashed = known.get(rec)
             if hashed is None:
-                hashed = known[rec] = self._record_hash(rec)
+                hashed = known[rec] = self._repeat_hash(*rec)
             n, hr = hashed
             count += n
             h = (h * _xpow(n) + hr) % _P
@@ -535,7 +484,7 @@ class AccessTrace:
         out = {}
         for w in sorted(self._streams):
             lo = 0 if start is None else start.get(w, 0)
-            hi = None if end is None else end.get(w)
+            hi = None if end is None else end.get(w, 0)
             count, h = self._prefix_states(w, lo, hi)[-1]
             out[w] = hashlib.sha256(b"%d:%d" % (count, h)).hexdigest()
         return out
@@ -691,15 +640,12 @@ class OMArena:
 
 
 class Buffer:
-    """Fixed-width record array in observable memory.
+    """Fixed-width record array in observable memory, registered with a trace.
 
-    All element reads and writes go through the trace.  `data` is exposed for
-    in-OM computation over values already accounted for by a recorded access;
-    bulk helpers keep the recorded pattern and the actual data movement side
-    by side so they cannot drift apart.  The grid scan is the exception: it
-    records its per-block reads with ``trace.repeat`` directly and copies
-    nothing for them, then moves a whole scan's edge data in one kernel call,
-    with its output buffer's data as the owned side (see `oblige.scan`).
+    `data` holds the records.  Code that moves them records the access
+    beside the move, with the trace's recording calls (each stored as one
+    `repeat` record); the buffer itself records only the sequential write
+    that `from_rows` makes.
     """
 
     def __init__(self, trace, name, data, record_init=False, worker=0):
@@ -722,16 +668,6 @@ class Buffer:
 
     def __len__(self):
         return len(self.data)
-
-    def read(self, lo, hi, worker=0):
-        """Sequentially read records [lo, hi) into OM; returns a private copy."""
-        self.trace.seq(worker, self.name, READ, lo, hi - lo)
-        return copy_records(self.data[lo:hi])
-
-    def write(self, lo, rows, worker=0):
-        """Sequentially write `rows` at [lo, lo+len(rows))."""
-        self.trace.seq(worker, self.name, WRITE, lo, len(rows))
-        assign_records(self.data[lo:lo + len(rows)], rows)
 
 
 class OMSim:

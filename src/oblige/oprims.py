@@ -264,33 +264,22 @@ def o_trans(buf, fn, out_name=None, worker=0):
     return out
 
 
-def o_trans_merge(bufs, fn, out_name, worker=0, out=None, out_offset=0):
-    """Concatenate `fn(batch_i, i)` over input buffers, i-major then j-minor.
-
-    Pass `out`/`out_offset` to append into an existing buffer (used when
-    merging block by block into one region); otherwise a new buffer named
-    `out_name` is created.
-    """
+def o_trans_merge(bufs, fn, out_name, worker=0):
+    """Concatenate `fn(batch_i, i)` over input buffers, i-major then j-minor, into `out_name`."""
     parts = [np.asarray(fn(b.data, i)) for i, b in enumerate(bufs)]
     total = sum(len(p) for p in parts)
-    trace = bufs[0].trace
-    if out is None:
-        dtype = parts[0].dtype
-        out = Buffer.wrap(trace, out_name, np.zeros(total, dtype=dtype))
-    pos = out_offset
+    out = Buffer.wrap(bufs[0].trace, out_name, np.zeros(total, dtype=parts[0].dtype))
+    pos = 0
     for b, part in zip(bufs, parts):
-        trace.zip2(worker, b.name, READ, 0, out.name, WRITE, pos, len(part))
+        out.trace.zip2(worker, b.name, READ, 0, out.name, WRITE, pos, len(part))
         assign_records(out.data[pos:pos + len(part)], part)
         pos += len(part)
     return out
 
 
-def o_merge(bufs, out_name, worker=0, out=None, out_offset=0):
+def o_merge(bufs, out_name, worker=0):
     """Concatenate buffers in order (o_trans_merge with identity payload)."""
-    return o_trans_merge(
-        bufs, lambda batch, i: batch, out_name,
-        worker=worker, out=out, out_offset=out_offset,
-    )
+    return o_trans_merge(bufs, lambda batch, i: batch, out_name, worker=worker)
 
 
 def o_split_trans(buf, nbuckets, bucket_fn, project_fn, sizes, out_prefix,

@@ -9,10 +9,10 @@ therefore a pure function of (b, k, l, record widths, worker assignment).
 
 The trace is recorded line by line in exactly that order: the owned chunk's
 read, then per block the other chunk and the block's l slots, then the
-owned chunk's write-back.  The chunk read and write-back go through
-`Buffer.read` and `Buffer.write`, so the output buffer ends up a raw-byte
-copy of the owned input (the owned chunks are disjoint and cover it).  The
-per-block reads copy nothing.  A line's blocks over full chunks are one
+owned chunk's write-back.  The chunk read and write-back are two
+``trace.seq`` records; the lines copy no data, and the output buffer is one
+raw-byte copy of the owned input, made once per scan (the owned chunks are
+disjoint and cover it).  A line's blocks over full chunks are one
 ``trace.repeat`` record, since from block to block the other chunk rises by
 k and the block by b*l (a column) or l (a row); a short last chunk and its
 block are two ``trace.seq`` records.  A scan thus records O(b) records and
@@ -43,11 +43,9 @@ peak stays 0), and per-worker traces are independent, so the parallel scan
 is as oblivious as the serial one.
 """
 
-import numpy as np
-
 from .errors import CapacityExceeded, UsageError
 from .grid import RESERVE_BYTES
-from .omsim import READ, Buffer, copy_records
+from .omsim import READ, WRITE, Buffer, copy_records
 
 
 def _check_vertex_width(params, *bufs):
@@ -71,7 +69,7 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
         out_name = owned_vals.name
     trace = sim.trace
     trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
-    out = Buffer.wrap(trace, out_name, np.empty_like(owned_vals.data))
+    out = Buffer.wrap(trace, out_name, copy_records(owned_vals.data))
     # The kernels' private copy: a read-only view would not do, since
     # ufunc.at writes through it.
     other = copy_records(other_vals.data)
@@ -84,19 +82,19 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
         lines = range(w, b, workers)
         held = [arena.alloc(RESERVE_BYTES), arena.alloc(k * params.vwidth),
                 arena.alloc(k * params.vwidth)] if lines else []
-        for outer in lines:
+        for outer in lines:  # recording only: the data moves once per scan
             lo = outer * k
-            owned = owned_vals.read(lo, min(lo + k, n), worker=w)
-            if trace.enabled:  # the per-block reads move no data
-                first = outer * b * l if by_rows else outer * l
-                trace.repeat(w, [(other_vals.name, READ, 0, k, k),
-                                 (grid.region_name, READ, first, l, rise)], full)
-                for inner in range(full, b):
-                    trace.seq(w, other_vals.name, READ, inner * k, n - inner * k)
-                    trace.seq(w, grid.region_name, READ, first + inner * rise, l)
+            size = min(k, n - lo)
+            first = outer * b * l if by_rows else outer * l
+            trace.seq(w, owned_vals.name, READ, lo, size)
+            trace.repeat(w, [(other_vals.name, READ, 0, k, k),
+                             (grid.region_name, READ, first, l, rise)], full)
+            for inner in range(full, b):
+                trace.seq(w, other_vals.name, READ, inner * k, n - inner * k)
+                trace.seq(w, grid.region_name, READ, first + inner * rise, l)
             # Unconditional write-back, changed or not; the kernel folds into
             # the written chunks once every line is done.
-            out.write(lo, owned, worker=w)
+            trace.seq(w, out_name, WRITE, lo, size)
         for handle in reversed(held):
             arena.free(handle)
         peaks.append(arena.peak)

@@ -20,6 +20,7 @@ from oblige.omsim import (
     OMArena,
     OMSim,
     assign_records,
+    copy_records,
     gather_records,
 )
 from oblige.oprims import o_trans
@@ -118,8 +119,10 @@ def test_replay_determinism():
     def run():
         sim = OMSim(4096)
         buf = sim.buffer_from_rows("a", np.arange(7, dtype="<u8").view([("v", "<u8")]))
-        buf.read(0, 7)
-        buf.write(2, buf.data[2:5])
+        sim.trace.seq(0, buf.name, READ, 0, 7)
+        copy_records(buf.data[0:7])
+        sim.trace.seq(0, buf.name, WRITE, 2, 3)
+        assign_records(buf.data[2:5], buf.data[2:5])
         return [ev.astuple() for ev in sim.trace.events()], sim.trace.digest()
 
     first = run()
@@ -245,7 +248,8 @@ def test_element_equality_implies_line_equality():
 def test_disabled_trace_records_nothing():
     sim = OMSim(4096, enabled=False)
     buf = sim.buffer_from_rows("a", np.zeros(4, dtype=[("v", "<u8")]))
-    buf.read(0, 4)
+    sim.trace.seq(0, buf.name, READ, 0, 4)
+    copy_records(buf.data[0:4])
     assert list(sim.trace.events()) == []
 
 
@@ -353,7 +357,8 @@ def test_buffer_write_strided_rows_byte_equal():
     sim = OMSim(4096)
     buf = sim.buffer_from_rows("a", np.zeros(16, dtype=REC_DTYPE))
     rows = _records(10, seed=1)
-    buf.write(3, rows[::2])
+    sim.trace.seq(0, buf.name, WRITE, 3, 5)
+    assign_records(buf.data[3:8], rows[::2])
     assert buf.data[3:8].tobytes() == rows[::2].copy().tobytes()
     assert buf.data[:3].tobytes() == bytes(3 * REC_DTYPE.itemsize)
 
@@ -390,8 +395,15 @@ def explicit_worker_digests(trace):
 REGIONS = [("r0", 300, 8), ("r1", 260, 17), ("r2", 200, 40), ("r3", 128, 1), ("r4", 96, 128)]
 
 
+LANE = st.tuples(st.integers(0, 1),               # region
+                 st.sampled_from([READ, WRITE]),
+                 st.integers(0, 64),              # start
+                 st.one_of(st.just(0), st.integers(1, 80)))  # rise
+RUN = st.tuples(st.lists(LANE, min_size=1, max_size=2), st.integers(0, 24))
+
+
 OPS = st.tuples(
-    st.sampled_from(["seq", "zip", "cx", "pts"]),
+    st.sampled_from(["seq", "zip", "cx", "pts", "rep"]),
     st.integers(0, 2),                          # worker
     st.integers(0, len(REGIONS) - 1),           # region
     st.integers(0, len(REGIONS) - 1),           # second region (zip)
@@ -401,6 +413,7 @@ OPS = st.tuples(
     st.integers(0, 1 << 16),                    # second start / stride pick
     st.integers(0, 1 << 16),                    # count
     st.lists(st.integers(0, 1 << 16), max_size=12),
+    st.lists(RUN, min_size=1, max_size=3),      # repeat runs, lane region 0/1 = the two regions
 )
 
 
@@ -414,7 +427,7 @@ def build(granularity, ops):
     trace = AccessTrace(granularity=granularity)
     for name, length, width in REGIONS:
         trace.register(name, length, width)
-    for code, w, ra, rb, ka, kb, x, y, z, pts in ops:
+    for code, w, ra, rb, ka, kb, x, y, z, pts, runs in ops:
         name, length, _ = REGIONS[ra]
         if code == "seq":
             start = x % length
@@ -428,8 +441,21 @@ def build(granularity, ops):
             stride = [1, 2, 3, 4, 5, 7, 8, 16, 17, 32, 64][y % 11]
             pairs = length // (2 * stride)
             trace.cx_pass(w, name, stride, 2 * stride * (z % (pairs + 1)))
-        else:
+        elif code == "pts":
             trace.points(w, name, ka, [p % length for p in pts])
+        else:
+            # The first copy fits every region (start <= 64, length <= 24, regions >= 96);
+            # the count keeps the last copy inside too.
+            spec, copies = [], 200
+            for lanes, run_length in runs:
+                regions, kinds, starts, rises = zip(*lanes)
+                for r, x0, rise in zip(regions, starts, rises):
+                    if rise:
+                        room = REGIONS[(ra, rb)[r]][1] - x0 - run_length
+                        copies = min(copies, room // rise + 1)
+                names = tuple(REGIONS[(ra, rb)[r]][0] for r in regions)
+                spec.append((names, kinds, starts, run_length, rises))
+            trace.repeat(w, spec, 1 + z % copies)
     return trace
 
 
@@ -450,6 +476,18 @@ def test_stage_digests_match_explicit_hash(case, data):
     sub._regions = trace._regions
     sub._streams = {w: s[cut[w]:] for w, s in streams.items()}
     assert trace.worker_digests(start=cut) == explicit_worker_digests(sub)
+
+
+def test_worker_digests_window_excludes_workers_that_start_after_it():
+    trace = AccessTrace(granularity=ELEMENT)
+    trace.register("a", 8, 8)
+    trace.seq(0, "a", READ, 0, 2)
+    m0 = trace.mark()
+    m1 = trace.mark()
+    trace.seq(1, "a", READ, 0, 3)  # worker 1 has no stream at either mark
+    window = trace.worker_digests(start=m0, end=m1)
+    empty = hashlib.sha256(b"0:0").hexdigest()
+    assert window == {0: empty, 1: empty}
 
 
 # -- the same events in different recorded forms ------------------------------
@@ -603,12 +641,6 @@ def test_first_divergence_missing_worker_and_end_of_stream():
 
 REP_WIDTHS = [1, 8, 17, 40, 49, 57, 128]
 REP_LENGTH = 1 << 15
-
-LANE = st.tuples(st.integers(0, 1),               # region
-                 st.sampled_from([READ, WRITE]),
-                 st.integers(0, 64),              # start
-                 st.one_of(st.just(0), st.integers(1, 80)))  # rise
-RUN = st.tuples(st.lists(LANE, min_size=1, max_size=2), st.integers(0, 24))
 
 
 @st.composite

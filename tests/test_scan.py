@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 from oblige import apps
 from oblige.errors import CapacityExceeded, UsageError
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
-from oblige.omsim import CACHELINE, ELEMENT, Buffer, OMSim
+from oblige.omsim import (
+    CACHELINE,
+    ELEMENT,
+    READ,
+    WRITE,
+    Buffer,
+    OMSim,
+    assign_records,
+    copy_records,
+)
 from oblige.scan import full_scan, full_scan_rows
 
 VAL = np.dtype([("v", "<f8")])
@@ -175,6 +184,11 @@ def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows
     edges = Buffer.wrap(sim.trace, grid.region_name, grid.edges)
     out = Buffer.wrap(sim.trace, out_name, np.empty_like(owned_vals.data))
     peaks = []
+
+    def read(buf, lo, hi, w):
+        sim.trace.seq(w, buf.name, READ, lo, hi - lo)
+        return copy_records(buf.data[lo:hi])
+
     for w in range(workers):
         arena = sim.new_arena()
         for outer in range(w, b, workers):
@@ -183,14 +197,14 @@ def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows
             other_om = arena.alloc(k * params.vwidth)
             lo = outer * k
             hi = min(lo + k, n)
-            owned = owned_vals.read(lo, hi, worker=w)
+            owned = read(owned_vals, lo, hi, w)
             for inner in range(b):
                 ilo = inner * k
                 ihi = min(ilo + k, n)
-                other = (dst_vals if by_rows else src_vals).read(ilo, ihi, worker=w)
+                other = read(dst_vals if by_rows else src_vals, ilo, ihi, w)
                 r, c = (outer, inner) if by_rows else (inner, outer)
                 base = (r * b + c) * l
-                blk = edges.read(base, base + l, worker=w)
+                blk = read(edges, base, base + l, w)
                 real = blk["pad"] == 0
                 soff = (blk["src"][real] - np.uint64(r * k)).astype(np.int64)
                 doff = (blk["dst"][real] - np.uint64(c * k)).astype(np.int64)
@@ -198,7 +212,8 @@ def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows
                     kernel(owned, other, soff, doff)
                 else:
                     kernel(other, owned, soff, doff)
-            out.write(lo, owned, worker=w)
+            sim.trace.seq(w, out.name, WRITE, lo, len(owned))
+            assign_records(out.data[lo:lo + len(owned)], owned)
             arena.free(other_om)
             arena.free(owned_om)
             arena.free(reserve)
