@@ -4,15 +4,22 @@ A :class:`VertexProgram` is one round of edge-centric scatter/gather/apply,
 as in GridGraph: every edge (u, v) sends ``message(state, u)`` to v, the
 messages arriving at v fold with the `combine` ufunc, and `apply` turns the
 fold into v's next value; a program without `apply` folds the messages into
-v's old value instead.  All three engines derive their per-app code from it:
+v's old value instead.  `message` is elementwise in its index: its value at
+a vertex does not depend on which other vertices are indexed with it.  All
+three engines derive their per-app code from it:
 
-* the grid scan (this module) runs ``combine.at(dst[field], doff,
-  message(src, soff))`` as its kernel, into a copy of the state or, with an
-  `apply`, into an accumulator cleared to the fold's identity;
+* the grid scan (this module) evaluates ``message(src, arange(n))`` once per
+  scan, at every source vertex, and runs ``combine.at(dst[field], doff,
+  msg[soff])`` as its kernel, into a copy of the state or, with an `apply`,
+  into an accumulator cleared to the fold's identity;
 * the sort-scan baseline (`oblige.baselines`) computes `message` at each
   edge from the vertex sorted before it, and folds with `combine.at` over
   vertex groups;
-* the reference oracle folds with `combine.at` over whole arrays.
+* the reference oracle computes `message` per edge and folds with
+  `combine.at` over whole arrays.
+
+Each edge thus folds the same value in every engine: one IEEE operation on
+the same operands, whether evaluated per vertex or per edge.
 
 Every application runs a fixed number of iterations with no convergence
 detection, frontier tracking or early exit: any of those would make the
@@ -24,8 +31,9 @@ Value conventions:
 
 * PageRank state is (weight: f64, degree: u64); weights start at 1 and fold
   as w = (1-f) + f * sum(w_prev(u) / d(u)) over in-edges.  Vertices with no
-  out-edges simply contribute nothing (the division only happens on edges
-  that exist), so total weight may shrink on graphs with dangling vertices.
+  out-edges simply contribute nothing (their message divides by max(d, 1)
+  and is never gathered), so total weight may shrink on graphs with
+  dangling vertices.
 * BFS distance and WCC label are u64 with INF = 2^64-1 as the unreachable
   sentinel; min() with +1 saturates at INF.
 """
@@ -54,6 +62,8 @@ class VertexProgram:
     starts at 0 instead (the scan engines seed it with `bfs_initial_dist`),
     and with `needs_degrees` a `degree` field holds out-degrees.
     `message(state, idx)` is what edges send from source vertices `idx`;
+    `idx` may index every vertex, so it must be defined (and warning-free)
+    at vertices with no out-edges, whose value is never used;
     `combine` (np.add or np.minimum) folds the messages arriving at a
     vertex; `apply(folded, f)` maps the fold to the new value (f is the
     run's damping factor), or, when None, the fold takes in the old value
@@ -89,8 +99,14 @@ class VertexProgram:
         return state
 
     def kernel(self, src, dst, soff, doff):
-        """Scan kernel: fold each edge's message into its destination."""
-        self.combine.at(dst[self.field], doff, self.message(src, soff))
+        """Scan kernel: fold each edge's message into its destination.
+
+        `message` runs once, at every source vertex, and each edge gathers
+        its source's value: the same value as a per-edge call, from one
+        pass over n vertices instead of strided gathers over every edge.
+        """
+        msg = self.message(src, np.arange(len(src)))
+        self.combine.at(dst[self.field], doff, msg[soff])
 
     def fold(self, old, idx, msg, f):
         """New values of the vertices `old`, given messages `msg` to vertices `idx`."""
@@ -112,9 +128,11 @@ def _hop(state, idx):
 
 
 APPS = {program.name: program for program in (
-    # degree >= 1 whenever an out-edge of that vertex exists
+    # max(degree, 1) equals degree wherever an out-edge exists; it only keeps
+    # the never-gathered value at a vertex without out-edges finite
     VertexProgram("pr", "pr.state", PR_STATE, "weight", np.ones,
-                  lambda state, idx: state["weight"][idx] / state["degree"][idx],
+                  lambda state, idx: state["weight"][idx]
+                  / np.maximum(state["degree"][idx], np.uint64(1)),
                   np.add, apply=lambda acc, f: (1.0 - f) + f * acc,
                   needs_degrees=True),
     VertexProgram("bfs", "bfs.dist", DIST_STATE, "dist",
@@ -129,7 +147,8 @@ APPS = {program.name: program for program in (
 # -- the grid-scan engine ------------------------------------------------------
 
 def _degree_kernel(src_chunk, dst_chunk, soff, doff):
-    np.add.at(src_chunk["degree"], soff, 1)
+    # A uint64 one: a Python int operand takes ufunc.at off its fast loop.
+    np.add.at(src_chunk["degree"], soff, np.uint64(1))
 
 
 def compute_out_degrees(sim, grid, workers=1):

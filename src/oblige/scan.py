@@ -15,8 +15,9 @@ raw-byte copy of the owned input, made once per scan (the owned chunks are
 disjoint and cover it).  A line's blocks over full chunks are one
 ``trace.repeat`` record, since from block to block the other chunk rises by
 k and the block by b*l (a column) or l (a row); a short last chunk and its
-block are two ``trace.seq`` records.  A scan thus records O(b) records and
-does O(b) Python work, traced or not.
+block are two ``trace.seq`` records.  A traced scan thus records O(b)
+records and does O(b) Python work; an untraced one skips the recording
+calls, and keeps only the per-worker arena allocations and the budget check.
 The kernel then runs once per scan, over every real edge in the order the
 lines visit them: the grid's cached `column_order` (columns 0..b-1, block
 rows 0..b-1 within a column, stored order within a block), or `row_order`
@@ -28,13 +29,15 @@ vertex offsets.  The side the scan direction owns (the destination for
 `full_scan`, the source for `full_scan_rows`) is the output buffer's data,
 and the kernel folds into it.  The other side is one private copy per scan
 of the other input; the kernel only reads it (a kernel that writes it
-changes nothing the caller sees), and only at endpoints of real edges,
-whose chunks the recorded per-block reads cover, so the null-edge check and
-all value-dependent work stay invisible.  No input array is written during
-a scan.  The offset arrays are read-only.  Every owned vertex belongs to one
-line, and repeated indices are applied in order, so each vertex folds the
-same messages in the same order as a block-at-a-time scan: float
-accumulation is bit-identical to it and reproducible run to run.
+changes nothing the caller sees), and may read it at every vertex, not only
+at endpoints of real edges: each line reads every chunk of the other side,
+so the recorded per-block chunk reads cover all n vertices, and the
+null-edge check and all value-dependent work stay invisible.  No input
+array is written during a scan.  The offset arrays are read-only.  Every
+owned vertex belongs to one line, and repeated indices are applied in
+order, so each vertex folds the same messages in the same order as a
+block-at-a-time scan: float accumulation is bit-identical to it and
+reproducible run to run.
 
 Lines are assigned to workers statically and cyclically (column c goes to
 worker c mod W); each worker that owns a line holds the reserve and two
@@ -82,7 +85,8 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
         lines = range(w, b, workers)
         held = [arena.alloc(RESERVE_BYTES), arena.alloc(k * params.vwidth),
                 arena.alloc(k * params.vwidth)] if lines else []
-        for outer in lines:  # recording only: the data moves once per scan
+        # Recording only: the data moves once per scan.
+        for outer in lines if trace.enabled else ():
             lo = outer * k
             size = min(k, n - lo)
             first = outer * b * l if by_rows else outer * l

@@ -17,6 +17,7 @@ from oblige.errors import SymmetryRequired, UnknownSource
 from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
 from oblige.omsim import OMSim
 from oblige.pipeline import ID_DTYPE
+from oblige.scan import full_scan, full_scan_rows
 
 PR, BFS, WCC = APPS["pr"], APPS["bfs"], APPS["wcc"]
 
@@ -55,6 +56,25 @@ def test_out_degrees_all_null():
     sim = OMSim(grid.params.s)
     out = compute_out_degrees(sim, grid)
     assert out.data["degree"].tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, k", [(11, 11), (14, 4)])
+def test_out_degrees_equal_bincount(n, k, workers):
+    # b=1, and b=4 with a short last chunk (14 = 3*4 + 2); vertex 5 has no
+    # out-edges and vertex 0 has many
+    rng = np.random.default_rng(n)
+    src = np.concatenate([np.zeros(9, dtype=np.int64),
+                          rng.choice([v for v in range(n) if v != 5], size=40)])
+    edges = list(zip(src.tolist(), rng.integers(0, n, size=len(src)).tolist()))
+    grid = fixture_grid(edges, n, k=k, vwidth=8)
+    assert grid.params.b == -(-n // k)
+    sim = OMSim(grid.params.s)
+    degree = compute_out_degrees(sim, grid, workers=workers).data["degree"]
+    assert degree.dtype == np.uint64
+    want = np.bincount(grid.nonnull_edges()[0], minlength=n).astype(np.uint64)
+    assert degree.tobytes() == want.tobytes()
+    assert degree[5] == 0
 
 
 def test_pr_two_cycle_fixed_point():
@@ -274,3 +294,76 @@ def test_khop_program_identical_on_all_engines(seed):
     assert scan.data["reach"].tobytes() == expect.tobytes()
     assert bits.data["result"].tobytes() == expect.tobytes()
     assert ref.tobytes() == expect.tobytes()
+
+
+# -- kernel contract: one message per vertex, the same bytes as one per edge ------
+
+def per_edge_message(program):
+    """The message each edge sends, computed at that edge's source alone."""
+    if program.name == "pr":
+        return lambda state, idx: state["weight"][idx] / state["degree"][idx]
+    return program.message
+
+
+def per_edge_kernel(program):
+    message = per_edge_message(program)
+
+    def kernel(src, dst, soff, doff):
+        program.combine.at(dst[program.field], doff, message(src, soff))
+    return kernel
+
+
+def contract_state(program, n, out_degree, rng):
+    state = program.initial(n)
+    if program.value.kind == "f":
+        state[program.field] = rng.choice([1e16, -1e16, 1.0, 3.3e-3, 7.0],
+                                          size=n) * rng.random(n)
+    else:
+        state[program.field] = rng.integers(0, 2 * n, size=n)
+        state[program.field][rng.random(n) < 0.3] = INF
+    if program.needs_degrees:
+        state["degree"] = out_degree
+    return state
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("by_rows", [False, True])
+@pytest.mark.parametrize("app", ["pr", "bfs", "wcc", "khop"])
+def test_kernel_matches_per_edge_oracle(app, by_rows, workers):
+    # n=14, k=4: b=4 with a short last chunk.  Vertices 2, 7 and 13 send
+    # nothing (PR degree 0); most edges go to 0, 1 and 13, so float folds
+    # over mixed magnitudes show any change of operand or order.
+    program = khop_program([0, 5]) if app == "khop" else APPS[app]
+    rng = np.random.default_rng(workers)
+    n = 14
+    senders = [v for v in range(n) if v not in (2, 7, 13)]
+    src = rng.choice(senders, size=80)
+    dst = np.where(rng.random(80) < 0.8, rng.choice([0, 1, 13], size=80),
+                   rng.integers(0, n, size=80))
+    edges = list(zip(src.tolist(), dst.tolist()))
+    grid = fixture_grid(edges, n, k=4, vwidth=16)
+    assert grid.params.b == 4
+    out_degree = np.bincount(src, minlength=n).astype(np.uint64)
+    assert out_degree[[2, 7, 13]].tolist() == [0, 0, 0]
+    src_init = contract_state(program, n, out_degree, rng)
+    dst_init = contract_state(program, n, out_degree, rng)
+    scan = full_scan_rows if by_rows else full_scan
+
+    def run(kernel):
+        seen = []
+
+        def recording(src_side, dst_side, soff, doff):
+            kernel(src_side, dst_side, soff, doff)
+            seen.append((src_side.tobytes(), dst_side.tobytes()))
+
+        sim = OMSim(grid.params.s)
+        src_buf = sim.buffer_from_rows("vsrc", src_init)
+        dst_buf = sim.buffer_from_rows("vdst", dst_init)
+        with np.errstate(all="raise"):
+            out = scan(grid, src_buf, dst_buf, recording, sim, workers=workers,
+                       out_name="vout")
+        return out.data.tobytes(), seen
+
+    got, want = run(program.kernel), run(per_edge_kernel(program))
+    assert len(got[1]) == 1
+    assert got == want

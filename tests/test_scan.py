@@ -480,3 +480,33 @@ def test_traced_scan_records_o_of_b_records(n, by_rows):
     scan(grid, vals, vals, add_kernel, sim, workers=2, out_name="vout")
     per_line = 3 if n % k == 0 else 5
     assert sum(sim.trace.mark().values()) - before == per_line * b
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("by_rows", [False, True])
+def test_untraced_scan_makes_no_recording_calls(by_rows, workers):
+    # Same output and OM peaks as a traced scan, and not one recording call.
+    grid = short_chunk_grid()
+    n = grid.params.n
+    scan = full_scan_rows if by_rows else full_scan
+    kernel = pull_kernel if by_rows else mixed_add_kernel
+    rng = np.random.default_rng(workers)
+    init = np.zeros(n, dtype=VAL)
+    init["v"] = mixed_values(rng, n)
+    runs = []
+    for enabled in (True, False):
+        sim = OMSim(grid.params.s, enabled=enabled)
+        src = sim.buffer_from_rows("vsrc", init)
+        dst = sim.buffer_from_rows("vdst", init[::-1].copy())
+        calls = []  # every recording call is a `repeat`
+        record = sim.trace.repeat
+        sim.trace.repeat = lambda *args: (calls.append(args), record(*args))
+        out = scan(grid, src, dst, kernel, sim, workers=workers, out_name="vout")
+        runs.append((out.data.tobytes(), sim.last_scan_peaks, calls,
+                     sum(sim.trace.mark().values())))
+    (traced, traced_peaks, traced_calls, traced_records), \
+        (untraced, untraced_peaks, untraced_calls, untraced_records) = runs
+    assert traced_calls and traced_records
+    assert untraced == traced
+    assert untraced_peaks == traced_peaks
+    assert untraced_calls == [] and untraced_records == 0
