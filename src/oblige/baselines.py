@@ -49,8 +49,8 @@ def _group_ids(keys):
     return np.cumsum(change) - 1
 
 
-def build_elements(init_vals, edges, kernel, out_name="ss.elems"):
-    """Merge the vertex init buffer and the edge buffer into one element list.
+def build_elements(init_vals, edges, kernel):
+    """Merge the vertex init buffer and the edge buffer into the element list "ss.elems".
 
     `init_vals` holds the program's `field` for every vertex in mapped-ID
     order; `edges` holds (src, dst) pairs.
@@ -70,7 +70,7 @@ def build_elements(init_vals, edges, kernel, out_name="ss.elems"):
             out["b"] = batch["dst"]
         return out
 
-    return o_trans_merge([init_vals, edges], fn, out_name)
+    return o_trans_merge([init_vals, edges], fn, "ss.elems")
 
 
 class SortScanKernel:
@@ -120,12 +120,12 @@ class SortScanKernel:
         return out
 
 
-def sortscan_iteration(elems, kernel, arena, sim, worker=0):
+def sortscan_iteration(elems, kernel, arena, sim):
     """One baseline iteration: scatter sort+scan, then gather sort+scan."""
-    sim.osort_log.append(o_sort(elems, _scatter_key, arena, worker=worker))
-    elems = o_trans(elems, kernel.scatter, worker=worker)
-    sim.osort_log.append(o_sort(elems, _gather_key, arena, worker=worker))
-    return o_trans(elems, kernel.gather, worker=worker)
+    sim.osort_log.append(o_sort(elems, _scatter_key, arena))
+    elems = o_trans(elems, kernel.scatter)
+    sim.osort_log.append(o_sort(elems, _gather_key, arena))
+    return o_trans(elems, kernel.gather)
 
 
 def sortscan_run(sim, n, edges_buf, program, t, f=0.85, init_bits=None):
@@ -172,7 +172,7 @@ def sortscan_on_grid(sim, grid, global_map, program, t, f=0.85, source_id=None):
     filtered down to the grid's m real edges ("ss.edges"); a program that
     needs a source is seeded by `bfs_initial_dist` over the global map.
     """
-    ecopy = o_trans(Buffer.wrap(sim.trace, grid.region_name, grid.edges),
+    ecopy = o_trans(Buffer(sim.trace, grid.region_name, grid.edges),
                     lambda b: b, out_name="ss.gridedges")
     edges = o_filter(ecopy, lambda b: (b["pad"] == 0).astype(np.int64),
                      grid.m, "ss.edges", sim.new_arena())

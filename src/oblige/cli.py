@@ -128,7 +128,7 @@ def cmd_trace_check(args):
         print("trace-check needs at least 2 trials", file=sys.stderr)
         return 2
     stage = "pr_leaky" if args.leaky else args.stage
-    cfg = CheckConfig(seed=args.seed, n=args.vertices, p=args.parties,
+    cfg = CheckConfig(n=args.vertices, p=args.parties,
                       edges_per_party=args.edges, om_bytes=parse_size(args.om),
                       workers=args.workers)
     try:

@@ -37,14 +37,14 @@ GRID_VERSION = 1
 GRID_REGION = "grid.edges"
 
 
-def choose_chunk_size(s, vwidth, reserve=RESERVE_BYTES):
+def choose_chunk_size(s, vwidth):
     """Largest k such that 2k vertex records plus the reserve fit in s bytes."""
-    if s - reserve < 2 * vwidth:
+    if s - RESERVE_BYTES < 2 * vwidth:
         raise OMTooSmall(
             "OM of %d bytes cannot hold two %d-byte vertex chunks plus %d reserve"
-            % (s, vwidth, reserve)
+            % (s, vwidth, RESERVE_BYTES)
         )
-    return (s - reserve) // (2 * vwidth)
+    return (s - RESERVE_BYTES) // (2 * vwidth)
 
 
 def offset_bits(k):

@@ -1,10 +1,11 @@
 """Simulated oblivious memory and memory-access trace recording.
 
 Storage is split into two worlds.  :class:`OMArena` models the bounded
-on-chip oblivious memory (OM): allocations are budget-checked, and nothing
-that happens inside an arena is ever recorded.  :class:`Buffer` models
-ordinary observable memory: every read or write of a registered buffer is
-appended to an :class:`AccessTrace`.
+on-chip oblivious memory (OM) as a byte budget: allocations are checked
+against it, and nothing that happens inside the OM is ever recorded.
+:class:`Buffer` models ordinary observable memory: a named record array
+registered with an :class:`AccessTrace`.  It records nothing itself; the
+code that moves its records records each access beside the move.
 
 An algorithm is data-oblivious exactly when its trace is a pure function of
 public parameters.  The trace therefore supports cheap equality testing via
@@ -569,22 +570,14 @@ def _first_mismatch(mine, theirs):
         a, b, done = a[n:], b[n:], done + n
 
 
-class OMAlloc:
-    """A live allocation inside an arena (its storage is the caller's)."""
-
-    __slots__ = ("offset", "nbytes")
-
-    def __init__(self, offset, nbytes):
-        self.offset = offset
-        self.nbytes = nbytes
-
-
 class OMArena:
-    """Bounded oblivious-memory allocator; accesses to its storage are untraced.
+    """The oblivious-memory byte budget; accesses to OM storage are untraced.
 
-    Capacity violations raise :class:`CapacityExceeded` immediately: the
-    caller broke its published OM budget, which is a test failure rather
-    than a recoverable condition.
+    `alloc` takes bytes and returns a handle that `free` gives back; OM
+    contents live in ordinary arrays, so only the bytes in use and the peak
+    are kept.  Going over capacity raises :class:`CapacityExceeded` at once:
+    the caller broke its published OM budget, a test failure rather than a
+    recoverable condition.
     """
 
     def __init__(self, capacity):
@@ -593,8 +586,7 @@ class OMArena:
         self.capacity = capacity
         self.used = 0
         self.peak = 0
-        self._free = [(0, capacity)]  # disjoint (offset, length), sorted
-        self._live = {}
+        self._live = {}  # handle -> bytes
 
     @property
     def free_bytes(self):
@@ -608,63 +600,32 @@ class OMArena:
                 "OM budget violated: %d bytes requested, %d of %d free"
                 % (nbytes, self.free_bytes, self.capacity)
             )
-        for idx, (off, length) in enumerate(self._free):
-            if length >= nbytes:
-                if length == nbytes:
-                    del self._free[idx]
-                else:
-                    self._free[idx] = (off + nbytes, length - nbytes)
-                self.used += nbytes
-                self.peak = max(self.peak, self.used)
-                handle = OMAlloc(off, nbytes)
-                self._live[id(handle)] = handle
-                return handle
-        raise CapacityExceeded(
-            "OM arena fragmented: no contiguous %d bytes available" % nbytes
-        )
+        self.used += nbytes
+        self.peak = max(self.peak, self.used)
+        handle = object()
+        self._live[handle] = nbytes
+        return handle
 
     def free(self, handle):
-        if self._live.pop(id(handle), None) is None:
+        nbytes = self._live.pop(handle, None)
+        if nbytes is None:
             raise ValueError("double free or foreign handle")
-        self.used -= handle.nbytes
-        self._free.append((handle.offset, handle.nbytes))
-        self._free.sort()
-        # Coalesce neighbors so exact-fit reuse keeps working.
-        merged = []
-        for off, length in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                merged[-1] = (merged[-1][0], merged[-1][1] + length)
-            else:
-                merged.append((off, length))
-        self._free = merged
+        self.used -= nbytes
 
 
 class Buffer:
     """Fixed-width record array in observable memory, registered with a trace.
 
-    `data` holds the records.  Code that moves them records the access
-    beside the move, with the trace's recording calls (each stored as one
-    `repeat` record); the buffer itself records only the sequential write
-    that `from_rows` makes.
+    `data` holds the records.  Constructing a buffer only registers it;
+    code that moves its records records the access beside the move, with
+    the trace's recording calls (each stored as one `repeat` record).
     """
 
-    def __init__(self, trace, name, data, record_init=False, worker=0):
+    def __init__(self, trace, name, data):
         self.trace = trace
         self.name = name
         self.data = data
         trace.register(name, len(data), data.dtype.itemsize)
-        if record_init:
-            trace.seq(worker, name, WRITE, 0, len(data))
-
-    @classmethod
-    def wrap(cls, trace, name, data):
-        """Register existing storage without recording its initialization."""
-        return cls(trace, name, data)
-
-    @classmethod
-    def from_rows(cls, trace, name, rows, worker=0):
-        """Create a buffer by sequentially writing `rows` (traced)."""
-        return cls(trace, name, copy_records(rows), record_init=True, worker=worker)
 
     def __len__(self):
         return len(self.data)
@@ -691,5 +652,8 @@ class OMSim:
         self.arenas.append(arena)
         return arena
 
-    def buffer_from_rows(self, name, rows, worker=0):
-        return Buffer.from_rows(self.trace, name, rows, worker=worker)
+    def buffer_from_rows(self, name, rows):
+        """A buffer holding a copy of `rows`, written by one sequential pass."""
+        buf = Buffer(self.trace, name, copy_records(rows))
+        self.trace.seq(0, name, WRITE, 0, len(rows))
+        return buf

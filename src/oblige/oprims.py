@@ -4,6 +4,9 @@ Every routine's access trace depends only on the public lengths of its
 inputs and declared outputs (plus record widths and the OM capacity), never
 on record contents.  Values are compared and transformed inside the
 oblivious memory; the observable pattern is fixed by the loop structure.
+Every stage outside the grid scan runs on the serial server, so these
+routines, and the pipeline and baseline stages built from them, record as
+worker 0.
 
 `o_sort` is a bitonic sorting network with an OM cutover: strides that fit
 inside the OM are handled by copying the segment in, sorting it there
@@ -139,7 +142,7 @@ def _order_pairs(lo, hi):
     lo[...] = low
 
 
-def o_sort(buf, key, arena, worker=0):
+def o_sort(buf, key, arena):
     """Sort `buf` in place, ascending by `key(batch)` columns, ties by position.
 
     The trace is the classic bitonic network over strides too large for the
@@ -196,18 +199,18 @@ def o_sort(buf, key, arena, worker=0):
     trace.register(scratch_name, padded, dt.itemsize)
 
     # Copy in (one interleaved read/write pass), then write the pad tail.
-    trace.zip2(worker, buf.name, READ, 0, scratch_name, WRITE, 0, n)
+    trace.zip2(0, buf.name, READ, 0, scratch_name, WRITE, 0, n)
     order = _stable_order(cols)
     rank = np.empty(padded, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    trace.seq(worker, scratch_name, WRITE, n, padded - n)
+    trace.seq(0, scratch_name, WRITE, n, padded - n)
     rank[n:] = np.arange(n, padded, dtype=np.int32)
 
     segments = rank.reshape(-1, seg)
 
     def sort_segments(k):
         """Sort every segment, descending where its start has bit `k`."""
-        trace.repeat(worker, [(scratch_name, READ, 0, seg, seg),
+        trace.repeat(0, [(scratch_name, READ, 0, seg, seg),
                               (scratch_name, WRITE, 0, seg, seg)], padded // seg)
         segments.sort(axis=1)
         if k < padded:  # the second k-long half of every 2k-block descends
@@ -223,7 +226,7 @@ def o_sort(buf, key, arena, worker=0):
     while k <= padded:
         j = k // 2
         while j >= seg:
-            trace.cx_pass(worker, scratch_name, j, padded)
+            trace.cx_pass(0, scratch_name, j, padded)
             _cx_pass(rank, j, k)
             cx += padded // 2
             j //= 2
@@ -232,20 +235,22 @@ def o_sort(buf, key, arena, worker=0):
         sort_segments(k)
         k *= 2
 
-    trace.zip2(worker, scratch_name, READ, 0, buf.name, WRITE, 0, n)
+    trace.zip2(0, scratch_name, READ, 0, buf.name, WRITE, 0, n)
     assign_records(buf.data, gather_records(buf.data, order[rank[:n]]))
     arena.free(om)
     stats.update(padded=padded, segment=seg, compare_exchanges=cx)
     return stats
 
 
-def o_trans(buf, fn, out_name=None, worker=0):
+def o_trans(buf, fn, out_name=None):
     """Map `fn` over the records of `buf` (one read/write pass per element).
 
     `fn` receives the whole batch and must return an equal-length array; any
     running state it keeps lives in OM/registers and is invisible to the
     trace.  With `out_name` unset the result replaces the buffer contents in
-    place (same region); otherwise a new buffer is created.
+    place (same region), and must keep the record dtype (ValueError
+    otherwise: wider records would write lines the trace never saw);
+    otherwise a new buffer is created.
     """
     n = len(buf.data)
     result = np.asarray(fn(buf.data))
@@ -253,54 +258,53 @@ def o_trans(buf, fn, out_name=None, worker=0):
         raise ValueError("o_trans fn changed the array length")
     trace = buf.trace
     if out_name is None or out_name == buf.name:
-        trace.zip2(worker, buf.name, READ, 0, buf.name, WRITE, 0, n)
-        if result.dtype == buf.data.dtype:
-            assign_records(buf.data, result)
-            return buf
-        out = Buffer.wrap(trace, buf.name, copy_records(result))
-        return out
-    out = Buffer.wrap(trace, out_name, copy_records(result))
-    trace.zip2(worker, buf.name, READ, 0, out_name, WRITE, 0, n)
+        if result.dtype != buf.data.dtype:
+            raise ValueError("an in-place o_trans cannot change the record dtype")
+        trace.zip2(0, buf.name, READ, 0, buf.name, WRITE, 0, n)
+        assign_records(buf.data, result)
+        return buf
+    out = Buffer(trace, out_name, copy_records(result))
+    trace.zip2(0, buf.name, READ, 0, out_name, WRITE, 0, n)
     return out
 
 
-def o_trans_merge(bufs, fn, out_name, worker=0):
+def o_trans_merge(bufs, fn, out_name):
     """Concatenate `fn(batch_i, i)` over input buffers, i-major then j-minor, into `out_name`."""
     parts = [np.asarray(fn(b.data, i)) for i, b in enumerate(bufs)]
     total = sum(len(p) for p in parts)
-    out = Buffer.wrap(bufs[0].trace, out_name, np.zeros(total, dtype=parts[0].dtype))
+    out = Buffer(bufs[0].trace, out_name, np.zeros(total, dtype=parts[0].dtype))
     pos = 0
     for b, part in zip(bufs, parts):
-        out.trace.zip2(worker, b.name, READ, 0, out.name, WRITE, pos, len(part))
+        out.trace.zip2(0, b.name, READ, 0, out.name, WRITE, pos, len(part))
         assign_records(out.data[pos:pos + len(part)], part)
         pos += len(part)
     return out
 
 
-def o_merge(bufs, out_name, worker=0):
+def o_merge(bufs, out_name):
     """Concatenate buffers in order (o_trans_merge with identity payload)."""
-    return o_trans_merge(bufs, lambda batch, i: batch, out_name, worker=worker)
+    return o_trans_merge(bufs, lambda batch, i: batch, out_name)
 
 
-def o_split_trans(buf, nbuckets, bucket_fn, project_fn, sizes, out_prefix,
-                  arena, worker=0, out_names=None):
+def o_split_trans(buf, bucket_fn, project_fn, sizes, names, arena):
     """Sort by bucket id, then append each record's projection to its bucket.
 
-    `sizes` are the publicly declared bucket lengths; the trace places bucket
-    boundaries at exactly those positions.  If the actual bucket counts
-    disagree, the caller declared a non-public-consistent size and a
-    :class:`SizeMismatch` is raised loudly.
+    Bucket i is the buffer `names[i]`, and `sizes[i]` is its publicly
+    declared length; the trace places bucket boundaries at exactly those
+    positions.  `bucket_fn` maps a batch to ids in [0, len(sizes)).  If the
+    actual bucket counts disagree, the caller declared a
+    non-public-consistent size and a :class:`SizeMismatch` is raised loudly.
     """
-    if len(sizes) != nbuckets:
-        raise ValueError("need one declared size per bucket")
+    nbuckets = len(sizes)
+    if len(names) != nbuckets:
+        raise ValueError("need one name per bucket")
     ids = np.asarray(bucket_fn(buf.data))
     if len(ids) and (ids.min() < 0 or ids.max() >= nbuckets):
         raise ValueError("bucket ids out of range")
     # Counts do not depend on order, so they come from the unsorted ids.
     counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=nbuckets)
 
-    o_sort(buf, lambda batch: np.asarray(bucket_fn(batch), dtype=np.int64),
-           arena, worker=worker)
+    o_sort(buf, lambda batch: np.asarray(bucket_fn(batch), dtype=np.int64), arena)
 
     if list(counts) != [int(s) for s in sizes]:
         raise SizeMismatch(
@@ -310,28 +314,25 @@ def o_split_trans(buf, nbuckets, bucket_fn, project_fn, sizes, out_prefix,
     trace = buf.trace
     buckets = []
     lo = 0
-    for i, size in enumerate(sizes):
+    for name, size in zip(names, sizes):
         size = int(size)
         rows = np.asarray(project_fn(buf.data[lo:lo + size]))
-        name = out_names[i] if out_names else "%s%d" % (out_prefix, i)
-        bucket = Buffer.wrap(trace, name, copy_records(rows))
-        trace.zip2(worker, buf.name, READ, lo, name, WRITE, 0, size)
+        bucket = Buffer(trace, name, copy_records(rows))
+        trace.zip2(0, buf.name, READ, lo, name, WRITE, 0, size)
         buckets.append(bucket)
         lo += size
     return buckets
 
 
-def o_filter(buf, pred_fn, kept, out_name, arena, worker=0):
+def o_filter(buf, pred_fn, kept, out_name, arena):
     """Keep records with `pred_fn` true; `kept` is the declared public count."""
     n = len(buf.data)
     buckets = o_split_trans(
-        buf, 2,
+        buf,
         lambda batch: np.asarray(pred_fn(batch), dtype=np.int64),
         lambda batch: batch,
         [n - kept, kept],
-        out_prefix="",
-        arena=arena,
-        worker=worker,
-        out_names=[out_name + ".dropped", out_name],
+        [out_name + ".dropped", out_name],
+        arena,
     )
     return buckets[1]

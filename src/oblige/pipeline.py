@@ -269,19 +269,19 @@ class Party:
 
 # -- server-side oblivious stages ---------------------------------------------
 
-def _split_to_parties(buf, sizes, dtype, out_prefix, arena, worker):
-    """Split `buf` by its party field into `sizes`-long buffers of the `dtype` fields."""
+def _split_to_parties(buf, sizes, dtype, prefix, arena):
+    """Split `buf` by party into buffers `prefix`0, 1, ... of `sizes` `dtype` records."""
     def project(batch):
         out = np.zeros(len(batch), dtype=dtype)
         for name in dtype.names:
             out[name] = batch[name]
         return out
 
-    return o_split_trans(buf, len(sizes), lambda b: b["party"].astype(np.int64),
-                         project, sizes, out_prefix, arena, worker=worker)
+    return o_split_trans(buf, lambda b: b["party"].astype(np.int64), project, sizes,
+                         ["%s%d" % (prefix, i) for i in range(len(sizes))], arena)
 
 
-def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
+def vertex_mapping(sim, vertex_ids, declared_n):
     """Merge, sort and dedup the submitted IDs into a dense 0-based mapping.
 
     `vertex_ids` are the parsed VERTEX_SUBMIT arrays in party order and
@@ -290,13 +290,9 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
     mapped order) and the per-party map buffers of the declared sizes.
     """
     arena = sim.new_arena()
-    trace = sim.trace
     sizes = [len(v) for v in vertex_ids]
-    vbufs = [
-        Buffer.from_rows(trace, "pipe.vsubmit%d" % i, np.asarray(v, dtype=ID_DTYPE),
-                         worker=worker)
-        for i, v in enumerate(vertex_ids)
-    ]
+    vbufs = [sim.buffer_from_rows("pipe.vsubmit%d" % i, np.asarray(v, dtype=ID_DTYPE))
+             for i, v in enumerate(vertex_ids)]
 
     def tag(batch, i):
         out = np.zeros(len(batch), dtype=VM_DTYPE)
@@ -305,9 +301,8 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
         out["mapped"] = NULL64
         return out
 
-    merged = o_trans_merge(vbufs, tag, "vm.A", worker=worker)
-    sim.osort_log.append(
-        o_sort(merged, lambda b: (b["h"], b["l"]), arena, worker=worker))
+    merged = o_trans_merge(vbufs, tag, "vm.A")
+    sim.osort_log.append(o_sort(merged, lambda b: (b["h"], b["l"]), arena))
 
     def assign(batch):
         out = copy_records(batch)
@@ -317,7 +312,7 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
         out["mapped"] = np.cumsum(fresh) - 1
         return out
 
-    merged = o_trans(merged, assign, worker=worker)
+    merged = o_trans(merged, assign)
 
     def dedup(batch):
         out = copy_records(batch)
@@ -326,21 +321,21 @@ def vertex_mapping(sim, vertex_ids, declared_n, worker=0):
         out["mapped"][repeat] = NULL64
         return out
 
-    marked = o_trans(merged, dedup, out_name="vm.A2", worker=worker)
+    marked = o_trans(merged, dedup, out_name="vm.A2")
     global_map = o_filter(
         marked, lambda b: (b["mapped"] != NULL64).astype(np.int64),
-        declared_n, "vm.global", arena, worker=worker,
+        declared_n, "vm.global", arena,
     )
-    return global_map, _split_to_parties(merged, sizes, MAP_DTYPE, "vm.map", arena, worker)
+    return global_map, _split_to_parties(merged, sizes, MAP_DTYPE, "vm.map", arena)
 
 
-def map_return_payload(sim, map_buf, worker=0):
+def map_return_payload(sim, map_buf):
     """Serialize one party's mapping; the send is a sequential buffer read."""
-    sim.trace.seq(worker, map_buf.name, READ, 0, len(map_buf))
+    sim.trace.seq(0, map_buf.name, READ, 0, len(map_buf))
     return map_buf.data.astype(MAP_DTYPE, copy=False).tobytes()
 
 
-def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
+def merge_grids(sim, payloads, params, symmetrized=False):
     """Decode the party grids and concatenate them block by block.
 
     Everything here is fixed by (p, b, k, {l_i}): the message sizes, the
@@ -362,35 +357,34 @@ def merge_grids(sim, payloads, params, symmetrized=False, worker=0):
         headers.append(header)
         # The message arrives by one sequential write of its bytes.
         trace.register("pipe.gridmsg%d" % i, len(payload), 1)
-        trace.seq(worker, "pipe.gridmsg%d" % i, WRITE, 0, len(payload))
+        trace.seq(0, "pipe.gridmsg%d" % i, WRITE, 0, len(payload))
 
     b, l, k = params.b, params.l, params.k
     coords = block_coordinates(b)
-    merged = Buffer.wrap(trace, GridGraph.region_name,
-                         np.zeros(b * b * l, dtype=EDGE_DTYPE))
+    merged = Buffer(trace, GridGraph.region_name, np.zeros(b * b * l, dtype=EDGE_DTYPE))
     blocks = merged.data.reshape(b * b, l)
     starts = np.cumsum((0,) + params.l_i).tolist()
     for i, header in enumerate(headers):
         li, nbytes = params.l_i[i], header["block_nbytes"]
         name = "grid.party%d" % i
         trace.register(name, b * b * li, EDGE_DTYPE.itemsize)
-        trace.repeat(worker, [("pipe.gridmsg%d" % i, READ, header["header_nbytes"],
-                               nbytes, nbytes),
-                              (name, WRITE, 0, li, li)], b * b)
+        trace.repeat(0, [("pipe.gridmsg%d" % i, READ, header["header_nbytes"],
+                          nbytes, nbytes),
+                         (name, WRITE, 0, li, li)], b * b)
         body = memoryview(payloads[i])[header["header_nbytes"]:]
         assign_records(blocks[:, starts[i]:starts[i + 1]],
                        decode_block(body, k, li, *coords).reshape(b * b, li))
 
     # Block-wise concatenation in party order (public lengths).
-    trace.repeat(worker, [(("grid.party%d" % i, merged.name), (READ, WRITE),
-                           (0, starts[i]), li, (li, l))
-                          for i, li in enumerate(params.l_i)], b * b)
+    trace.repeat(0, [(("grid.party%d" % i, merged.name), (READ, WRITE),
+                      (0, starts[i]), li, (li, l))
+                     for i, li in enumerate(params.l_i)], b * b)
 
     m = int((merged.data["pad"] == 0).sum())
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
 
 
-def gather_results(sim, state_buf, result_bits, worker=0):
+def gather_results(sim, state_buf, result_bits):
     """Collect the global result array in mapped-ID order 0..n-1.
 
     `result_bits` maps a batch of `state_buf` to its raw u64 result bits.
@@ -401,10 +395,10 @@ def gather_results(sim, state_buf, result_bits, worker=0):
         out["result"] = result_bits(batch)
         return out
 
-    return o_trans(state_buf, to_r, out_name="pipe.R", worker=worker)
+    return o_trans(state_buf, to_r, out_name="pipe.R")
 
 
-def post_process(sim, results_buf, map_bufs, params, worker=0):
+def post_process(sim, results_buf, map_bufs, params):
     """Join results onto the saved per-party maps and split them back out.
 
     The combined list is sorted by (mapped ID, result-is-null) so each
@@ -423,7 +417,7 @@ def post_process(sim, results_buf, map_bufs, params, worker=0):
         out["result"] = NULL64
         return out
 
-    sp = o_trans_merge(map_bufs, from_map, "post.Sp", worker=worker)
+    sp = o_trans_merge(map_bufs, from_map, "post.Sp")
 
     def from_results(batch):
         out = np.zeros(len(batch), dtype=S_DTYPE)
@@ -434,12 +428,12 @@ def post_process(sim, results_buf, map_bufs, params, worker=0):
         out["result"] = batch["result"]
         return out
 
-    sg = o_trans(results_buf, from_results, out_name="post.Sg", worker=worker)
-    combined = o_merge([sp, sg], "post.S", worker=worker)
+    sg = o_trans(results_buf, from_results, out_name="post.Sg")
+    combined = o_merge([sp, sg], "post.S")
     sim.osort_log.append(o_sort(
         combined,
         lambda b: (b["mapped"], (b["result"] == NULL64).astype(np.uint8)),
-        arena, worker=worker,
+        arena,
     ))
 
     def fill(batch):
@@ -451,16 +445,16 @@ def post_process(sim, results_buf, map_bufs, params, worker=0):
         out["result"] = batch["result"][first][gid]
         return out
 
-    combined = o_trans(combined, fill, worker=worker)
+    combined = o_trans(combined, fill)
     kept = o_filter(
         combined, lambda b: (b["party"] != NULL64).astype(np.int64),
-        params.N, "post.kept", arena, worker=worker,
+        params.N, "post.kept", arena,
     )
-    return _split_to_parties(kept, params.n_i, RES_DTYPE, "post.R", arena, worker)
+    return _split_to_parties(kept, params.n_i, RES_DTYPE, "post.R", arena)
 
 
-def result_return_payload(sim, result_buf, worker=0):
-    sim.trace.seq(worker, result_buf.name, READ, 0, len(result_buf))
+def result_return_payload(sim, result_buf):
+    sim.trace.seq(0, result_buf.name, READ, 0, len(result_buf))
     return result_buf.data.astype(RES_DTYPE, copy=False).tobytes()
 
 
@@ -482,29 +476,6 @@ class RunReport:
         out = asdict(self)
         out["salt"] = out.pop("seed_salt")
         return out
-
-
-class _StageTimer:
-    def __init__(self, sim, report):
-        self.sim = sim
-        self.report = report
-
-    def run(self, name, fn):
-        mark = self.sim.trace.mark() if self.sim else None
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except ObligeError as err:
-            if err.stage is None:
-                err.stage = name
-            raise
-        done = time.perf_counter()
-        self.report.stage_seconds[name] = done - start
-        if self.sim is not None:
-            self.report.stage_digests[name] = self.sim.trace.digest(start=mark)
-            if self.sim.trace.enabled:
-                self.report.digest_seconds[name] = time.perf_counter() - done
-        return result
 
 
 def _reference_end_to_end(parties, program, t, f, source_key):
@@ -579,7 +550,24 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
                        workers=workers)
     sim = None if compute is None else OMSim(om_bytes, granularity=granularity,
                                              enabled=record)
-    timer = _StageTimer(sim, report)
+
+    def timed(name, fn):
+        """Run stage `name`: its time, its trace digest and the digest's time."""
+        mark = sim.trace.mark() if sim else None
+        start = time.perf_counter()
+        try:
+            result = fn()
+        except ObligeError as err:
+            if err.stage is None:
+                err.stage = name
+            raise
+        done = time.perf_counter()
+        report.stage_seconds[name] = done - start
+        if sim is not None:
+            report.stage_digests[name] = sim.trace.digest(start=mark)
+            if sim.trace.enabled:
+                report.digest_seconds[name] = time.perf_counter() - done
+        return result
 
     def stage_parties():
         parties = [Party(i, keys, edges, salt)
@@ -588,15 +576,15 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
             raise MalformedPartyFile("parties hold vertex keys of different types")
         return parties
 
-    parties = timer.run("party_setup", stage_parties)
+    parties = timed("party_setup", stage_parties)
 
     if compute is None:
-        results = timer.run(
+        results = timed(
             "compute", lambda: _reference_end_to_end(parties, program, t, f, source_key))
         return results, report, None
 
     if declared_n is None:
-        declared_n = timer.run("declare_n", lambda: len(np.unique(
+        declared_n = timed("declare_n", lambda: len(np.unique(
             _id_keys(np.concatenate([p.ids for p in parties])))))
 
     params = PublicParams.derive(
@@ -612,7 +600,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
             party.receive_mapping(map_return_payload(sim, mbuf))
         return global_map, maps
 
-    global_map, map_bufs = timer.run("vertex_mapping", stage_mapping)
+    global_map, map_bufs = timed("vertex_mapping", stage_mapping)
 
     def stage_preprocess():
         lengths = []
@@ -629,7 +617,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         ]
         return full, payloads
 
-    full_params, grid_payloads = timer.run("edge_preprocess", stage_preprocess)
+    full_params, grid_payloads = timed("edge_preprocess", stage_preprocess)
     report.params = {
         "p": full_params.p, "n_i": list(full_params.n_i), "N": full_params.N,
         "n": full_params.n, "t": t, "s": om_bytes, "k": full_params.k,
@@ -637,14 +625,14 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         "vwidth": full_params.vwidth,
     }
 
-    grid = timer.run(
+    grid = timed(
         "merge_grids",
         lambda: merge_grids(sim, grid_payloads, full_params,
                             symmetrized=program.symmetric))
     del grid_payloads  # the merged grid holds everything they carried
 
     source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
-    results_buf = timer.run("compute", lambda: compute(
+    results_buf = timed("compute", lambda: compute(
         sim, grid, global_map, program, t, f, workers, source_id))
     del grid  # with its cached scan orders, before post-processing allocates
 
@@ -656,6 +644,6 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
             out[party.index] = party.receive_results(payload, app)
         return out
 
-    results = timer.run("post_process", stage_post)
+    results = timed("post_process", stage_post)
     report.osort_lengths = [entry["n"] for entry in sim.osort_log]
     return results, report, sim

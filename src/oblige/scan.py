@@ -72,7 +72,7 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
         out_name = owned_vals.name
     trace = sim.trace
     trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
-    out = Buffer.wrap(trace, out_name, copy_records(owned_vals.data))
+    out = Buffer(trace, out_name, copy_records(owned_vals.data))
     # The kernels' private copy: a read-only view would not do, since
     # ufunc.at writes through it.
     other = copy_records(other_vals.data)

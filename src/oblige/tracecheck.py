@@ -28,7 +28,6 @@ from .scan import full_scan
 class CheckConfig:
     """Fixed public parameters for one family of trials."""
 
-    seed: int = 0
     p: int = 4
     n: int = 256
     overlap: int = 32
@@ -48,7 +47,6 @@ def random_parties(rng, cfg):
     n random raw keys, so {n_i}, N and the distinct count n never vary while
     every key value, overlap membership and edge is fresh per trial.
     """
-    assert cfg.n % cfg.p == 0, "configure n divisible by p"
     stride = cfg.n // cfg.p
     window = stride + cfg.overlap
     # Draw with headroom and dedupe; collisions in a 62-bit space are
@@ -234,13 +232,17 @@ def check_stage(stage, trials, seed, cfg=None):
     """Run `trials` random-secret executions; all stage digests must agree.
 
     Returns a report dict; raises :class:`ObliviousnessViolation` carrying
-    the first divergent (worker, event index) otherwise.
+    the first divergent (worker, event index) otherwise, and
+    :class:`UsageError` for a config no trial can run.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials to compare traces")
-    cfg = cfg or CheckConfig(seed=seed)
-    if cfg.workers < 1:
-        raise UsageError("a check needs at least one worker, not %r" % (cfg.workers,))
+    cfg = cfg or CheckConfig()
+    if min(cfg.workers, cfg.p, cfg.n, cfg.om_bytes) < 1 or cfg.edges_per_party < 0:
+        raise UsageError("a check needs at least one worker, party, vertex and OM byte, "
+                         "and no negative edge count: %r" % (cfg,))
+    if cfg.n % cfg.p:
+        raise UsageError("%d vertices do not split evenly over %d parties" % (cfg.n, cfg.p))
     if stage not in STAGES:
         raise ValueError("unknown stage %r (choose from %s)"
                          % (stage, ", ".join(sorted(STAGES))))

@@ -223,8 +223,20 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
       "--workers", "0"], "UsageError"),
     (["trace-check", "--stage", "pr", "--trials", "2", "--workers", "0"],
      "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--om", "0"], "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--vertices", "255",
+      "--parties", "4"], "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--parties", "0"],
+     "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--vertices", "0"],
+     "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--edges", "-1"],
+     "UsageError"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
-        "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check"])
+        "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
+        "zero-om-trace-check", "uneven-parties-trace-check",
+        "zero-parties-trace-check", "zero-vertices-trace-check",
+        "negative-edges-trace-check"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")

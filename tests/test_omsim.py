@@ -43,17 +43,20 @@ def test_alloc_over_capacity():
         arena.alloc(1025)
 
 
-def test_alloc_disjoint_and_reusable():
+def test_alloc_budget_returns_on_free():
     arena = OMArena(100)
     a = arena.alloc(40)
     b = arena.alloc(40)
-    assert a.offset + a.nbytes <= b.offset or b.offset + b.nbytes <= a.offset
+    with pytest.raises(CapacityExceeded):
+        arena.alloc(21)
     arena.free(a)
     arena.free(b)
-    c = arena.alloc(100)  # freed neighbors coalesce back into one range
-    assert c.nbytes == 100
+    arena.alloc(100)  # the whole budget is back
+    assert (arena.used, arena.peak, arena.free_bytes) == (100, 100, 0)
     with pytest.raises(ValueError):
         arena.free(a)
+    with pytest.raises(ValueError):
+        arena.alloc(0)
 
 
 def test_scan_budget_two_chunks():
@@ -107,6 +110,17 @@ def test_om_accesses_invisible():
     data[3] = 99
     arena.free(handle)
     assert list(sim.trace.events()) == []
+
+
+def test_buffer_registers_and_buffer_from_rows_records_one_write():
+    sim = OMSim(4096)
+    rows = np.arange(5, dtype="<u8").view([("v", "<u8")])
+    Buffer(sim.trace, "plain", rows)
+    assert list(sim.trace.events()) == []
+    buf = sim.buffer_from_rows("copied", rows)
+    assert buf.data is not rows and buf.data.tobytes() == rows.tobytes()
+    assert [ev.astuple() for ev in sim.trace.events()] \
+        == [(0, "copied", i, "write") for i in range(5)]
 
 
 def test_unregistered_region_rejected():

@@ -130,7 +130,7 @@ def _lex_compare(scratch, fields, ii, ll):
     return gt, lt
 
 
-def structured_o_sort(buf, key, arena, worker=0):
+def structured_o_sort(buf, key, arena):
     """The bitonic network run on full (pad, keys, position, record) entries.
 
     Every compare-exchange gathers and swaps whole scratch entries, and every
@@ -162,20 +162,20 @@ def structured_o_sort(buf, key, arena, worker=0):
     scratch = np.zeros(padded, dtype=dt)
     trace.register(scratch_name, padded, dt.itemsize)
 
-    trace.zip2(worker, buf.name, READ, 0, scratch_name, WRITE, 0, n)
+    trace.zip2(0, buf.name, READ, 0, scratch_name, WRITE, 0, n)
     scratch["_rec"][:n] = buf.data
     for i, c in enumerate(cols):
         scratch["_k%d" % i][:n] = c
     scratch["_pos"] = np.arange(padded, dtype=np.uint64)
-    trace.seq(worker, scratch_name, WRITE, n, padded - n)
+    trace.seq(0, scratch_name, WRITE, n, padded - n)
     scratch["_pad"][n:] = 1
 
     def sort_segment(start, ascending):
-        trace.seq(worker, scratch_name, READ, start, seg)
+        trace.seq(0, scratch_name, READ, start, seg)
         view = scratch[start:start + seg]
         order = np.lexsort(tuple(view[f] for f in reversed(fields)))
         scratch[start:start + seg] = view[order if ascending else order[::-1]]
-        trace.seq(worker, scratch_name, WRITE, start, seg)
+        trace.seq(0, scratch_name, WRITE, start, seg)
 
     for t in range(padded // seg):
         sort_segment(t * seg, ascending=t % 2 == 0)
@@ -185,7 +185,7 @@ def structured_o_sort(buf, key, arena, worker=0):
     while k <= padded:
         j = k // 2
         while j >= seg:
-            trace.cx_pass(worker, scratch_name, j, padded)
+            trace.cx_pass(0, scratch_name, j, padded)
             half = np.arange(padded // 2)
             i = (half // j) * (2 * j) + (half % j)
             ll = i + j
@@ -202,7 +202,7 @@ def structured_o_sort(buf, key, arena, worker=0):
             sort_segment(start, ascending=(start & k) == 0)
         k *= 2
 
-    trace.zip2(worker, scratch_name, READ, 0, buf.name, WRITE, 0, n)
+    trace.zip2(0, scratch_name, READ, 0, buf.name, WRITE, 0, n)
     buf.data[:] = scratch["_rec"][:n]
     arena.free(om)
     stats.update(padded=padded, segment=seg, compare_exchanges=cx)
@@ -237,17 +237,15 @@ def sort_cases(draw):
     entry = 1 + sum(np.dtype(d).itemsize for d in dtypes) + 8 + rows.dtype.itemsize
     seg_bits = draw(st.integers(0, _pow2_ceil(max(n, 1)).bit_length() + 1))
     om = (1 << seg_bits) * entry + draw(st.integers(0, entry - 1))
-    worker = draw(st.integers(0, 1))
-    return rows, om, worker
+    return rows, om
 
 
-def _sort_run(sort, rows, om, worker, granularity):
+def _sort_run(sort, rows, om, granularity):
     sim = OMSim(om, granularity=granularity)
     buf = sim.buffer_from_rows("arr", rows)
     arena = sim.new_arena()
     try:
-        stats = sort(buf, lambda b: tuple(b[f] for f in b.dtype.names[:-1]),
-                     arena, worker=worker)
+        stats = sort(buf, lambda b: tuple(b[f] for f in b.dtype.names[:-1]), arena)
     except OMUnavailable:
         stats = "OMUnavailable"
     return (buf.data.tobytes(), sim.trace.worker_digests(),
@@ -257,10 +255,10 @@ def _sort_run(sort, rows, om, worker, granularity):
 @settings(max_examples=80, deadline=None)
 @given(sort_cases())
 def test_o_sort_matches_structured_network(case):
-    rows, om, worker = case
+    rows, om = case
     for granularity in (ELEMENT, CACHELINE):
-        assert _sort_run(o_sort, rows, om, worker, granularity) \
-            == _sort_run(structured_o_sort, rows, om, worker, granularity)
+        assert _sort_run(o_sort, rows, om, granularity) \
+            == _sort_run(structured_o_sort, rows, om, granularity)
 
 
 SPECIAL_KEYS = {
@@ -354,16 +352,16 @@ def test_o_sort_matches_structured_network_at_few_segments(segments):
     entry = 1 + 8 + 8 + rows.dtype.itemsize
     om = (64 // segments) * entry
     for granularity in (ELEMENT, CACHELINE):
-        got = _sort_run(o_sort, rows, om, 0, granularity)
+        got = _sort_run(o_sort, rows, om, granularity)
         assert got[3]["segment"] * segments == got[3]["padded"] == 64
-        assert got == _sort_run(structured_o_sort, rows, om, 0, granularity)
+        assert got == _sort_run(structured_o_sort, rows, om, granularity)
     assert got[0] == rows[np.argsort(rows["k0"], kind="stable")].tobytes()
 
 
 def test_o_sort_refuses_more_than_int32_ranks():
     # Zero-width records: 2^31 + 1 of them take no memory.
     sim = OMSim(1 << 12)
-    buf = Buffer.wrap(sim.trace, "huge", np.zeros((1 << 31) + 1, dtype=np.dtype([])))
+    buf = Buffer(sim.trace, "huge", np.zeros((1 << 31) + 1, dtype=np.dtype([])))
     with pytest.raises(ValueError, match="2\\^31"):
         o_sort(buf, lambda b: np.broadcast_to(np.int64(0), len(b)), sim.new_arena())
 
@@ -382,6 +380,24 @@ def test_o_trans_examples():
 
     empty = key_buf(sim, [], name="empty")
     assert len(o_trans(empty, plus_one, out_name="eout").data) == 0
+
+
+def test_o_trans_in_place_refuses_a_new_dtype():
+    # 8-byte records widened to 16 would write lines 0 and 1 of a 64-byte
+    # granularity trace that registered the buffer at 8 bytes.
+    sim = OMSim(1 << 10, granularity=CACHELINE)
+    buf = key_buf(sim, list(range(8)))
+    before = sim.trace.digest()
+
+    def widen(batch):
+        out = np.zeros(len(batch), dtype=[("k", "<u8"), ("w", "<u8")])
+        out["k"] = batch["k"]
+        return out
+
+    with pytest.raises(ValueError, match="record dtype"):
+        o_trans(buf, widen)
+    assert sim.trace.digest() == before
+    assert o_trans(buf, widen, out_name="wide").data.dtype.itemsize == 16
 
 
 def _running_max(batch):
@@ -452,18 +468,26 @@ def test_o_split_trans_example():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
     buckets = o_split_trans(
-        buf, 3, lambda b: b["k"].astype(np.int64), lambda b: b,
-        [1, 1, 2], "bkt", sim.new_arena(),
+        buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        [1, 1, 2], ["bkt0", "bkt1", "bkt2"], sim.new_arena(),
     )
     assert [b.data["k"].tolist() for b in buckets] == [[0], [1], [2, 2]]
+
+
+def test_o_split_trans_needs_one_name_per_bucket():
+    sim = OMSim(1 << 10)
+    buf = key_buf(sim, [1, 0])
+    with pytest.raises(ValueError, match="one name per bucket"):
+        o_split_trans(buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+                      [1, 1], ["only"], sim.new_arena())
 
 
 def test_o_split_trans_size_mismatch():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
     with pytest.raises(SizeMismatch):
-        o_split_trans(buf, 3, lambda b: b["k"].astype(np.int64), lambda b: b,
-                      [1, 2, 1], "bkt", sim.new_arena())
+        o_split_trans(buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+                      [1, 2, 1], ["bkt0", "bkt1", "bkt2"], sim.new_arena())
 
 
 def test_o_split_trans_evaluates_bucket_fn_twice():
@@ -476,13 +500,14 @@ def test_o_split_trans_evaluates_bucket_fn_twice():
 
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
-    o_split_trans(buf, 3, bucket, lambda b: b, [1, 1, 2], "bkt", sim.new_arena())
+    o_split_trans(buf, bucket, lambda b: b, [1, 1, 2], ["bkt0", "bkt1", "bkt2"],
+                  sim.new_arena())
     assert calls == [4, 4]
     calls.clear()
     with pytest.raises(SizeMismatch, match=r"declared bucket sizes \[1, 2, 1\] but "
                                            r"found \[1, 1, 2\]"):
-        o_split_trans(key_buf(sim, [2, 1, 2, 0], name="b2"), 3, bucket, lambda b: b,
-                      [1, 2, 1], "bkt2", sim.new_arena())
+        o_split_trans(key_buf(sim, [2, 1, 2, 0], name="b2"), bucket, lambda b: b,
+                      [1, 2, 1], ["c0", "c1", "c2"], sim.new_arena())
     assert calls == [4, 4]
 
 
@@ -497,8 +522,8 @@ def test_o_split_trans_equals_sort_then_trans():
     sim = OMSim(1 << 11)
     buf = sim.buffer_from_rows("arr", rows)
     buckets = o_split_trans(
-        buf, 4, lambda b: b["k"].astype(np.int64), lambda b: b,
-        sizes, "bkt", sim.new_arena(),
+        buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        sizes, ["bkt%d" % i for i in range(4)], sim.new_arena(),
     )
     concatenated = np.concatenate([b.data for b in buckets])
 
@@ -536,8 +561,8 @@ def test_trace_pure_function_of_public_shape():
         kept = int((buf.data["k"] % 3 == 0).sum())
         # declared sizes must match the secret data here, so fix them by
         # construction instead: bucket on a public derived index
-        o_split_trans(buf, 3, lambda b: np.arange(33, dtype=np.int64) % 3,
-                      lambda b: b, [11, 11, 11], "b", arena)
+        o_split_trans(buf, lambda b: np.arange(33, dtype=np.int64) % 3,
+                      lambda b: b, [11, 11, 11], ["b0", "b1", "b2"], arena)
         return sim.trace.digest()
 
     assert one(1) == one(2) == one(3)

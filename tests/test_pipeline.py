@@ -662,6 +662,22 @@ def test_run_rejects_fewer_than_one_worker(engine):
                            engine=engine)
 
 
+def test_serial_stages_record_only_on_worker_0():
+    # Only the grid scan is parallel.  With b >= 3 lines and 3 workers each
+    # worker owns a scan line; every other stage records as worker 0.
+    src, dst = kron.generate_kronecker(7, 1 << 9, seed=5)
+    owner = kron.assign_parties(1 << 7, 3, "random", seed=5)
+    parties = kron.split_parties(src, dst, owner, 3)
+    om = RESERVE_BYTES + 2 * 16 * 8
+    source = parties[0][0][0]
+    for app, t, engine, workers in [("pr", 2, "sortscan", {0}), ("bfs", 0, "oblige", {0}),
+                                    ("pr", 1, "oblige", {0, 1, 2})]:
+        _, report, sim = run_end_to_end(parties, app, t, om, SALT, workers=3,
+                                        engine=engine, source_key=source)
+        assert report.params["b"] >= 3
+        assert set(sim.trace.mark()) == workers, (app, t, engine)
+
+
 def test_stage_seconds_cover_the_run():
     src, dst = kron.generate_kronecker(10, 1 << 12, seed=3)
     owner = kron.assign_parties(1 << 10, 3, "random", seed=3)

@@ -181,8 +181,8 @@ def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows
     params = grid.params
     k, b, l, n = params.k, params.b, params.l, params.n
     owned_vals = src_vals if by_rows else dst_vals
-    edges = Buffer.wrap(sim.trace, grid.region_name, grid.edges)
-    out = Buffer.wrap(sim.trace, out_name, np.empty_like(owned_vals.data))
+    edges = Buffer(sim.trace, grid.region_name, grid.edges)
+    out = Buffer(sim.trace, out_name, np.empty_like(owned_vals.data))
     peaks = []
 
     def read(buf, lo, hi, w):
