@@ -30,10 +30,10 @@ trace of any other (and to the same iteration on different secret inputs).
 Value conventions:
 
 * PageRank state is (weight: f64, degree: u64); weights start at 1 and fold
-  as w = (1-f) + f * sum(w_prev(u) / d(u)) over in-edges.  Vertices with no
-  out-edges simply contribute nothing (their message divides by max(d, 1)
-  and is never gathered), so total weight may shrink on graphs with
-  dangling vertices.
+  as w = (1-f) + f * sum(w_prev(u) / d(u)) over in-edges, f being the
+  program's `damping` (0.85).  Vertices with no out-edges simply
+  contribute nothing (their message divides by max(d, 1) and is never
+  gathered), so total weight may shrink on graphs with dangling vertices.
 * BFS distance and WCC label are u64 with INF = 2^64-1 as the unreachable
   sentinel; min() with +1 saturates at INF.
 """
@@ -65,15 +65,15 @@ class VertexProgram:
     `idx` may index every vertex, so it must be defined (and warning-free)
     at vertices with no out-edges, whose value is never used;
     `combine` (np.add or np.minimum) folds the messages arriving at a
-    vertex; `apply(folded, f)` maps the fold to the new value (f is the
-    run's damping factor), or, when None, the fold takes in the old value
-    too.  A `symmetric` program runs over symmetrized edges; results travel
-    as the raw u64 bits of `field`, an 8-byte value.
+    vertex; `apply(folded, damping)` maps the fold to the new value (PR's
+    `damping` is f; None for the others), or, when None, the fold takes in
+    the old value too.  A `symmetric` program runs over symmetrized edges;
+    results travel as the raw u64 bits of `field`, an 8-byte value.
     """
 
     def __init__(self, name, region, state_dtype, field, init, message,
-                 combine, apply=None, needs_degrees=False, needs_source=False,
-                 symmetric=False):
+                 combine, apply=None, damping=None, needs_degrees=False,
+                 needs_source=False, symmetric=False):
         self.name = name
         self.region = region
         self.state_dtype = state_dtype
@@ -82,12 +82,12 @@ class VertexProgram:
         self.message = message
         self.combine = combine
         self.apply = apply
+        self.damping = damping
         self.needs_degrees = needs_degrees
         self.needs_source = needs_source
         self.symmetric = symmetric
         self.vwidth = state_dtype.itemsize
         self.value = value = state_dtype[field]
-        self.result_kind = "f64" if value.kind == "f" else "u64"
         # The fold's starting value: 0 for np.add, the top value for np.minimum.
         self.identity = combine.identity if combine.identity is not None else (
             np.inf if value.kind == "f" else np.iinfo(value).max)
@@ -108,11 +108,11 @@ class VertexProgram:
         msg = self.message(src, np.arange(len(src)))
         self.combine.at(dst[self.field], doff, msg[soff])
 
-    def fold(self, old, idx, msg, f):
+    def fold(self, old, idx, msg):
         """New values of the vertices `old`, given messages `msg` to vertices `idx`."""
         acc = np.full(len(old), self.identity, dtype=old.dtype)
         self.combine.at(acc, idx, msg)
-        return self.combine(old, acc) if self.apply is None else self.apply(acc, f)
+        return self.combine(old, acc) if self.apply is None else self.apply(acc, self.damping)
 
     def result_bits(self, state_data):
         """Final per-vertex results as raw u64 bits (wire representation)."""
@@ -133,8 +133,8 @@ APPS = {program.name: program for program in (
     VertexProgram("pr", "pr.state", PR_STATE, "weight", np.ones,
                   lambda state, idx: state["weight"][idx]
                   / np.maximum(state["degree"][idx], np.uint64(1)),
-                  np.add, apply=lambda acc, f: (1.0 - f) + f * acc,
-                  needs_degrees=True),
+                  np.add, apply=lambda acc, damping: (1.0 - damping) + damping * acc,
+                  damping=0.85, needs_degrees=True),
     VertexProgram("bfs", "bfs.dist", DIST_STATE, "dist",
                   lambda n: np.full(n, INF), _hop, np.minimum, needs_source=True),
     VertexProgram("wcc", "wcc.label", LABEL_STATE, "label",
@@ -201,7 +201,7 @@ def initial_state(sim, grid, global_map, program, workers=1, source_id=None):
     return o_trans(degrees, seed, out_name=program.region)
 
 
-def iteration(sim, grid, state, program, f=0.85, workers=1):
+def iteration(sim, grid, state, program, workers=1):
     """One round: a scan folding every in-edge's message, then `apply`.
 
     Without `apply` the scan folds straight into a copy of the state.  With
@@ -219,7 +219,7 @@ def iteration(sim, grid, state, program, f=0.85, workers=1):
 
     def finish(batch):
         out = copy_records(batch)
-        out[field] = program.apply(batch[field], f)
+        out[field] = program.apply(batch[field], program.damping)
         return out
 
     acc = o_trans(state, clear, out_name=program.name + ".acc")
@@ -227,7 +227,7 @@ def iteration(sim, grid, state, program, f=0.85, workers=1):
     return o_trans(acc, finish, out_name=program.region)
 
 
-def run_app(sim, grid, global_map, program, t, workers=1, f=0.85, source_id=None):
+def run_app(sim, grid, global_map, program, t, workers=1, source_id=None):
     """t rounds of `program` on the grid-scan engine; returns the state buffer."""
     if program.symmetric and not grid.symmetrized:
         raise SymmetryRequired("%s needs a grid built from symmetrized edges"
@@ -235,5 +235,5 @@ def run_app(sim, grid, global_map, program, t, workers=1, f=0.85, source_id=None
     state = initial_state(sim, grid, global_map, program, workers=workers,
                           source_id=source_id)
     for _ in range(t):
-        state = iteration(sim, grid, state, program, f=f, workers=workers)
+        state = iteration(sim, grid, state, program, workers=workers)
     return state

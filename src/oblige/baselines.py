@@ -22,7 +22,7 @@ import numpy as np
 
 from .apps import bfs_initial_dist
 from .omsim import Buffer, copy_records
-from .oprims import o_filter, o_sort, o_trans, o_trans_merge
+from .oprims import group_ids, o_filter, o_sort, o_trans, o_trans_merge
 
 VERTEX, EDGE = 0, 1
 
@@ -41,12 +41,6 @@ def _gather_key(batch):
 def _gather_by_source_key(batch):
     # Out-edges first, their source vertex last (for degree counting).
     return batch["a"], np.uint8(1) - batch["kind"]
-
-
-def _group_ids(keys):
-    change = np.ones(len(keys), dtype=bool)
-    change[1:] = keys[1:] != keys[:-1]
-    return np.cumsum(change) - 1
 
 
 def build_elements(init_vals, edges, kernel):
@@ -76,9 +70,8 @@ def build_elements(init_vals, edges, kernel):
 class SortScanKernel:
     """A vertex program's scatter and gather folds for one sort-scan iteration."""
 
-    def __init__(self, program, f=0.85):
+    def __init__(self, program):
         self.program = program
-        self.f = f
         state = program.state_dtype
         self.dtype = np.dtype(
             [("kind", "u1"), ("a", "<u8"), ("b", "<u8")]
@@ -102,15 +95,15 @@ class SortScanKernel:
         out = copy_records(batch)
         edges = batch["kind"] == EDGE
         verts = ~edges
-        gid = _group_ids(np.where(edges, batch["b"], batch["a"]))
+        gid = group_ids(np.where(edges, batch["b"], batch["a"]))
         out[field][verts] = self.program.fold(
-            batch[field][verts], gid[edges], batch["msg"][edges], self.f)
+            batch[field][verts], gid[edges], batch["msg"][edges])
         out["msg"] = 0
         return out
 
     def count_degrees(self, batch):
         # Called after sorting by (a, 1-kind): groups are source-vertex IDs.
-        gid = _group_ids(batch["a"])
+        gid = group_ids(batch["a"])
         groups = int(gid[-1]) + 1 if len(gid) else 0
         edges = batch["kind"] == EDGE
         out = copy_records(batch)
@@ -128,7 +121,7 @@ def sortscan_iteration(elems, kernel, arena, sim):
     return o_trans(elems, kernel.gather)
 
 
-def sortscan_run(sim, n, edges_buf, program, t, f=0.85, init_bits=None):
+def sortscan_run(sim, n, edges_buf, program, t, init_bits=None):
     """Run a vertex program on the sort-scan engine.
 
     `edges_buf` holds (src, dst) mapped pairs; `init_bits` (a buffer with
@@ -136,7 +129,7 @@ def sortscan_run(sim, n, edges_buf, program, t, f=0.85, init_bits=None):
     the program's `init` in a fresh "ss.init" buffer.  Returns a buffer of
     per-vertex result bits in mapped-ID order.
     """
-    kernel = SortScanKernel(program, f=f)
+    kernel = SortScanKernel(program)
     arena = sim.new_arena()
 
     if init_bits is None:
@@ -165,7 +158,7 @@ def sortscan_run(sim, n, edges_buf, program, t, f=0.85, init_bits=None):
     return o_trans(verts, extract, out_name="ss.result")
 
 
-def sortscan_on_grid(sim, grid, global_map, program, t, f=0.85, source_id=None):
+def sortscan_on_grid(sim, grid, global_map, program, t, source_id=None):
     """The sort-scan engine on a merged grid; returns its result-bits buffer.
 
     The grid's edge slots are copied out ("ss.gridedges") and obliviously
@@ -179,12 +172,12 @@ def sortscan_on_grid(sim, grid, global_map, program, t, f=0.85, source_id=None):
     init = None
     if program.needs_source:
         init = bfs_initial_dist(sim, global_map, source_id)
-    return sortscan_run(sim, grid.params.n, edges, program, t, f=f, init_bits=init)
+    return sortscan_run(sim, grid.params.n, edges, program, t, init_bits=init)
 
 
 # -- non-oblivious reference oracle ------------------------------------------
 
-def reference_run(program, n, src, dst, t, f=0.85, source=None):
+def reference_run(program, n, src, dst, t, source=None):
     """Adjacency-style engine with the same t-round semantics, no obliviousness.
 
     BFS/WCC rounds are Jacobi relaxations, so results match the scan engine
@@ -202,6 +195,6 @@ def reference_run(program, n, src, dst, t, f=0.85, source=None):
     for _ in range(t):
         new = copy_records(state)
         new[program.field] = program.fold(
-            state[program.field], dst, program.message(state, src), f)
+            state[program.field], dst, program.message(state, src))
         state = new
     return np.ascontiguousarray(state[program.field])

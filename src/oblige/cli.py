@@ -66,6 +66,8 @@ def _salt_from_seed(seed):
 
 
 def cmd_gen_kron(args):
+    if args.scale < 0 or args.edge_scale < 0:
+        raise UsageError("--scale and --edge-scale must be at least 0")
     src, dst = kron.generate_kronecker(args.scale, 1 << args.edge_scale, args.seed)
     kron.write_edge_list(args.output, src, dst)
     print("wrote %d edges over %d vertices to %s"
@@ -208,14 +210,14 @@ def build_parser():
     r.add_argument("party_files", nargs="+")
     r.add_argument("--app", choices=sorted(APPS), required=True)
     r.add_argument("-t", "--iterations", type=int, default=10)
-    r.add_argument("--om", default="1.25MiB")
+    r.add_argument("--om", default=str(DEFAULT_OM))
     r.add_argument("--workers", type=int, default=1)
     r.add_argument("--engine", choices=sorted(ENGINES), default="oblige")
     r.add_argument("--granularity", default="element",
                    help="'element' or a byte line size such as 64")
     r.add_argument("--no-trace", action="store_true",
                    help="disable recording (timing runs)")
-    r.add_argument("--damping", type=float, default=0.85)
+    r.add_argument("--damping", type=float, help="PR damping (default %g)" % APPS["pr"].damping)
     r.add_argument("--source", type=int, default=None, help="bfs source raw key")
     r.add_argument("--seed", type=int, default=0, help="salt seed")
     r.add_argument("--outdir", default="oblige-out")
@@ -226,12 +228,12 @@ def build_parser():
     tc.add_argument("--stage", choices=sorted(STAGES), default="pipeline_pr")
     tc.add_argument("--trials", type=int, default=20)
     tc.add_argument("--seed", type=int, default=0)
-    tc.add_argument("--vertices", type=int, default=256)
-    tc.add_argument("--parties", type=int, default=4)
-    tc.add_argument("--edges", type=int, default=512,
+    tc.add_argument("--vertices", type=int, default=CheckConfig.n)
+    tc.add_argument("--parties", type=int, default=CheckConfig.p)
+    tc.add_argument("--edges", type=int, default=CheckConfig.edges_per_party,
                     help="edges per party in the generated secrets")
-    tc.add_argument("--om", default="32KiB")
-    tc.add_argument("--workers", type=int, default=2)
+    tc.add_argument("--om", default=str(CheckConfig.om_bytes))
+    tc.add_argument("--workers", type=int, default=CheckConfig.workers)
     tc.add_argument("--leaky", action="store_true",
                     help="negative control: run the intentionally leaky kernel")
     tc.set_defaults(fn=cmd_trace_check)
@@ -244,7 +246,7 @@ def build_parser():
     b.add_argument("--factors", default="0.25,0.5,1,2,4")
     b.add_argument("--fixed-scale", type=int, default=14)
     b.add_argument("--fixed-edge-scale", type=int, default=16)
-    b.add_argument("--om", default="1.25MiB")
+    b.add_argument("--om", default=str(DEFAULT_OM))
     b.add_argument("-t", "--iterations", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--workers", type=int, default=1)

@@ -8,15 +8,15 @@ benchmark behavior.
 
 import numpy as np
 
-from .errors import MalformedPartyFile
+from .errors import MalformedPartyFile, UsageError
 
 RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
 
 
-def generate_kronecker(scale, num_edges, seed, probs=RMAT_PROBS):
+def generate_kronecker(scale, num_edges, seed):
     """`num_edges` edges over 2**scale vertices; deterministic in `seed`."""
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(probs[:3])
+    cum = np.cumsum(RMAT_PROBS[:3])
     src = np.zeros(num_edges, dtype=np.uint64)
     dst = np.zeros(num_edges, dtype=np.uint64)
     for bit in range(scale):
@@ -47,6 +47,8 @@ def read_edge_list(path):
 
 def assign_parties(num_vertices, p, mode, seed):
     """Vertex -> party owner array; `mode` is "random" or "range"."""
+    if p < 1 or num_vertices < 0:
+        raise UsageError("cannot split %d vertices over %d parties" % (num_vertices, p))
     if mode == "random":
         rng = np.random.default_rng(seed)
         return rng.integers(0, p, size=num_vertices)

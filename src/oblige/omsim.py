@@ -61,6 +61,7 @@ the events before it.
 import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 
@@ -126,6 +127,8 @@ def _region_tag(name):
 # A lane is (c, x, num, den): its t-th event is c + ((x + t) * num) // den,
 # where c holds the event's region tag and kind bits and num/den is the
 # element width over the granularity in lowest terms (1/1 at ELEMENT).
+# Its tuples are built from lists, not generators, so a digest leaves the
+# collector's young-object count as it found it (no collection lands in it).
 
 
 @functools.lru_cache(maxsize=_MEMO)
@@ -167,32 +170,39 @@ def _rise_hash(rises, units):
     return h
 
 
+def _periodic(m, count, period, d, prefix, arg):
+    """Hash of `count` units of m events: `period` units repeated, then a remainder.
+
+    `prefix(arg, j)` hashes the first j <= period units; unit u + period is
+    unit u with its m events risen by the values `d` hashes.
+    """
+    blocks, rem = divmod(count, period)
+    h = 0
+    if blocks:
+        s0, s1 = _geo(m * period, blocks)
+        h = prefix(arg, period) * s0 + d * _geo(m, period)[0] * s1
+    if rem:
+        h = h * _xpow(m * rem) + blocks * d * _geo(m, rem)[0] + prefix(arg, rem)
+    return h % _P
+
+
 def _lanes_hash(lanes, units):
     """Hash of `units` rounds of interleaved lanes, one event per lane a round.
 
     Every `period` rounds each lane's offset rises by period * num // den,
-    so the rounds are a block of `period` rounds repeated, plus a remainder.
+    so the rounds are periodic (see `_periodic`) after their first events.
     """
-    width = len(lanes)
     period = 1
-    for _, _, _, den in lanes:
-        period = period * den // math.gcd(period, den)
+    for lane in lanes:
+        period = math.lcm(period, lane[3])
     first = step = 0
     rises = []
     for c, x, num, den in lanes:
         first = (first * _X + c + x * num // den) % _P
         step = (step * _X + period * num // den) % _P
         rises.append((num, den, x % den))
-    rises = tuple(rises)
-    blocks, rem = divmod(units, period)
-    h = 0
-    if blocks:
-        s0, s1 = _geo(width * period, blocks)
-        h = _rise_hash(rises, period) * s0 + step * _geo(width, period)[0] * s1
-    if rem:
-        h = (h * _xpow(width * rem) + blocks * step * _geo(width, rem)[0]
-             + _rise_hash(rises, rem))
-    return (first * _geo(width, units)[0] + h) % _P
+    h = _periodic(len(lanes), units, period, step, _rise_hash, tuple(rises))
+    return (first * _geo(len(lanes), units)[0] + h) % _P
 
 
 class AccessEvent:
@@ -217,14 +227,18 @@ class AccessEvent:
 
 
 class _Region:
-    __slots__ = ("name", "length", "width", "tag", "code")
+    """A registered buffer; num/den is its width over the granularity, 1/1 at ELEMENT."""
 
-    def __init__(self, name, length, width):
+    __slots__ = ("name", "length", "width", "tag", "code", "num", "den")
+
+    def __init__(self, name, length, width, granularity):
         self.name = name
         self.length = length
         self.width = width
         self.tag = _region_tag(name)
         self.code = 1 + (int.from_bytes(self.tag, "little") << 65)
+        g = 0 if granularity is ELEMENT else math.gcd(width, granularity)
+        self.num, self.den = (width // g, granularity // g) if g else (1, 1)
 
     def event(self, kind):
         """The part of this region's event integers that is not the offset."""
@@ -259,19 +273,13 @@ class AccessTrace:
         """
         reg = self._regions.get(name)
         if reg is None or (reg.length, reg.width) != (length, width):
-            self._regions[name] = _Region(name, length, width)
+            self._regions[name] = _Region(name, length, width, self.granularity)
 
     def _require(self, name):
         region = self._regions.get(name)
         if region is None:
             raise KeyError("access to unregistered region %r" % name)
         return region
-
-    def _stream(self, worker):
-        stream = self._streams.get(worker)
-        if stream is None:
-            stream = self._streams[worker] = []
-        return stream
 
     # -- recording ---------------------------------------------------------
 
@@ -345,7 +353,7 @@ class AccessTrace:
             if length:
                 packed.append((tuple(lanes), int(length)))
         if packed:
-            self._stream(worker).append((tuple(packed), int(count)))
+            self._streams.setdefault(worker, []).append((tuple(packed), int(count)))
 
     def points(self, worker, region, kind, offsets):
         """Record accesses at explicit element offsets (in the given order).
@@ -355,13 +363,6 @@ class AccessTrace:
         self.repeat(worker, [(region, kind, o, 1, 0) for o in offsets], 1)
 
     # -- expansion ---------------------------------------------------------
-
-    def _ratio(self, reg):
-        """Element width over the granularity, in lowest terms (1/1 at ELEMENT)."""
-        if self.granularity is ELEMENT:
-            return 1, 1
-        g = math.gcd(reg.width, self.granularity)
-        return reg.width // g, self.granularity // g
 
     def _expand(self, rec):
         """(region names, region index, kind and quantized offset per event)."""
@@ -375,7 +376,7 @@ class AccessTrace:
             for reg, kind, start, rise in lanes:
                 if reg.name not in names:
                     names.append(reg.name)
-                lane.append((start, rise, names.index(reg.name), kind) + self._ratio(reg))
+                lane.append((start, rise, names.index(reg.name), kind, reg.num, reg.den))
             lane = np.array(lane, dtype=np.uint64).T
             parts.append(np.repeat(lane[:, None, :], length, axis=1))
             parts[-1][0] += np.arange(length, dtype=np.uint64)[:, None]
@@ -401,56 +402,39 @@ class AccessTrace:
 
     # -- digests -----------------------------------------------------------
 
-    def _lane(self, reg, kind, start):
-        num, den = self._ratio(reg)
-        return reg.event(int(kind)), start, num, den
-
     def _repeat_hash(self, runs, count):
         """(event count, hash) of `count` copies of a group of runs (see `repeat`).
 
         A lane's quantized offset rises by the same amount from copy a to
         a + c once c * rise is a whole number of quantization periods,
-        c = den / gcd(den, rise * num).  So `period`, the lcm of those c, copies
-        are hashed one by one and repeated as a block, and a remainder of
-        copies follows.
+        c = den / gcd(den, rise * num).  So the copies are periodic (see
+        `_periodic`) with `period` the lcm of those c.
         """
         m = sum(len(lanes) * length for lanes, length in runs)
 
         def copy_hash(a):
             h = 0
             for lanes, length in runs:
-                lane = tuple(self._lane(reg, kind, start + a * rise)
-                             for reg, kind, start, rise in lanes)
+                lane = tuple([(reg.event(kind), start + a * rise, reg.num, reg.den)
+                              for reg, kind, start, rise in lanes])
                 h = (h * _xpow(len(lanes) * length) + _lanes_hash(lane, length)) % _P
             return h
 
         if count == 1:  # a seq, zip2 or points record
             return m, copy_hash(0)
-        period = 1
-        for lanes, _ in runs:
-            for reg, _, _, rise in lanes:
-                num, den = self._ratio(reg)
-                period = math.lcm(period, den // math.gcd(den, rise * num))
+        period = math.lcm(*[reg.den // math.gcd(reg.den, rise * reg.num)
+                            for lanes, _ in runs for reg, _, _, rise in lanes])
         # d: how much each event has risen after `period` copies, as a hash.
         d = 0
         for lanes, length in runs:
             step = 0
             for reg, _, _, rise in lanes:
-                num, den = self._ratio(reg)
-                step = step * _X + period * rise * num // den
+                step = step * _X + period * rise * reg.num // reg.den
             d = (d * _xpow(len(lanes) * length) + step * _geo(len(lanes), length)[0]) % _P
-        hashes = [copy_hash(a) for a in range(min(period, count))]
-        blocks, rem = divmod(count, period)
-        h = 0
-        if blocks:
-            block = 0
-            for hc in hashes:
-                block = (block * _xpow(m) + hc) % _P
-            s0, s1 = _geo(period * m, blocks)
-            h = block * s0 + d * _geo(m, period)[0] * s1
-        for hc in hashes[:rem]:
-            h = (h * _xpow(m) + hc + blocks * d) % _P
-        return count * m, h % _P
+        prefixes = [0]  # hash of the first j copies
+        for a in range(min(period, count)):
+            prefixes.append((prefixes[-1] * _xpow(m) + copy_hash(a)) % _P)
+        return count * m, _periodic(m, count, period, d, operator.getitem, prefixes)
 
     def _prefix_states(self, worker, start=0, end=None):
         """(event count, hash) of the worker's stream after each record, from (0, 0)."""
@@ -497,11 +481,6 @@ class AccessTrace:
         for d in sorted(per_worker.values()):
             h.update(bytes.fromhex(d))
         return h.hexdigest()
-
-    def dump(self, fp):
-        """Write one `worker,region,offset,kind` line per event."""
-        for ev in self.events():
-            fp.write("%d,%s,%d,%s\n" % ev.astuple())
 
     def first_divergence(self, other):
         """First differing (worker, event index, ours, theirs), or None.

@@ -242,6 +242,21 @@ def o_sort(buf, key, arena):
     return stats
 
 
+def group_ids(keys):
+    """Dense 0-based id of each key's run of equal neighbours (on sorted keys, its rank)."""
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return np.cumsum(fresh) - 1
+
+
+def _mapped(fn, buf, *args):
+    """``fn(buf.data, *args)`` as an array; ValueError unless it keeps the length."""
+    result = np.asarray(fn(buf.data, *args))
+    if len(result) != len(buf.data):
+        raise ValueError("o_trans fn changed the array length")
+    return result
+
+
 def o_trans(buf, fn, out_name=None):
     """Map `fn` over the records of `buf` (one read/write pass per element).
 
@@ -250,29 +265,26 @@ def o_trans(buf, fn, out_name=None):
     trace.  With `out_name` unset the result replaces the buffer contents in
     place (same region), and must keep the record dtype (ValueError
     otherwise: wider records would write lines the trace never saw);
-    otherwise a new buffer is created.
+    otherwise it is `o_trans_merge` of the one buffer.
     """
-    n = len(buf.data)
-    result = np.asarray(fn(buf.data))
-    if len(result) != n:
-        raise ValueError("o_trans fn changed the array length")
-    trace = buf.trace
-    if out_name is None or out_name == buf.name:
-        if result.dtype != buf.data.dtype:
-            raise ValueError("an in-place o_trans cannot change the record dtype")
-        trace.zip2(0, buf.name, READ, 0, buf.name, WRITE, 0, n)
-        assign_records(buf.data, result)
-        return buf
-    out = Buffer(trace, out_name, copy_records(result))
-    trace.zip2(0, buf.name, READ, 0, out_name, WRITE, 0, n)
-    return out
+    if out_name is not None and out_name != buf.name:
+        return o_trans_merge([buf], lambda batch, _: fn(batch), out_name)
+    result = _mapped(fn, buf)
+    if result.dtype != buf.data.dtype:
+        raise ValueError("an in-place o_trans cannot change the record dtype")
+    buf.trace.zip2(0, buf.name, READ, 0, buf.name, WRITE, 0, len(result))
+    assign_records(buf.data, result)
+    return buf
 
 
 def o_trans_merge(bufs, fn, out_name):
-    """Concatenate `fn(batch_i, i)` over input buffers, i-major then j-minor, into `out_name`."""
-    parts = [np.asarray(fn(b.data, i)) for i, b in enumerate(bufs)]
+    """Concatenate `fn(batch_i, i)` over input buffers, i-major then j-minor, into `out_name`.
+
+    Each part must keep its input's length (ValueError otherwise).
+    """
+    parts = [_mapped(fn, b, i) for i, b in enumerate(bufs)]
     total = sum(len(p) for p in parts)
-    out = Buffer(bufs[0].trace, out_name, np.zeros(total, dtype=parts[0].dtype))
+    out = Buffer(bufs[0].trace, out_name, np.empty(total, dtype=parts[0].dtype))
     pos = 0
     for b, part in zip(bufs, parts):
         out.trace.zip2(0, b.name, READ, 0, out.name, WRITE, pos, len(part))

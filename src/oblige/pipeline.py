@@ -31,6 +31,7 @@ Message formats (all integers little-endian):
   RESULT_RETURN   n_i x (16-byte ID + 8-byte result bits)
 """
 
+import copy
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field
@@ -60,7 +61,7 @@ from .grid import (
     parse_grid_header,
 )
 from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, assign_records, copy_records
-from .oprims import o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
+from .oprims import group_ids, o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
 
 NULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -306,10 +307,7 @@ def vertex_mapping(sim, vertex_ids, declared_n):
 
     def assign(batch):
         out = copy_records(batch)
-        fresh = np.ones(len(batch), dtype=bool)
-        fresh[1:] = (batch["h"][1:] != batch["h"][:-1]) \
-            | (batch["l"][1:] != batch["l"][:-1])
-        out["mapped"] = np.cumsum(fresh) - 1
+        out["mapped"] = group_ids(_id_keys(batch))
         return out
 
     merged = o_trans(merged, assign)
@@ -438,10 +436,8 @@ def post_process(sim, results_buf, map_bufs, params):
 
     def fill(batch):
         out = copy_records(batch)
-        fresh = np.ones(len(batch), dtype=bool)
-        fresh[1:] = batch["mapped"][1:] != batch["mapped"][:-1]
-        gid = np.cumsum(fresh) - 1
-        first = np.flatnonzero(fresh)
+        gid = group_ids(batch["mapped"])
+        first = np.flatnonzero(np.diff(gid, prepend=-1))  # each group's real result
         out["result"] = batch["result"][first][gid]
         return out
 
@@ -465,7 +461,7 @@ class RunReport:
     app: str
     engine: str
     params: dict
-    seed_salt: str
+    salt: str
     workers: int
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     stage_digests: Dict[str, str] = field(default_factory=dict)
@@ -473,12 +469,10 @@ class RunReport:
     osort_lengths: List[int] = field(default_factory=list)
 
     def to_dict(self):
-        out = asdict(self)
-        out["salt"] = out.pop("seed_salt")
-        return out
+        return asdict(self)
 
 
-def _reference_end_to_end(parties, program, t, f, source_key):
+def _reference_end_to_end(parties, program, t, source_key):
     """Oracle path: same merged graph and mapping, no obliviousness at all.
 
     Vertices are ranked by their own sort of the IDs (by (h, l), as the
@@ -498,19 +492,18 @@ def _reference_end_to_end(parties, program, t, f, source_key):
         if found is None:
             raise UnknownSource("source vertex is not present in the merged graph")
         source = found[0]
-    values = baselines.reference_run(program, len(uniq), src, dst, t, f=f,
-                                     source=source)
+    values = baselines.reference_run(program, len(uniq), src, dst, t, source=source)
     return {p.index: dict(zip(p.raw_keys, values[r])) for r, p in zip(ranks, parties)}
 
 
-def _scan_engine(sim, grid, global_map, program, t, f, workers, source_id):
+def _scan_engine(sim, grid, global_map, program, t, workers, source_id):
     state = apps_mod.run_app(sim, grid, global_map, program, t, workers=workers,
-                             f=f, source_id=source_id)
+                             source_id=source_id)
     return gather_results(sim, state, program.result_bits)
 
 
-def _sortscan_engine(sim, grid, global_map, program, t, f, workers, source_id):
-    bits = baselines.sortscan_on_grid(sim, grid, global_map, program, t, f=f,
+def _sortscan_engine(sim, grid, global_map, program, t, workers, source_id):
+    bits = baselines.sortscan_on_grid(sim, grid, global_map, program, t,
                                       source_id=source_id)
     return gather_results(sim, bits, lambda batch: batch["result"])
 
@@ -522,14 +515,15 @@ ENGINES = {"oblige": _scan_engine, "sortscan": _sortscan_engine, "reference": No
 
 def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
                    engine="oblige", granularity=ELEMENT, record=True,
-                   f=0.85, source_key=None, declared_n=None,
+                   f=None, source_key=None, declared_n=None,
                    block_length_override=None):
     """Full workflow over in-process parties; returns (per-party results, report).
 
     `party_inputs` is a list of (raw_keys, edges) pairs.  `declared_n` stands
     in for the out-of-band agreement on the merged vertex count; when None it
     is computed the way the parties would jointly announce it.  The oblivious
-    engines verify the declaration rather than trust it.
+    engines verify the declaration rather than trust it.  `f` is the damping
+    factor of a program that has one (PageRank); None keeps the program's.
 
     The run is timed as consecutive stages in `report.stage_seconds`:
     party_setup (the parties read their inputs and obfuscate their IDs),
@@ -541,12 +535,17 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         raise ValueError("unknown application %r or engine %r" % (app, engine))
     if workers < 1:
         raise UsageError("a run needs at least one worker, not %r" % (workers,))
+    if t < 0:
+        raise UsageError("a run needs a round count of at least 0, not %r" % (t,))
     program = apps_mod.APPS[app]
+    if f is not None and program.damping is not None:
+        program = copy.copy(program)  # the registry keeps its default
+        program.damping = f
     compute = ENGINES[engine]
     if program.needs_source and source_key is None:
         raise UnknownSource("%s needs a source vertex key" % app)
 
-    report = RunReport(app=app, engine=engine, params={}, seed_salt=salt.hex(),
+    report = RunReport(app=app, engine=engine, params={}, salt=salt.hex(),
                        workers=workers)
     sim = None if compute is None else OMSim(om_bytes, granularity=granularity,
                                              enabled=record)
@@ -580,7 +579,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
 
     if compute is None:
         results = timed(
-            "compute", lambda: _reference_end_to_end(parties, program, t, f, source_key))
+            "compute", lambda: _reference_end_to_end(parties, program, t, source_key))
         return results, report, None
 
     if declared_n is None:
@@ -618,12 +617,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         return full, payloads
 
     full_params, grid_payloads = timed("edge_preprocess", stage_preprocess)
-    report.params = {
-        "p": full_params.p, "n_i": list(full_params.n_i), "N": full_params.N,
-        "n": full_params.n, "t": t, "s": om_bytes, "k": full_params.k,
-        "b": full_params.b, "l_i": list(full_params.l_i), "l": full_params.l,
-        "vwidth": full_params.vwidth,
-    }
+    report.params = asdict(full_params)
 
     grid = timed(
         "merge_grids",
@@ -633,7 +627,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
 
     source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
     results_buf = timed("compute", lambda: compute(
-        sim, grid, global_map, program, t, f, workers, source_id))
+        sim, grid, global_map, program, t, workers, source_id))
     del grid  # with its cached scan orders, before post-processing allocates
 
     def stage_post():

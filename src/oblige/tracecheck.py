@@ -23,6 +23,8 @@ from .oprims import o_sort
 from .pipeline import obfuscate_ids, run_end_to_end, vertex_mapping
 from .scan import full_scan
 
+CHECK_SALT = b"tracecheck-salt!"  # every trial's parties share it
+
 
 @dataclass
 class CheckConfig:
@@ -35,9 +37,6 @@ class CheckConfig:
     om_bytes: int = 1 << 15
     workers: int = 2
     t: int = 1
-
-    def salt(self):
-        return b"tracecheck-salt!"[:16]
 
 
 def random_parties(rng, cfg):
@@ -123,12 +122,16 @@ def _app_fixture(rng, cfg, sim, program):
     return grid, sim.buffer_from_rows(program.region, state)
 
 
-def _stage_full_scan(rng, cfg):
-    sim = OMSim(cfg.om_bytes)
-    grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
-    return _staged(sim, lambda: full_scan(
-        grid, state, state, apps_mod.APPS["pr"].kernel, sim, workers=cfg.workers,
-        out_name="chk.out"))
+def _stage_full_scan(leaky=False):
+    # With `leaky` the scan runs `_leaky_pr_kernel`, the negative control.
+    def runner(rng, cfg):
+        sim = OMSim(cfg.om_bytes)
+        grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
+        kernel = _leaky_pr_kernel(sim) if leaky else apps_mod.APPS["pr"].kernel
+        return _staged(sim, lambda: full_scan(
+            grid, state, state, kernel, sim, workers=cfg.workers, out_name="chk.out"))
+
+    return runner
 
 
 def _stage_full_scan_rows(rng, cfg):
@@ -142,7 +145,7 @@ def _stage_full_scan_rows(rng, cfg):
 def _stage_vertex_mapping(rng, cfg):
     sim = OMSim(cfg.om_bytes)
     parties = random_parties(rng, cfg)
-    ids = [obfuscate_ids(keys, cfg.salt()) for keys, _ in parties]
+    ids = [obfuscate_ids(keys, CHECK_SALT) for keys, _ in parties]
     return _staged(sim, lambda: vertex_mapping(sim, ids, cfg.n))
 
 
@@ -153,7 +156,7 @@ def _run_pipeline(rng, cfg, app, engine="oblige", leaky=False):
     sym = 2 if program.symmetric else 1
     override = [cfg.edges_per_party * sym] * cfg.p
     return run_end_to_end(
-        parties, app, cfg.t, cfg.om_bytes, cfg.salt(), workers=cfg.workers,
+        parties, app, cfg.t, cfg.om_bytes, CHECK_SALT, workers=cfg.workers,
         engine=engine, granularity=ELEMENT, source_key=source,
         declared_n=cfg.n, block_length_override=override,
     )
@@ -197,14 +200,6 @@ def _stage_sortscan_iteration(rng, cfg):
         elems, kernel, arena, sim))
 
 
-def _stage_pr_leaky(rng, cfg):
-    sim = OMSim(cfg.om_bytes)
-    grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
-    kernel = _leaky_pr_kernel(sim)
-    return _staged(sim, lambda: full_scan(
-        grid, state, state, kernel, sim, workers=cfg.workers, out_name="chk.out"))
-
-
 def _stage_whole_pipeline(app, engine="oblige"):
     def runner(rng, cfg):
         results, report, sim = _run_pipeline(rng, cfg, app, engine=engine)
@@ -215,14 +210,14 @@ def _stage_whole_pipeline(app, engine="oblige"):
 
 STAGES = {
     "o_sort": _stage_o_sort,
-    "full_scan": _stage_full_scan,
+    "full_scan": _stage_full_scan(),
     "full_scan_rows": _stage_full_scan_rows,
     "vertex_mapping": _stage_vertex_mapping,
     "merge_grids": _stage_of_pipeline("merge_grids"),
     "post_process": _stage_of_pipeline("post_process"),
     **{app: _stage_app_iteration(app) for app in apps_mod.APPS},
     "sortscan": _stage_sortscan_iteration,
-    "pr_leaky": _stage_pr_leaky,
+    "pr_leaky": _stage_full_scan(leaky=True),
     **{"pipeline_" + app: _stage_whole_pipeline(app) for app in apps_mod.APPS},
     "pipeline_sortscan": _stage_whole_pipeline("pr", engine="sortscan"),
 }

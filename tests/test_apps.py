@@ -246,7 +246,8 @@ def test_per_iteration_digest_constant_bfs_wcc():
 
 
 def test_app_registry_metadata():
-    assert APPS["pr"].vwidth == 16 and APPS["pr"].result_kind == "f64"
+    assert APPS["pr"].vwidth == 16 and APPS["pr"].damping == 0.85
+    assert APPS["bfs"].damping is None and APPS["wcc"].damping is None
     assert APPS["bfs"].vwidth == 8 and not APPS["bfs"].symmetric
     assert APPS["wcc"].symmetric
     bits = APPS["pr"].result_bits(np.array([(1.5, 2)], dtype=APPS["pr"].state_dtype))

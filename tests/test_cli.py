@@ -232,14 +232,27 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
      "UsageError"),
     (["trace-check", "--stage", "pr", "--trials", "2", "--edges", "-1"],
      "UsageError"),
+    (["partition", "{edges}", "-p", "0", "-o", "{out}"], "UsageError"),
+    (["partition", "{edges}", "-p", "-2", "-o", "{out}"], "UsageError"),
+    (["gen-kron", "--scale", "-1", "--edge-scale", "4", "-o", "{out}"], "UsageError"),
+    (["gen-kron", "--scale", "4", "--edge-scale", "-1", "-o", "{out}"], "UsageError"),
+    (["run", "{party}", "--app", "pr", "-t", "-3", "--outdir", "{out}"], "UsageError"),
+    (["bench", "--n-scales", "6", "--m-scales", "6", "--om", "16KiB", "-t", "-1"],
+     "UsageError"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
         "zero-parties-trace-check", "zero-vertices-trace-check",
-        "negative-edges-trace-check"])
+        "negative-edges-trace-check", "zero-parties-partition",
+        "negative-parties-partition", "negative-scale-gen-kron",
+        "negative-edge-scale-gen-kron", "negative-rounds-run",
+        "negative-rounds-bench"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
-    names = dict(missing=tmp_path / "missing.txt", party=party, out=tmp_path / "out")
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n")
+    names = dict(missing=tmp_path / "missing.txt", party=party, edges=edges,
+                 out=tmp_path / "out")
     assert main([a.format(**names) for a in argv]) == 2
     assert error in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Arena budgeting, trace recording, quantization and digest behavior."""
 
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -216,15 +215,6 @@ def test_cx_pass_expansion():
         (0, "r", 1, "read"), (0, "r", 3, "read"),
         (0, "r", 1, "write"), (0, "r", 3, "write"),
     ]
-
-
-def test_dump_format():
-    trace = AccessTrace(granularity=ELEMENT)
-    trace.register("edges", 4, 8)
-    trace.seq(1, "edges", WRITE, 2, 1)
-    out = io.StringIO()
-    trace.dump(out)
-    assert out.getvalue() == "1,edges,2,write\n"
 
 
 def test_first_divergence_located():

@@ -442,6 +442,19 @@ def test_o_trans_merge_order_and_empty():
     assert len(o_trans_merge([e1, e2], tag, "m2").data) == 0
 
 
+@pytest.mark.parametrize("change", [lambda rows: rows[1:],
+                                    lambda rows: np.concatenate([rows, rows[:1]])],
+                         ids=["shorter", "longer"])
+def test_o_trans_merge_refuses_a_part_of_another_length(change):
+    sim = OMSim(1 << 10)
+    a = key_buf(sim, [1, 2], name="a")
+    b = key_buf(sim, [3, 4, 5], name="b")
+    before = sim.trace.digest()
+    with pytest.raises(ValueError, match="length"):
+        o_trans_merge([a, b], lambda batch, i: change(batch) if i else batch, "m")
+    assert sim.trace.digest() == before
+
+
 def test_o_trans_merge_trace_purity():
     def digest(values_a, values_b):
         sim = OMSim(1 << 10)

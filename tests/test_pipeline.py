@@ -662,6 +662,33 @@ def test_run_rejects_fewer_than_one_worker(engine):
                            engine=engine)
 
 
+@pytest.mark.parametrize("engine", ["oblige", "sortscan", "reference"])
+def test_run_rejects_a_negative_round_count(engine):
+    parties = [([1, 2, 3], [(1, 2), (2, 3)])]
+    with pytest.raises(UsageError):
+        run_end_to_end(parties, "pr", -3, 1 << 16, SALT, engine=engine)
+
+
+def test_damping_reaches_every_engine():
+    from oblige.apps import APPS
+
+    src, dst = kron.generate_kronecker(6, 1 << 8, seed=3)
+    owner = kron.assign_parties(1 << 6, 2, "random", seed=3)
+    parties = kron.split_parties(src, dst, owner, 2)
+
+    def values(engine, f):
+        got, _, _ = run_end_to_end(parties, "pr", 4, 1 << 16, SALT, engine=engine, f=f)
+        return np.array([got[i][key] for i in sorted(got) for key in sorted(got[i])])
+
+    half = {engine: values(engine, 0.5) for engine in ("oblige", "sortscan", "reference")}
+    default = values("reference", None)
+    for engine in ("oblige", "sortscan"):
+        np.testing.assert_allclose(half[engine], half["reference"], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(values("oblige", 0.85), default, rtol=1e-9, atol=0)
+    assert not np.allclose(half["reference"], default, rtol=1e-3)
+    assert APPS["pr"].damping == 0.85
+
+
 def test_serial_stages_record_only_on_worker_0():
     # Only the grid scan is parallel.  With b >= 3 lines and 3 workers each
     # worker owns a scan line; every other stage records as worker 0.
