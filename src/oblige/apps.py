@@ -160,7 +160,7 @@ def compute_out_degrees(sim, grid, workers=1):
                           out_name="degrees")
 
 
-def bfs_initial_dist(sim, global_map, source_id):
+def bfs_initial_dist(global_map, source_id):
     """BFS state seeded by an equality scan over the merged ID map.
 
     The map is stored in mapped-ID order, so position j holds the vertex
@@ -188,7 +188,7 @@ def bfs_initial_dist(sim, global_map, source_id):
 def initial_state(sim, grid, global_map, program, workers=1, source_id=None):
     """The program's state buffer before its first round."""
     if program.needs_source:
-        return bfs_initial_dist(sim, global_map, source_id)
+        return bfs_initial_dist(global_map, source_id)
     if not program.needs_degrees:
         return sim.buffer_from_rows(program.region, program.initial(grid.params.n))
 

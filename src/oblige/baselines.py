@@ -171,7 +171,7 @@ def sortscan_on_grid(sim, grid, global_map, program, t, source_id=None):
                      grid.m, "ss.edges", sim.new_arena())
     init = None
     if program.needs_source:
-        init = bfs_initial_dist(sim, global_map, source_id)
+        init = bfs_initial_dist(global_map, source_id)
     return sortscan_run(sim, grid.params.n, edges, program, t, init_bits=init)
 
 

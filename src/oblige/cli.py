@@ -145,11 +145,9 @@ def cmd_trace_check(args):
 
 def _bench_once(app, n_scale, m_scale, om_bytes, t, seed, workers, engine):
     src, dst = kron.generate_kronecker(n_scale, 1 << m_scale, seed)
-    n = 1 << n_scale
-    keys = list(range(n))
-    edges = list(zip(src.tolist(), dst.tolist()))
+    keys = np.arange(1 << n_scale, dtype=np.uint64)
     _, report, _ = run_end_to_end(
-        [(keys, edges)], app, t, om_bytes, _salt_from_seed(seed),
+        [(keys, np.stack([src, dst], axis=1))], app, t, om_bytes, _salt_from_seed(seed),
         workers=workers, engine=engine, record=False,
     )
     return report.stage_seconds["compute"] / max(t, 1)

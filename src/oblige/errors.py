@@ -38,10 +38,16 @@ class MalformedBlock(ObligeError):
 class MalformedPartyFile(ObligeError):
     """A party's input is unreadable or names vertices it cannot hold.
 
-    Raised for a bad record tag, a missing or non-integer field, a vertex
-    key outside [0, 2^64), an edge to a key the party does not list, and
-    keys (or edge endpoints) of more than one type among int, str, bytes.
+    Raised for a party-file line with a bad record tag, a missing or extra
+    field, or a field that is not ASCII digits or exceeds 2^64 - 1; for a
+    negative key or endpoint, a key array that is not 1-D or an edge array
+    that is not (m, 2); for an edge to a key the party does not list; and
+    for keys (or edge endpoints) of more than one type among int, str, bytes.
     """
+
+
+class MalformedEdgeList(ObligeError):
+    """An edge-list line is not two fields of ASCII digits below 2^64."""
 
 
 class MissingID(ObligeError):

@@ -90,8 +90,9 @@ def _key_bytes(key):
 
 def _encode_keys(raw_keys):
     """The hashed byte string of every key (see `_key_bytes`)."""
-    if set(map(type, raw_keys)) == {int}:  # party files: skip the type dispatch
-        return [key.to_bytes(8, "little") for key in raw_keys]
+    if isinstance(raw_keys, np.ndarray) and raw_keys.dtype == np.uint64:
+        # One little-endian buffer, cut into 8-byte keys by numpy.
+        return np.ascontiguousarray(raw_keys, dtype="<u8").view("V8").tolist()
     return list(map(_key_bytes, raw_keys))
 
 
@@ -162,12 +163,73 @@ def _key_array(values, types, kind, count, index):
                                  % index) from None
 
 
-def _find(haystack, needles):
-    """Index into `haystack` of every needle; None if some needle is absent."""
+def _int_ndarray(values, index, what):
+    """`values` as a uint64 array if it is an integer ndarray, else None.
+
+    The array passes through without a per-element pass: a signed one is
+    checked for negative values with one `min`.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        return None
+    if values.dtype.kind == "i" and values.size and values.min() < 0:
+        raise MalformedPartyFile("party %d has a negative %s" % (index, what))
+    return values.astype(np.uint64, copy=False)
+
+
+def _party_keys(raw_keys, index):
+    """(kind, keys) of a party: kind int, str, bytes or None (no keys).
+
+    An integer ndarray must be 1-D; any other sequence is checked key by key.
+    """
+    keys = _int_ndarray(raw_keys, index, "vertex key")
+    if keys is not None:
+        if keys.ndim != 1:
+            raise MalformedPartyFile("party %d's key array is not 1-D" % index)
+        return (int if len(keys) else None), keys
+    raw_keys = list(raw_keys)
+    types = set(map(type, raw_keys))
+    kind = _key_kind(types, index)
+    return kind, _key_array(raw_keys, types, kind, len(raw_keys), index)
+
+
+def _party_ends(edges, key_kind, index):
+    """A party's edge endpoints, src and dst interleaved, as keys of `key_kind`.
+
+    An integer ndarray must be (m, 2); any other sequence must hold (u, v)
+    pairs and is checked endpoint by endpoint.  Endpoints of another kind
+    than the party's keys are refused.
+    """
+    ends = _int_ndarray(edges, index, "edge endpoint")
+    if ends is not None:
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise MalformedPartyFile("party %d's edge array is not (m, 2)" % index)
+        end_kind = int
+    else:
+        edges = list(edges)
+        if set(map(len, edges)) - {2}:
+            raise MalformedPartyFile("party %d has an edge that is not a (u, v) pair"
+                                     % index)
+        types = set(map(type, chain.from_iterable(edges)))
+        end_kind = _key_kind(types, index)
+    if len(edges) and key_kind is not None and end_kind is not key_kind:
+        raise MalformedPartyFile("party %d has edge endpoints of another type "
+                                 "than its vertex keys" % index)
+    if ends is not None:
+        return ends.ravel()
+    return _key_array(chain.from_iterable(edges), types, key_kind, 2 * len(edges),
+                      index)
+
+
+def _find(haystack, needles, by_needle=None):
+    """Index into `haystack` of every needle; None if some needle is absent.
+
+    `by_needle` is the needles' sort order, when the caller already has it.
+    """
     order = np.argsort(haystack, kind="stable")
     ordered = haystack[order]
     # Sorted needles make the search several times faster.
-    by_needle = np.argsort(needles)
+    if by_needle is None:
+        by_needle = np.argsort(needles)
     pos = np.empty(len(needles), dtype=np.intp)
     pos[by_needle] = np.searchsorted(ordered, needles[by_needle])
     if len(needles) and not (len(haystack) and (
@@ -181,44 +243,35 @@ def _find(haystack, needles):
 class Party:
     """One input party: raw graph in, mapping and results back.
 
-    Keys and edges are held as arrays: every edge endpoint is resolved once,
-    at construction, to the index of its key, so mapping the edges is one
-    fancy index over the per-key mapped IDs.
+    `raw_keys` is a sequence of int, str or bytes keys, or an integer ndarray
+    (such as `kron.read_party_file` returns); `edges` is a sequence of (u, v)
+    pairs or an (m, 2) integer ndarray.  Each argument is normalized once:
+    an integer ndarray passes through as uint64 with no per-element pass,
+    any other sequence is checked element by element.  The party then holds
+    `raw_keys` as an array (uint64 for int keys, object otherwise) and
+    resolves every edge endpoint, at construction, to the index of its key,
+    so mapping the edges is one fancy index over the per-key mapped IDs.
     """
 
     def __init__(self, index, raw_keys, edges, salt):
         self.index = index
-        self.raw_keys = list(raw_keys)
-        self.edges = list(edges)
         self.salt = salt
-        key_types = set(map(type, self.raw_keys))
-        self.key_kind = _key_kind(key_types, index)
-        keys = _key_array(self.raw_keys, key_types, self.key_kind,
-                          len(self.raw_keys), index)
-        self._ends = self._resolve(keys)  # (2, m) key index of src and dst
+        self.key_kind, self.raw_keys = _party_keys(raw_keys, index)
+        self._ends = self._resolve(edges)  # (2, m) key index of src and dst
         self.ids = obfuscate_ids(self.raw_keys, salt)
+        self._id_order = np.argsort(_id_keys(self.ids))  # for matching messages
         self._mapped = None  # (2, m) mapped src and dst, set by receive_mapping
 
-    def _resolve(self, keys):
+    def _resolve(self, edges):
         """Key index of every edge endpoint, as a (2, m) src/dst array."""
-        m = len(self.edges)
-        if not m:
+        ends = _party_ends(edges, self.key_kind, self.index)
+        if not len(ends):
             return np.zeros((2, 0), dtype=np.intp)
-        if set(map(len, self.edges)) != {2}:
-            raise MalformedPartyFile("party %d has an edge that is not a (u, v) pair"
-                                     % self.index)
-        end_types = set(map(type, chain.from_iterable(self.edges)))
-        end_kind = _key_kind(end_types, self.index)
-        if self.raw_keys and end_kind is not self.key_kind:
-            raise MalformedPartyFile("party %d has edge endpoints of another type "
-                                     "than its vertex keys" % self.index)
-        ends = _key_array(chain.from_iterable(self.edges), end_types,
-                          self.key_kind, 2 * m, self.index)
-        idx = _find(keys, ends)
+        idx = _find(self.raw_keys, ends)
         if idx is None:
             raise MalformedPartyFile("party %d has an edge endpoint outside its "
                                      "vertex set" % self.index)
-        return idx.reshape(m, 2).T.copy()
+        return idx.reshape(-1, 2).T.copy()
 
     @property
     def n_vertices(self):
@@ -229,7 +282,7 @@ class Party:
 
     def _own_rows(self, rows, message):
         """Row index of each of the party's own IDs, in key order."""
-        idx = _find(_id_keys(rows), _id_keys(self.ids))
+        idx = _find(_id_keys(rows), _id_keys(self.ids), self._id_order)
         if idx is None:
             raise MissingID("%s message to party %d lacks one of its IDs"
                             % (message, self.index))
@@ -264,7 +317,7 @@ class Party:
     def receive_results(self, payload, app):
         rows = np.frombuffer(payload, dtype=RES_DTYPE)
         values = apps_mod.APPS[app].bits_to_values(rows["result"])
-        return dict(zip(self.raw_keys,
+        return dict(zip(self.raw_keys.tolist(),
                         values[self._own_rows(rows, "RESULT_RETURN")]))
 
 
@@ -382,7 +435,7 @@ def merge_grids(sim, payloads, params, symmetrized=False):
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
 
 
-def gather_results(sim, state_buf, result_bits):
+def gather_results(state_buf, result_bits):
     """Collect the global result array in mapped-ID order 0..n-1.
 
     `result_bits` maps a batch of `state_buf` to its raw u64 result bits.
@@ -493,19 +546,20 @@ def _reference_end_to_end(parties, program, t, source_key):
             raise UnknownSource("source vertex is not present in the merged graph")
         source = found[0]
     values = baselines.reference_run(program, len(uniq), src, dst, t, source=source)
-    return {p.index: dict(zip(p.raw_keys, values[r])) for r, p in zip(ranks, parties)}
+    return {p.index: dict(zip(p.raw_keys.tolist(), values[r]))
+            for r, p in zip(ranks, parties)}
 
 
 def _scan_engine(sim, grid, global_map, program, t, workers, source_id):
     state = apps_mod.run_app(sim, grid, global_map, program, t, workers=workers,
                              source_id=source_id)
-    return gather_results(sim, state, program.result_bits)
+    return gather_results(state, program.result_bits)
 
 
 def _sortscan_engine(sim, grid, global_map, program, t, workers, source_id):
     bits = baselines.sortscan_on_grid(sim, grid, global_map, program, t,
                                       source_id=source_id)
-    return gather_results(sim, bits, lambda batch: batch["result"])
+    return gather_results(bits, lambda batch: batch["result"])
 
 
 # Engine name -> its compute stage; the reference oracle runs outside the

@@ -234,7 +234,7 @@ def test_wcc_converges_to_component_minimum():
 def test_per_iteration_digest_constant_bfs_wcc():
     edges = _sym([(0, 1), (1, 2)])
     grid = fixture_grid(edges, 3, vwidth=8, symmetrized=True)
-    for app, make in (("bfs", lambda sim: bfs_initial_dist(sim, index_map(sim, 3), source_id(0))),):
+    for app, make in (("bfs", lambda sim: bfs_initial_dist(index_map(sim, 3), source_id(0))),):
         sim = OMSim(grid.params.s)
         state = make(sim)
         digests = []

@@ -66,8 +66,8 @@ def test_partition_single_party_is_input(tmp_path):
     assert main(["partition", str(path), "-p", "1", "--seed", "0",
                  "--vertices", "64", "-o", str(tmp_path / "party")]) == 0
     keys, edges = read_party_file(tmp_path / "party.0.txt")
-    assert keys == list(range(64))
-    assert sorted(edges) == sorted(zip(src.tolist(), dst.tolist()))
+    assert keys.tolist() == list(range(64))
+    assert sorted(map(tuple, edges.tolist())) == sorted(zip(src.tolist(), dst.tolist()))
 
 
 def test_partition_reproducible(tmp_path):
@@ -179,9 +179,14 @@ def test_bench_om_sweep_shape(tmp_path):
     ["v 1", "v 2", "e 1 2.0"],                # non-integer endpoint
     ["v 1", "v %d" % (1 << 64)],              # key beyond 64 bits
     ["v 1", "v 2", "e 1 2 2"],                # extra field
+    ["v 1", "v 000%d" % (1 << 64)],           # key beyond 64 bits, zero-padded
+    ["v 1", "v +5"],                          # signed key
+    ["v 1", "v 1_000"],                       # digit separator
+    ["v 1", "e"],                             # lone tag
 ], ids=["negative-key", "bad-tag", "unlisted-endpoint", "missing-key",
         "missing-endpoint", "non-integer-key", "non-integer-endpoint", "wide-key",
-        "extra-field"])
+        "extra-field", "zero-padded-wide-key", "signed-key", "underscore-key",
+        "lone-tag"])
 def test_run_malformed_party_file_exits_2(lines, tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("v 5\nv 6\ne 5 6\n")
@@ -239,6 +244,9 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["run", "{party}", "--app", "pr", "-t", "-3", "--outdir", "{out}"], "UsageError"),
     (["bench", "--n-scales", "6", "--m-scales", "6", "--om", "16KiB", "-t", "-1"],
      "UsageError"),
+    (["partition", "{tagged}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
+    (["partition", "{wide}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
+    (["partition", "{word}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -246,7 +254,8 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "negative-edges-trace-check", "zero-parties-partition",
         "negative-parties-partition", "negative-scale-gen-kron",
         "negative-edge-scale-gen-kron", "negative-rounds-run",
-        "negative-rounds-bench"])
+        "negative-rounds-bench", "tag-line-partition", "three-fields-partition",
+        "non-integer-partition"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
@@ -254,5 +263,9 @@ def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     edges.write_text("0 1\n1 2\n")
     names = dict(missing=tmp_path / "missing.txt", party=party, edges=edges,
                  out=tmp_path / "out")
+    for name, text in [("tagged", "0 1\nv 5\n"), ("wide", "0 1\n1 2 3\n"),
+                       ("word", "0 1\n1 x\n")]:
+        names[name] = tmp_path / (name + ".txt")
+        names[name].write_text(text)
     assert main([a.format(**names) for a in argv]) == 2
     assert error in capsys.readouterr().err

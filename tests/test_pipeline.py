@@ -535,6 +535,14 @@ def test_osort_log_on_oblige_engine_is_public():
     ([(1 << 64) - 1], [(-1, (1 << 64) - 1)]),
     ([1, 2], [(1, 2, 2)]),                   # not a pair
     ([], [(1, 1)]),                          # edge without keys
+    (np.array([2, -1]), []),                 # negative key in an int64 array
+    (np.array([[1, 2]]), []),                # key array that is not 1-D
+    ([1, 2], np.array([1, 2])),              # edge array that is not (m, 2)
+    ([1, 2], np.array([[1, 2, 2]])),
+    ([1, 2], np.array([[1, -2]])),           # negative endpoint in an array
+    (["a", "b"], np.array([[0, 1]])),        # int array endpoints, str keys
+    (np.array([1, 2]), [("1", "2")]),        # str endpoints, int array keys
+    (np.array([1, 2]), np.array([[1, 3]])),  # edge array to an unlisted key
 ])
 def test_party_rejects_conflatable_or_foreign_keys(keys, edges):
     with pytest.raises(MalformedPartyFile):
@@ -550,6 +558,44 @@ def test_parties_with_different_key_types_rejected():
 def test_party_accepts_numpy_and_bool_int_keys():
     party = Party(0, [np.uint64(7), True, 2], [(np.int64(2), 7), (1, True)], SALT)
     assert party.ids.tobytes() == old_obfuscate_ids([7, 1, 2], SALT).tobytes()
+
+
+def party_forms(keys, edges):
+    """One party's input as lists, as arrays and in mixed forms."""
+    key_array = np.asarray(keys, dtype=np.uint64)
+    edge_array = np.asarray(edges, dtype=np.uint64).reshape(-1, 2)
+    return {
+        "lists": (keys, edges),
+        "uint64 arrays": (key_array, edge_array),
+        "int64 arrays": (key_array.astype(np.int64), edge_array.astype(np.int64)),
+        # perfbench's twin input: a key array and a list of np.uint64 pairs
+        "twin": (key_array, [(u, v) for u, v in edge_array]),
+        "list keys, array edges": (keys, edge_array),
+    }
+
+
+def test_party_array_and_list_inputs_agree():
+    src, dst = kron.generate_kronecker(6, 1 << 8, seed=5)
+    owner = kron.assign_parties(1 << 6, 2, "random", seed=1)
+    lists = kron.split_parties(src, dst, owner, 2) + [([], [])]  # and an empty party
+    forms = [party_forms(keys, edges) for keys, edges in lists]
+    want = None
+    for name in forms[0]:
+        inputs = [f[name] for f in forms]
+        parties = [Party(i, keys, edges, SALT) for i, (keys, edges) in enumerate(inputs)]
+        state = [(p.ids.tobytes(), p._ends.tolist(), p.raw_keys.tolist()) for p in parties]
+        runs = []
+        for app, engine in [("pr", "oblige"), ("bfs", "sortscan"), ("wcc", "oblige"),
+                            ("pr", "reference")]:
+            results, report, sim = run_end_to_end(inputs, app, 2, 1 << 14, SALT,
+                                                  engine=engine, source_key=1)
+            assert all(type(key) is int for res in results.values() for key in res)
+            runs.append((results, report.stage_digests,
+                         sim.osort_log if sim else None))
+        if want is None:
+            want = state, runs
+        assert (state, runs) == want, name
+    assert [keys for keys, _ in lists] == [raw_keys for _, _, raw_keys in want[0]]
 
 
 def _payload_without(payload, dtype, row):
