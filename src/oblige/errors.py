@@ -40,9 +40,9 @@ class MalformedPartyFile(ObligeError):
 
     Raised for a party-file line with a bad record tag, a missing or extra
     field, or a field that is not ASCII digits or exceeds 2^64 - 1; for a
-    negative key or endpoint, a key array that is not 1-D or an edge array
-    that is not (m, 2); for an edge to a key the party does not list; and
-    for keys (or edge endpoints) of more than one type among int, str, bytes.
+    key or endpoint that is not an integer in [0, 2^64), keys that are not
+    1-D or edges that are not (m, 2); and for an edge to a key the party
+    does not list.
     """
 
 
@@ -67,7 +67,7 @@ class ParamMismatch(ObligeError):
 
 
 class UnknownSource(ObligeError):
-    """A traversal source vertex is absent from the merged graph."""
+    """A traversal source key is missing, not in [0, 2^64) or not in the graph."""
 
 
 class SymmetryRequired(ObligeError):

@@ -15,9 +15,8 @@ party's own trusted machine.  It is array work throughout: a party resolves
 each edge endpoint to the index of its key once, with one `searchsorted`
 over its sorted keys; it matches the IDs of a returned message to its own
 by sorting the rows on the 128-bit ID and searching them, so mapping its
-edges is one fancy index.  A party's keys must all be of one type (int,
-str or bytes), and so must its edge endpoints: the byte encodings of
-different types can collide.
+edges is one fancy index.  Raw vertex keys are integers in [0, 2^64) (only
+their digests leave the party), and results come back keyed by Python ints.
 
 Mapped IDs are assigned 0-based in ascending obfuscated-ID order (a dense
 rank), which differs from the 1-based counter a direct reading of the
@@ -33,9 +32,9 @@ Message formats (all integers little-endian):
 
 import copy
 import hashlib
+import operator
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Dict, List
 
 import numpy as np
@@ -78,31 +77,40 @@ R_DTYPE = np.dtype([("mapped", "<u8"), ("result", "<u8")])
 
 # -- identity obfuscation ------------------------------------------------------
 
-def _key_bytes(key):
-    if isinstance(key, (int, np.integer)):
-        return int(key).to_bytes(8, "little", signed=False)
-    if isinstance(key, str):
-        return key.encode()
-    if isinstance(key, bytes):
-        return key
-    raise TypeError("raw vertex keys must be int, str or bytes")
+def _uint64s(values, row_shape, what):
+    """`values` as a uint64 array of rows of `row_shape`; integers in [0, 2^64).
 
-
-def _encode_keys(raw_keys):
-    """The hashed byte string of every key (see `_key_bytes`)."""
-    if isinstance(raw_keys, np.ndarray) and raw_keys.dtype == np.uint64:
-        # One little-endian buffer, cut into 8-byte keys by numpy.
-        return np.ascontiguousarray(raw_keys, dtype="<u8").view("V8").tolist()
-    return list(map(_key_bytes, raw_keys))
+    An integer array (or a list numpy reads as one) passes through, a signed
+    one after one check for negative values.  Anything else is read value by
+    value with `operator.index`, which refuses floats, str, bytes and None,
+    and overflows outside [0, 2^64).  An empty input is zero rows.
+    """
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind not in "iu":
+            objects = np.asarray(values, dtype=object)
+            array = np.fromiter(map(operator.index, objects.ravel()), dtype=np.uint64,
+                                count=objects.size).reshape(objects.shape)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or array.dtype.kind == "i" and array.size and array.min() < 0:
+        raise MalformedPartyFile("%s: a value is not an integer in [0, 2^64)" % what)
+    if not array.size:
+        array = array.reshape((0,) + row_shape)
+    if array.shape[1:] != row_shape or array.ndim != 1 + len(row_shape):
+        raise MalformedPartyFile("%s: wrong shape %s" % (what, array.shape))
+    return array.astype(np.uint64, copy=False)
 
 
 def obfuscate_ids(raw_keys, salt):
     """Keyed 128-bit digests of the raw keys; equal key and salt give equal IDs.
 
-    Chaotic IDs both hide the raw identities from other parties and spread
-    vertices evenly over the chunks, which keeps block loads balanced.  Each
-    ID is the first 16 bytes of sha256(salt + key bytes), read as (h, l).
+    The keys are integers in [0, 2^64).  Chaotic IDs both hide the raw
+    identities from other parties and spread vertices evenly over the
+    chunks, which keeps block loads balanced.  Each ID is the first 16 bytes
+    of sha256(salt + the key's 8 little-endian bytes), read as (h, l).
     """
+    keys = _uint64s(raw_keys, (), "vertex keys")
     prefix = hashlib.sha256(salt)
 
     def digest(data):
@@ -110,8 +118,9 @@ def obfuscate_ids(raw_keys, salt):
         h.update(data)
         return h.digest()[:16]
 
-    return np.frombuffer(bytearray().join(map(digest, _encode_keys(raw_keys))),
-                         dtype=ID_DTYPE)
+    # One little-endian buffer, cut into 8-byte keys by numpy.
+    data = np.ascontiguousarray(keys, dtype="<u8").view("V8").tolist()
+    return np.frombuffer(bytearray().join(map(digest, data)), dtype=ID_DTYPE)
 
 
 def ids_from_bytes(payload):
@@ -126,98 +135,6 @@ def _id_keys(rows):
     """
     return np.ndarray(len(rows), dtype="S16", buffer=rows,
                       strides=(rows.dtype.itemsize,))
-
-
-_KINDS = ((np.integer, int), (int, int), (str, str), (bytes, bytes))
-
-
-def _key_kind(types, index):
-    """The one kind (int, str or bytes) of a party's keys; None for no keys.
-
-    Keys of two kinds are refused, since their byte encodings can collide
-    (the int 49 and the bytes b"1" plus seven zero bytes hash alike).
-    """
-    kinds = set()
-    for cls in types:
-        kind = next((k for base, k in _KINDS if issubclass(cls, base)), None)
-        if kind is None:
-            raise MalformedPartyFile("party %d has a %s vertex key; keys must be "
-                                     "int, str or bytes" % (index, cls.__name__))
-        kinds.add(kind)
-    if len(kinds) > 1:
-        raise MalformedPartyFile("party %d mixes vertex key types %s"
-                                 % (index, sorted(k.__name__ for k in kinds)))
-    return kinds.pop() if kinds else None
-
-
-def _key_array(values, types, kind, count, index):
-    """`count` keys of one kind as an array: uint64 for ints, else object."""
-    if kind is not int:
-        return np.fromiter(values, dtype=object, count=count)
-    if types != {int}:
-        values = map(int, values)  # numpy scalars would wrap silently
-    try:
-        return np.fromiter(values, dtype=np.uint64, count=count)
-    except OverflowError:
-        raise MalformedPartyFile("party %d has an integer key outside [0, 2^64)"
-                                 % index) from None
-
-
-def _int_ndarray(values, index, what):
-    """`values` as a uint64 array if it is an integer ndarray, else None.
-
-    The array passes through without a per-element pass: a signed one is
-    checked for negative values with one `min`.
-    """
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        return None
-    if values.dtype.kind == "i" and values.size and values.min() < 0:
-        raise MalformedPartyFile("party %d has a negative %s" % (index, what))
-    return values.astype(np.uint64, copy=False)
-
-
-def _party_keys(raw_keys, index):
-    """(kind, keys) of a party: kind int, str, bytes or None (no keys).
-
-    An integer ndarray must be 1-D; any other sequence is checked key by key.
-    """
-    keys = _int_ndarray(raw_keys, index, "vertex key")
-    if keys is not None:
-        if keys.ndim != 1:
-            raise MalformedPartyFile("party %d's key array is not 1-D" % index)
-        return (int if len(keys) else None), keys
-    raw_keys = list(raw_keys)
-    types = set(map(type, raw_keys))
-    kind = _key_kind(types, index)
-    return kind, _key_array(raw_keys, types, kind, len(raw_keys), index)
-
-
-def _party_ends(edges, key_kind, index):
-    """A party's edge endpoints, src and dst interleaved, as keys of `key_kind`.
-
-    An integer ndarray must be (m, 2); any other sequence must hold (u, v)
-    pairs and is checked endpoint by endpoint.  Endpoints of another kind
-    than the party's keys are refused.
-    """
-    ends = _int_ndarray(edges, index, "edge endpoint")
-    if ends is not None:
-        if ends.ndim != 2 or ends.shape[1] != 2:
-            raise MalformedPartyFile("party %d's edge array is not (m, 2)" % index)
-        end_kind = int
-    else:
-        edges = list(edges)
-        if set(map(len, edges)) - {2}:
-            raise MalformedPartyFile("party %d has an edge that is not a (u, v) pair"
-                                     % index)
-        types = set(map(type, chain.from_iterable(edges)))
-        end_kind = _key_kind(types, index)
-    if len(edges) and key_kind is not None and end_kind is not key_kind:
-        raise MalformedPartyFile("party %d has edge endpoints of another type "
-                                 "than its vertex keys" % index)
-    if ends is not None:
-        return ends.ravel()
-    return _key_array(chain.from_iterable(edges), types, key_kind, 2 * len(edges),
-                      index)
 
 
 def _find(haystack, needles, by_needle=None):
@@ -243,12 +160,11 @@ def _find(haystack, needles, by_needle=None):
 class Party:
     """One input party: raw graph in, mapping and results back.
 
-    `raw_keys` is a sequence of int, str or bytes keys, or an integer ndarray
-    (such as `kron.read_party_file` returns); `edges` is a sequence of (u, v)
-    pairs or an (m, 2) integer ndarray.  Each argument is normalized once:
-    an integer ndarray passes through as uint64 with no per-element pass,
-    any other sequence is checked element by element.  The party then holds
-    `raw_keys` as an array (uint64 for int keys, object otherwise) and
+    `raw_keys` holds n integer keys in [0, 2^64) and `edges` m (u, v) pairs
+    of them: arrays (such as `kron.read_party_file` returns) or anything
+    numpy reads as arrays of shape (n,) and (m, 2).  An integer array passes
+    through as uint64 with no per-element pass; any other input is checked
+    value by value.  The party holds `raw_keys` as a uint64 array and
     resolves every edge endpoint, at construction, to the index of its key,
     so mapping the edges is one fancy index over the per-key mapped IDs.
     """
@@ -256,18 +172,17 @@ class Party:
     def __init__(self, index, raw_keys, edges, salt):
         self.index = index
         self.salt = salt
-        self.key_kind, self.raw_keys = _party_keys(raw_keys, index)
-        self._ends = self._resolve(edges)  # (2, m) key index of src and dst
+        self.raw_keys = _uint64s(raw_keys, (), "party %d's vertex keys" % index)
+        self._ends = self._resolve(_uint64s(edges, (2,), "party %d's edges" % index))
         self.ids = obfuscate_ids(self.raw_keys, salt)
         self._id_order = np.argsort(_id_keys(self.ids))  # for matching messages
         self._mapped = None  # (2, m) mapped src and dst, set by receive_mapping
 
     def _resolve(self, edges):
         """Key index of every edge endpoint, as a (2, m) src/dst array."""
-        ends = _party_ends(edges, self.key_kind, self.index)
-        if not len(ends):
+        if not len(edges):
             return np.zeros((2, 0), dtype=np.intp)
-        idx = _find(self.raw_keys, ends)
+        idx = _find(self.raw_keys, edges.ravel())
         if idx is None:
             raise MalformedPartyFile("party %d has an edge endpoint outside its "
                                      "vertex set" % self.index)
@@ -540,7 +455,7 @@ def _reference_end_to_end(parties, program, t, source_key):
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     source = None
     if program.needs_source:
-        found = _find(_id_keys(uniq), _id_keys(obfuscate_ids([source_key],
+        found = _find(_id_keys(uniq), _id_keys(obfuscate_ids(source_key,
                                                              parties[0].salt)))
         if found is None:
             raise UnknownSource("source vertex is not present in the merged graph")
@@ -596,8 +511,13 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         program = copy.copy(program)  # the registry keeps its default
         program.damping = f
     compute = ENGINES[engine]
-    if program.needs_source and source_key is None:
-        raise UnknownSource("%s needs a source vertex key" % app)
+    if program.needs_source:
+        if source_key is None:
+            raise UnknownSource("%s needs a source vertex key" % app)
+        try:
+            source_key = _uint64s([source_key], (), "the source key")  # one key
+        except MalformedPartyFile as err:
+            raise UnknownSource(str(err)) from None
 
     report = RunReport(app=app, engine=engine, params={}, salt=salt.hex(),
                        workers=workers)
@@ -622,14 +542,8 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
                 report.digest_seconds[name] = time.perf_counter() - done
         return result
 
-    def stage_parties():
-        parties = [Party(i, keys, edges, salt)
-                   for i, (keys, edges) in enumerate(party_inputs)]
-        if len({p.key_kind for p in parties} - {None}) > 1:
-            raise MalformedPartyFile("parties hold vertex keys of different types")
-        return parties
-
-    parties = timed("party_setup", stage_parties)
+    parties = timed("party_setup", lambda: [
+        Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)])
 
     if compute is None:
         results = timed(
@@ -679,7 +593,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
                             symmetrized=program.symmetric))
     del grid_payloads  # the merged grid holds everything they carried
 
-    source_id = obfuscate_ids([source_key], salt)[0] if program.needs_source else None
+    source_id = obfuscate_ids(source_key, salt)[0] if program.needs_source else None
     results_buf = timed("compute", lambda: compute(
         sim, grid, global_map, program, t, workers, source_id))
     del grid  # with its cached scan orders, before post-processing allocates

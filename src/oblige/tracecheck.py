@@ -57,10 +57,9 @@ def random_parties(rng, cfg):
     parties = []
     for i in range(cfg.p):
         idx = perm[(i * stride + np.arange(window)) % cfg.n]
-        mine = keys[idx]
+        mine = keys[idx].astype(np.uint64)
         picks = rng.integers(0, window, size=(cfg.edges_per_party, 2))
-        edges = [(int(mine[a]), int(mine[b])) for a, b in picks]
-        parties.append(([int(x) for x in mine], edges))
+        parties.append((mine, mine[picks]))
     return parties
 
 

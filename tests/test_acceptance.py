@@ -300,8 +300,8 @@ def test_criterion_9_partition_invariance():
 # -- 10: fixed point ---------------------------------------------------------------
 
 def test_criterion_10_pr_fixed_point():
-    parties = [(["u", "v"], [("u", "v"), ("v", "u")])]
+    parties = [([0, 1], [(0, 1), (1, 0)])]
     got, _, _ = run_end_to_end(parties, "pr", 100, 1 << 16, SALT, record=False)
-    drift = max(abs(got[0]["u"] - 1.0), abs(got[0]["v"] - 1.0))
+    drift = max(abs(got[0][0] - 1.0), abs(got[0][1] - 1.0))
     criterion(10, "pr-fixed-point", drift <= 1e-12,
               "t=100 drift %.3g" % drift)

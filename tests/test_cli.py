@@ -247,6 +247,10 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["partition", "{tagged}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
     (["partition", "{wide}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
     (["partition", "{word}", "-p", "2", "-o", "{out}"], "MalformedEdgeList"),
+    (["run", "{party}", "--app", "bfs", "--source", "-1", "-t", "1", "--outdir", "{out}"],
+     "UnknownSource"),
+    (["run", "{party}", "--app", "bfs", "--source", "18446744073709551616", "-t", "1",
+      "--outdir", "{out}"], "UnknownSource"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -255,7 +259,7 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "negative-parties-partition", "negative-scale-gen-kron",
         "negative-edge-scale-gen-kron", "negative-rounds-run",
         "negative-rounds-bench", "tag-line-partition", "three-fields-partition",
-        "non-integer-partition"])
+        "non-integer-partition", "negative-source-run", "too-large-source-run"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
