@@ -41,7 +41,7 @@ Value conventions:
 import numpy as np
 
 from .errors import SymmetryRequired, UnknownSource
-from .omsim import copy_records
+from .omsim import with_fields
 from .oprims import o_trans
 from .scan import full_scan, full_scan_rows
 
@@ -191,14 +191,10 @@ def initial_state(sim, grid, global_map, program, workers=1, source_id=None):
         return bfs_initial_dist(global_map, source_id)
     if not program.needs_degrees:
         return sim.buffer_from_rows(program.region, program.initial(grid.params.n))
-
-    def seed(batch):
-        out = program.initial(len(batch))
-        out["degree"] = batch["degree"]
-        return out
-
     degrees = compute_out_degrees(sim, grid, workers=workers)
-    return o_trans(degrees, seed, out_name=program.region)
+    return o_trans(degrees, lambda b: with_fields(
+        b, program.state_dtype, **{program.field: program.init(len(b))}),
+        out_name=program.region)
 
 
 def iteration(sim, grid, state, program, workers=1):
@@ -211,20 +207,11 @@ def iteration(sim, grid, state, program, workers=1):
     if program.apply is None:
         return full_scan(grid, state, state, program.kernel, sim, workers=workers)
     field = program.field
-
-    def clear(batch):
-        out = copy_records(batch)
-        out[field] = program.identity
-        return out
-
-    def finish(batch):
-        out = copy_records(batch)
-        out[field] = program.apply(batch[field], program.damping)
-        return out
-
-    acc = o_trans(state, clear, out_name=program.name + ".acc")
+    acc = o_trans(state, lambda b: with_fields(b, **{field: program.identity}),
+                  out_name=program.name + ".acc")
     acc = full_scan(grid, state, acc, program.kernel, sim, workers=workers)
-    return o_trans(acc, finish, out_name=program.region)
+    return o_trans(acc, lambda b: with_fields(
+        b, **{field: program.apply(b[field], program.damping)}), out_name=program.region)
 
 
 def run_app(sim, grid, global_map, program, t, workers=1, source_id=None):

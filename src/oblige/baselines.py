@@ -21,7 +21,7 @@ is access-pattern safe.
 import numpy as np
 
 from .apps import bfs_initial_dist
-from .omsim import Buffer, copy_records
+from .omsim import Buffer, copy_records, with_fields
 from .oprims import group_ids, o_filter, o_sort, o_trans, o_trans_merge
 
 VERTEX, EDGE = 0, 1
@@ -49,22 +49,13 @@ def build_elements(init_vals, edges, kernel):
     `init_vals` holds the program's `field` for every vertex in mapped-ID
     order; `edges` holds (src, dst) pairs.
     """
-    field = kernel.program.field
-
-    def fn(batch, i):
-        out = np.zeros(len(batch), dtype=kernel.dtype)
+    def element(batch, i):
         if i == 0:
-            out["kind"] = VERTEX
-            out["a"] = np.arange(len(batch), dtype=np.uint64)
-            out["b"] = out["a"]
-            out[field] = batch[field]
-        else:
-            out["kind"] = EDGE
-            out["a"] = batch["src"]
-            out["b"] = batch["dst"]
-        return out
+            ids = np.arange(len(batch), dtype=np.uint64)
+            return with_fields(batch, kernel.dtype, kind=VERTEX, a=ids, b=ids)
+        return with_fields(batch, kernel.dtype, kind=EDGE, a=batch["src"], b=batch["dst"])
 
-    return o_trans_merge([init_vals, edges], fn, "ss.elems")
+    return o_trans_merge([init_vals, edges], element, "ss.elems")
 
 
 class SortScanKernel:
@@ -149,13 +140,9 @@ def sortscan_run(sim, n, edges_buf, program, t, init_bits=None):
     verts = o_filter(elems, lambda b: (b["kind"] == VERTEX).astype(np.int64),
                      n, "ss.verts", arena)
     sim.osort_log.append(o_sort(verts, lambda b: b["a"], arena))
-
-    def extract(batch):
-        out = np.zeros(len(batch), dtype=[("result", "<u8")])
-        out["result"] = program.result_bits(batch)
-        return out
-
-    return o_trans(verts, extract, out_name="ss.result")
+    return o_trans(verts, lambda b: with_fields(b, [("result", "<u8")],
+                                                result=program.result_bits(b)),
+                   out_name="ss.result")
 
 
 def sortscan_on_grid(sim, grid, global_map, program, t, source_id=None):

@@ -68,6 +68,8 @@ def _salt_from_seed(seed):
 def cmd_gen_kron(args):
     if args.scale < 0 or args.edge_scale < 0:
         raise UsageError("--scale and --edge-scale must be at least 0")
+    if args.scale > 64:
+        raise UsageError("--scale is at most 64: vertex keys are 64-bit")
     src, dst = kron.generate_kronecker(args.scale, 1 << args.edge_scale, args.seed)
     kron.write_edge_list(args.output, src, dst)
     print("wrote %d edges over %d vertices to %s"
@@ -77,7 +79,9 @@ def cmd_gen_kron(args):
 
 def cmd_partition(args):
     src, dst = _read(kron.read_edge_list, args.edges)
-    num_vertices = args.vertices or (int(max(src.max(), dst.max())) + 1 if len(src) else 1)
+    num_vertices = args.vertices
+    if num_vertices is None:
+        num_vertices = int(max(src.max(), dst.max())) + 1 if len(src) else 1
     owner = kron.assign_parties(num_vertices, args.parties, args.mode, args.seed)
     parties = kron.split_parties(src, dst, owner, args.parties)
     for i, (keys, edges) in enumerate(parties):

@@ -153,6 +153,18 @@ def _real_edges(slots):
     return out
 
 
+def block_loads(src, dst, k, b):
+    """Row-major block id (int64) of each edge, and the edge count of each block.
+
+    Edge (u, v) lies in block (u // k, v // k) of the b x b grid; the counts
+    cover at least the b^2 blocks.
+    """
+    src = np.asarray(src, dtype=np.uint64)
+    dst = np.asarray(dst, dtype=np.uint64)
+    ids = ((src // np.uint64(k)) * np.uint64(b) + dst // np.uint64(k)).astype(np.int64)
+    return ids, np.bincount(ids, minlength=b * b)
+
+
 def group_into_blocks(src, dst, k, b, block_length):
     """Place edges into b^2 row-major blocks padded to `block_length` each.
 
@@ -161,8 +173,7 @@ def group_into_blocks(src, dst, k, b, block_length):
     """
     src = np.asarray(src, dtype=np.uint64)
     dst = np.asarray(dst, dtype=np.uint64)
-    block_ids = (src // np.uint64(k)) * np.uint64(b) + dst // np.uint64(k)
-    counts = np.bincount(block_ids.astype(np.int64), minlength=b * b)
+    block_ids, counts = block_loads(src, dst, k, b)
     if len(counts) > b * b or (len(src) and counts.max() > block_length):
         raise BlockOverflow(
             "block holds %d edges but declared length is %d"
@@ -174,8 +185,8 @@ def group_into_blocks(src, dst, k, b, block_length):
     starts = np.zeros(b * b, dtype=np.int64)
     starts[1:] = np.cumsum(counts)[:-1]
     # Positions: block base plus rank within the block (arrival order).
-    rank = np.arange(len(src)) - starts[block_ids[order].astype(np.int64)]
-    slots = block_ids[order].astype(np.int64) * block_length + rank
+    rank = np.arange(len(src)) - starts[block_ids[order]]
+    slots = block_ids[order] * block_length + rank
     out["src"][slots] = src[order]
     out["dst"][slots] = dst[order]
     out["pad"][slots] = 0

@@ -204,10 +204,14 @@ def split_parties(src, dst, owner, p):
 
     Every vertex in the universe appears in exactly one party's key list;
     edge endpoints that belong to other parties are added to the holder's
-    key list too, since a party can only name vertices it knows.
+    key list too, since a party can only name vertices it knows.  An
+    endpoint outside the universe (`owner`'s length) raises UsageError.
     """
     parties = []
     owner = np.asarray(owner)
+    if len(src) and max(int(src.max()), int(dst.max())) >= len(owner):
+        raise UsageError("an edge endpoint lies outside the %d-vertex universe"
+                         % len(owner))
     for i in range(p):
         mine = np.flatnonzero(owner == i)
         keep = owner[src.astype(np.int64)] == i

@@ -97,6 +97,26 @@ def copy_records(rows):
     return _raw(rows).copy().view(rows.dtype)
 
 
+def with_fields(rows, dtype=None, **values):
+    """Records of `dtype` (the rows' own by default) with each named field set.
+
+    Every field not named in `values` is copied by name from `rows`, or left
+    zero where `rows` has no such field.  At the rows' own dtype the copy is
+    `copy_records`, one raw-byte copy.
+    """
+    dtype = rows.dtype if dtype is None else np.dtype(dtype)
+    if dtype == rows.dtype:
+        out = copy_records(rows)
+    else:
+        out = np.zeros(len(rows), dtype=dtype)
+        for name in dtype.names:
+            if name in rows.dtype.names and name not in values:
+                out[name] = rows[name]
+    for name, value in values.items():
+        out[name] = value
+    return out
+
+
 def gather_records(rows, index):
     """``rows[index]`` for an integer index array, gathered as raw record bytes.
 
@@ -251,9 +271,10 @@ class AccessTrace:
     Only registered named buffers are traced; loop counters and other O(1)
     register-like state are deliberately invisible, matching the constant
     per-core state the scan algorithms keep outside their vertex chunks.
+    `granularity` is ELEMENT or a line size in bytes, and has no default.
     """
 
-    def __init__(self, granularity=CACHELINE, enabled=True):
+    def __init__(self, granularity, enabled=True):
         if granularity is not ELEMENT and granularity < 1:
             raise ValueError("granularity must be ELEMENT or a positive byte count")
         self.granularity = granularity

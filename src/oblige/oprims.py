@@ -33,7 +33,7 @@ broken network yields unsorted output.
 import numpy as np
 
 from .errors import OMUnavailable, SizeMismatch
-from .omsim import READ, WRITE, Buffer, assign_records, copy_records, gather_records
+from .omsim import READ, WRITE, Buffer, assign_records, gather_records, with_fields
 
 # Ranks are int32, so the padded length may not pass 2^31.
 _MAX_PADDED = 1 << 31
@@ -298,14 +298,16 @@ def o_merge(bufs, out_name):
     return o_trans_merge(bufs, lambda batch, i: batch, out_name)
 
 
-def o_split_trans(buf, bucket_fn, project_fn, sizes, names, arena):
-    """Sort by bucket id, then append each record's projection to its bucket.
+def o_split_trans(buf, bucket_fn, sizes, names, arena, dtype=None):
+    """Sort by bucket id, then copy each record into its bucket as a `dtype` record.
 
     Bucket i is the buffer `names[i]`, and `sizes[i]` is its publicly
     declared length; the trace places bucket boundaries at exactly those
-    positions.  `bucket_fn` maps a batch to ids in [0, len(sizes)).  If the
-    actual bucket counts disagree, the caller declared a
-    non-public-consistent size and a :class:`SizeMismatch` is raised loudly.
+    positions.  `bucket_fn` maps a batch to ids in [0, len(sizes)).  A
+    bucket holds `with_fields` of its records at `dtype` (the input's own by
+    default) and is registered at that record width.  If the actual bucket
+    counts disagree, the caller declared a non-public-consistent size and a
+    :class:`SizeMismatch` is raised loudly.
     """
     nbuckets = len(sizes)
     if len(names) != nbuckets:
@@ -328,8 +330,7 @@ def o_split_trans(buf, bucket_fn, project_fn, sizes, names, arena):
     lo = 0
     for name, size in zip(names, sizes):
         size = int(size)
-        rows = np.asarray(project_fn(buf.data[lo:lo + size]))
-        bucket = Buffer(trace, name, copy_records(rows))
+        bucket = Buffer(trace, name, with_fields(buf.data[lo:lo + size], dtype))
         trace.zip2(0, buf.name, READ, lo, name, WRITE, 0, size)
         buckets.append(bucket)
         lo += size
@@ -342,7 +343,6 @@ def o_filter(buf, pred_fn, kept, out_name, arena):
     buckets = o_split_trans(
         buf,
         lambda batch: np.asarray(pred_fn(batch), dtype=np.int64),
-        lambda batch: batch,
         [n - kept, kept],
         [out_name + ".dropped", out_name],
         arena,

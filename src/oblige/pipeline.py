@@ -34,6 +34,7 @@ import copy
 import hashlib
 import operator
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
@@ -54,12 +55,13 @@ from .grid import (
     GridGraph,
     PublicParams,
     block_coordinates,
+    block_loads,
     decode_block,
     encode_grid,
     group_into_blocks,
     parse_grid_header,
 )
-from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, assign_records, copy_records
+from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, assign_records, with_fields
 from .oprims import group_ids, o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
 
 NULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -216,11 +218,7 @@ class Party:
 
     def block_occupancy(self, params, symmetrize=False):
         """Largest block load, i.e. the party's default public block length."""
-        src, dst = self._mapped_edges(symmetrize)
-        block_ids = (src // np.uint64(params.k)) * np.uint64(params.b) \
-            + dst // np.uint64(params.k)
-        counts = np.bincount(block_ids.astype(np.int64),
-                             minlength=params.b * params.b)
+        _, counts = block_loads(*self._mapped_edges(symmetrize), params.k, params.b)
         return int(counts.max()) if len(counts) else 0
 
     def grid_submit_payload(self, params, block_length, symmetrize=False):
@@ -240,14 +238,8 @@ class Party:
 
 def _split_to_parties(buf, sizes, dtype, prefix, arena):
     """Split `buf` by party into buffers `prefix`0, 1, ... of `sizes` `dtype` records."""
-    def project(batch):
-        out = np.zeros(len(batch), dtype=dtype)
-        for name in dtype.names:
-            out[name] = batch[name]
-        return out
-
-    return o_split_trans(buf, lambda b: b["party"].astype(np.int64), project, sizes,
-                         ["%s%d" % (prefix, i) for i in range(len(sizes))], arena)
+    return o_split_trans(buf, lambda b: b["party"].astype(np.int64), sizes,
+                         ["%s%d" % (prefix, i) for i in range(len(sizes))], arena, dtype)
 
 
 def vertex_mapping(sim, vertex_ids, declared_n):
@@ -262,30 +254,15 @@ def vertex_mapping(sim, vertex_ids, declared_n):
     sizes = [len(v) for v in vertex_ids]
     vbufs = [sim.buffer_from_rows("pipe.vsubmit%d" % i, np.asarray(v, dtype=ID_DTYPE))
              for i, v in enumerate(vertex_ids)]
-
-    def tag(batch, i):
-        out = np.zeros(len(batch), dtype=VM_DTYPE)
-        out["h"], out["l"] = batch["h"], batch["l"]
-        out["party"] = i
-        out["mapped"] = NULL64
-        return out
-
-    merged = o_trans_merge(vbufs, tag, "vm.A")
+    merged = o_trans_merge(
+        vbufs, lambda b, i: with_fields(b, VM_DTYPE, party=i, mapped=NULL64), "vm.A")
     sim.osort_log.append(o_sort(merged, lambda b: (b["h"], b["l"]), arena))
-
-    def assign(batch):
-        out = copy_records(batch)
-        out["mapped"] = group_ids(_id_keys(batch))
-        return out
-
-    merged = o_trans(merged, assign)
+    merged = o_trans(merged, lambda b: with_fields(b, mapped=group_ids(_id_keys(b))))
 
     def dedup(batch):
-        out = copy_records(batch)
         repeat = np.zeros(len(batch), dtype=bool)
         repeat[1:] = batch["mapped"][1:] == batch["mapped"][:-1]
-        out["mapped"][repeat] = NULL64
-        return out
+        return with_fields(batch, mapped=np.where(repeat, NULL64, batch["mapped"]))
 
     marked = o_trans(merged, dedup, out_name="vm.A2")
     global_map = o_filter(
@@ -355,13 +332,9 @@ def gather_results(state_buf, result_bits):
 
     `result_bits` maps a batch of `state_buf` to its raw u64 result bits.
     """
-    def to_r(batch):
-        out = np.zeros(len(batch), dtype=R_DTYPE)
-        out["mapped"] = np.arange(len(batch), dtype=np.uint64)
-        out["result"] = result_bits(batch)
-        return out
-
-    return o_trans(state_buf, to_r, out_name="pipe.R")
+    return o_trans(state_buf, lambda b: with_fields(
+        b, R_DTYPE, mapped=np.arange(len(b), dtype=np.uint64), result=result_bits(b)),
+        out_name="pipe.R")
 
 
 def post_process(sim, results_buf, map_bufs, params):
@@ -374,27 +347,10 @@ def post_process(sim, results_buf, map_bufs, params):
     pattern assigns exactly that sentinel, so the coincidence is harmless.
     """
     arena = sim.new_arena()
-
-    def from_map(batch, i):
-        out = np.zeros(len(batch), dtype=S_DTYPE)
-        out["party"] = i
-        out["h"], out["l"] = batch["h"], batch["l"]
-        out["mapped"] = batch["mapped"]
-        out["result"] = NULL64
-        return out
-
-    sp = o_trans_merge(map_bufs, from_map, "post.Sp")
-
-    def from_results(batch):
-        out = np.zeros(len(batch), dtype=S_DTYPE)
-        out["party"] = NULL64
-        out["h"] = NULL64
-        out["l"] = NULL64
-        out["mapped"] = batch["mapped"]
-        out["result"] = batch["result"]
-        return out
-
-    sg = o_trans(results_buf, from_results, out_name="post.Sg")
+    sp = o_trans_merge(
+        map_bufs, lambda b, i: with_fields(b, S_DTYPE, party=i, result=NULL64), "post.Sp")
+    sg = o_trans(results_buf, lambda b: with_fields(
+        b, S_DTYPE, party=NULL64, h=NULL64, l=NULL64), out_name="post.Sg")
     combined = o_merge([sp, sg], "post.S")
     sim.osort_log.append(o_sort(
         combined,
@@ -403,11 +359,9 @@ def post_process(sim, results_buf, map_bufs, params):
     ))
 
     def fill(batch):
-        out = copy_records(batch)
         gid = group_ids(batch["mapped"])
         first = np.flatnonzero(np.diff(gid, prepend=-1))  # each group's real result
-        out["result"] = batch["result"][first][gid]
-        return out
+        return with_fields(batch, result=batch["result"][first][gid])
 
     combined = o_trans(combined, fill)
     kept = o_filter(
@@ -498,7 +452,8 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     party_setup (the parties read their inputs and obfuscate their IDs),
     declare_n (only when `declared_n` is None), vertex_mapping,
     edge_preprocess, merge_grids, compute and post_process; the reference
-    engine has party_setup and compute only.
+    engine has party_setup and compute only.  An `ObligeError` raised in a
+    stage leaves with the stage's name in `.stage`.
     """
     if app not in apps_mod.APPS or engine not in ENGINES:
         raise ValueError("unknown application %r or engine %r" % (app, engine))
@@ -524,12 +479,13 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     sim = None if compute is None else OMSim(om_bytes, granularity=granularity,
                                              enabled=record)
 
-    def timed(name, fn):
-        """Run stage `name`: its time, its trace digest and the digest's time."""
+    @contextmanager
+    def stage(name):
+        """Stage `name`: its time, trace digest and digest time; labels its ObligeError."""
         mark = sim.trace.mark() if sim else None
         start = time.perf_counter()
         try:
-            result = fn()
+            yield
         except ObligeError as err:
             if err.stage is None:
                 err.stage = name
@@ -540,72 +496,56 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
             report.stage_digests[name] = sim.trace.digest(start=mark)
             if sim.trace.enabled:
                 report.digest_seconds[name] = time.perf_counter() - done
-        return result
 
-    parties = timed("party_setup", lambda: [
-        Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)])
+    with stage("party_setup"):
+        parties = [Party(i, keys, edges, salt) for i, (keys, edges) in enumerate(party_inputs)]
 
     if compute is None:
-        results = timed(
-            "compute", lambda: _reference_end_to_end(parties, program, t, source_key))
+        with stage("compute"):
+            results = _reference_end_to_end(parties, program, t, source_key)
         return results, report, None
 
     if declared_n is None:
-        declared_n = timed("declare_n", lambda: len(np.unique(
-            _id_keys(np.concatenate([p.ids for p in parties])))))
+        with stage("declare_n"):
+            declared_n = len(np.unique(_id_keys(np.concatenate([p.ids for p in parties]))))
 
     params = PublicParams.derive(
         p=len(parties), n_i=[p.n_vertices for p in parties], n=declared_n,
         t=t, s=om_bytes, vwidth=program.vwidth,
     )
 
-    def stage_mapping():
-        payloads = [p.vertex_submit_payload() for p in parties]
-        arrays = [ids_from_bytes(pl) for pl in payloads]
-        global_map, maps = vertex_mapping(sim, arrays, declared_n)
-        for party, mbuf in zip(parties, maps):
+    with stage("vertex_mapping"):
+        global_map, map_bufs = vertex_mapping(
+            sim, [ids_from_bytes(p.vertex_submit_payload()) for p in parties], declared_n)
+        for party, mbuf in zip(parties, map_bufs):
             party.receive_mapping(map_return_payload(sim, mbuf))
-        return global_map, maps
 
-    global_map, map_bufs = timed("vertex_mapping", stage_mapping)
-
-    def stage_preprocess():
-        lengths = []
-        for party in parties:
-            li = party.block_occupancy(params, symmetrize=program.symmetric)
-            if block_length_override is not None:
-                li = block_length_override[party.index]
-            lengths.append(li)
-        full = params.with_block_lengths(lengths)
-        payloads = [
-            party.grid_submit_payload(full, full.l_i[party.index],
-                                      symmetrize=program.symmetric)
-            for party in parties
-        ]
-        return full, payloads
-
-    full_params, grid_payloads = timed("edge_preprocess", stage_preprocess)
+    with stage("edge_preprocess"):
+        # Every party measures its occupancy even when the lengths are
+        # overridden: the stage does the same party work either way, and
+        # perfbench, which always overrides, times this call.
+        lengths = [party.block_occupancy(params, symmetrize=program.symmetric)
+                   for party in parties]
+        if block_length_override is not None:
+            lengths = [block_length_override[party.index] for party in parties]
+        full_params = params.with_block_lengths(lengths)
+        grid_payloads = [party.grid_submit_payload(full_params, full_params.l_i[party.index],
+                                                   symmetrize=program.symmetric)
+                         for party in parties]
     report.params = asdict(full_params)
 
-    grid = timed(
-        "merge_grids",
-        lambda: merge_grids(sim, grid_payloads, full_params,
-                            symmetrized=program.symmetric))
+    with stage("merge_grids"):
+        grid = merge_grids(sim, grid_payloads, full_params, symmetrized=program.symmetric)
     del grid_payloads  # the merged grid holds everything they carried
 
     source_id = obfuscate_ids(source_key, salt)[0] if program.needs_source else None
-    results_buf = timed("compute", lambda: compute(
-        sim, grid, global_map, program, t, workers, source_id))
+    with stage("compute"):
+        results_buf = compute(sim, grid, global_map, program, t, workers, source_id)
     del grid  # with its cached scan orders, before post-processing allocates
 
-    def stage_post():
+    with stage("post_process"):
         res_bufs = post_process(sim, results_buf, map_bufs, full_params)
-        out = {}
-        for party, rbuf in zip(parties, res_bufs):
-            payload = result_return_payload(sim, rbuf)
-            out[party.index] = party.receive_results(payload, app)
-        return out
-
-    results = timed("post_process", stage_post)
+        results = {party.index: party.receive_results(result_return_payload(sim, rbuf), app)
+                   for party, rbuf in zip(parties, res_bufs)}
     report.osort_lengths = [entry["n"] for entry in sim.osort_log]
     return results, report, sim

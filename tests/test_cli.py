@@ -251,6 +251,10 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
      "UnknownSource"),
     (["run", "{party}", "--app", "bfs", "--source", "18446744073709551616", "-t", "1",
       "--outdir", "{out}"], "UnknownSource"),
+    (["partition", "{edges}", "-p", "2", "--vertices", "2", "-o", "{out}"], "UsageError"),
+    (["partition", "{edges}", "-p", "2", "--vertices", "0", "-o", "{out}"], "UsageError"),
+    (["partition", "{far}", "-p", "2", "--vertices", "3", "-o", "{out}"], "UsageError"),
+    (["gen-kron", "--scale", "65", "--edge-scale", "2", "-o", "{out}"], "UsageError"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -259,7 +263,9 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "negative-parties-partition", "negative-scale-gen-kron",
         "negative-edge-scale-gen-kron", "negative-rounds-run",
         "negative-rounds-bench", "tag-line-partition", "three-fields-partition",
-        "non-integer-partition", "negative-source-run", "too-large-source-run"])
+        "non-integer-partition", "negative-source-run", "too-large-source-run",
+        "destination-outside-universe-partition", "empty-universe-partition",
+        "source-outside-universe-partition", "too-large-scale-gen-kron"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
@@ -268,8 +274,17 @@ def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     names = dict(missing=tmp_path / "missing.txt", party=party, edges=edges,
                  out=tmp_path / "out")
     for name, text in [("tagged", "0 1\nv 5\n"), ("wide", "0 1\n1 2 3\n"),
-                       ("word", "0 1\n1 x\n")]:
+                       ("word", "0 1\n1 x\n"), ("far", "0 1\n5 2\n")]:
         names[name] = tmp_path / (name + ".txt")
         names[name].write_text(text)
     assert main([a.format(**names) for a in argv]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_run_error_names_its_stage(tmp_path, capsys):
+    party = tmp_path / "p.txt"
+    party.write_text("v 5\nv 6\ne 5 6\n")
+    assert main(["run", str(party), "--app", "bfs", "--source", "7", "-t", "1",
+                 "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[stage compute]" in err and "UnknownSource" in err

@@ -21,6 +21,7 @@ from oblige.omsim import (
     assign_records,
     copy_records,
     gather_records,
+    with_fields,
 )
 from oblige.oprims import o_trans
 
@@ -123,7 +124,7 @@ def test_buffer_registers_and_buffer_from_rows_records_one_write():
 
 
 def test_unregistered_region_rejected():
-    trace = AccessTrace()
+    trace = AccessTrace(ELEMENT)
     with pytest.raises(KeyError):
         trace.seq(0, "nope", READ, 0, 1)
 
@@ -328,6 +329,46 @@ def test_assign_records_converts_other_dtypes():
     dst = np.zeros(3, dtype=[("v", "<u8")])
     assign_records(dst, np.array([(1,), (2,), (3,)], dtype=[("v", "<u4")]))
     assert dst["v"].tolist() == [1, 2, 3]
+
+
+_FIELD_TYPES = ["<u8", "<u4", "u1", "<f8"]
+
+
+@st.composite
+def record_dtypes(draw):
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    return np.dtype([(name, draw(st.sampled_from(_FIELD_TYPES))) for name in names])
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_dtypes(), record_dtypes(), st.booleans(), st.booleans(),
+       st.integers(0, 6), st.data())
+def test_with_fields_equals_per_field_construction(source, target, same, strided, n, data):
+    byte = st.integers(0, 255)  # exact in every field type
+    base = np.zeros(2 * n if strided else n, dtype=source)
+    for name in source.names:
+        base[name] = data.draw(st.lists(byte, min_size=len(base), max_size=len(base)))
+    rows = base[::2] if strided else base
+    if same:
+        target = source
+    values = {name: data.draw(st.one_of(byte, st.lists(byte, min_size=n, max_size=n)
+                                        .map(np.array)))
+              for name in data.draw(st.lists(st.sampled_from(target.names), unique=True))}
+
+    want = np.zeros(n, dtype=target)
+    for name in target.names:
+        if name in values:
+            want[name] = values[name]
+        elif name in source.names:
+            want[name] = rows[name]
+    got = with_fields(rows, None if same and data.draw(st.booleans()) else target, **values)
+    assert got.dtype == target and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, base)
+    if same:
+        ref = copy_records(rows)
+        for name, value in values.items():
+            ref[name] = value
+        assert got.tobytes() == ref.tobytes()
 
 
 def _random_rows(dtype, n, seed):

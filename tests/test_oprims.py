@@ -481,7 +481,7 @@ def test_o_split_trans_example():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
     buckets = o_split_trans(
-        buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        buf, lambda b: b["k"].astype(np.int64),
         [1, 1, 2], ["bkt0", "bkt1", "bkt2"], sim.new_arena(),
     )
     assert [b.data["k"].tolist() for b in buckets] == [[0], [1], [2, 2]]
@@ -491,7 +491,7 @@ def test_o_split_trans_needs_one_name_per_bucket():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [1, 0])
     with pytest.raises(ValueError, match="one name per bucket"):
-        o_split_trans(buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        o_split_trans(buf, lambda b: b["k"].astype(np.int64),
                       [1, 1], ["only"], sim.new_arena())
 
 
@@ -499,7 +499,7 @@ def test_o_split_trans_size_mismatch():
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
     with pytest.raises(SizeMismatch):
-        o_split_trans(buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        o_split_trans(buf, lambda b: b["k"].astype(np.int64),
                       [1, 2, 1], ["bkt0", "bkt1", "bkt2"], sim.new_arena())
 
 
@@ -513,13 +513,13 @@ def test_o_split_trans_evaluates_bucket_fn_twice():
 
     sim = OMSim(1 << 10)
     buf = key_buf(sim, [2, 1, 2, 0])
-    o_split_trans(buf, bucket, lambda b: b, [1, 1, 2], ["bkt0", "bkt1", "bkt2"],
+    o_split_trans(buf, bucket, [1, 1, 2], ["bkt0", "bkt1", "bkt2"],
                   sim.new_arena())
     assert calls == [4, 4]
     calls.clear()
     with pytest.raises(SizeMismatch, match=r"declared bucket sizes \[1, 2, 1\] but "
                                            r"found \[1, 1, 2\]"):
-        o_split_trans(key_buf(sim, [2, 1, 2, 0], name="b2"), bucket, lambda b: b,
+        o_split_trans(key_buf(sim, [2, 1, 2, 0], name="b2"), bucket,
                       [1, 2, 1], ["c0", "c1", "c2"], sim.new_arena())
     assert calls == [4, 4]
 
@@ -535,7 +535,7 @@ def test_o_split_trans_equals_sort_then_trans():
     sim = OMSim(1 << 11)
     buf = sim.buffer_from_rows("arr", rows)
     buckets = o_split_trans(
-        buf, lambda b: b["k"].astype(np.int64), lambda b: b,
+        buf, lambda b: b["k"].astype(np.int64),
         sizes, ["bkt%d" % i for i in range(4)], sim.new_arena(),
     )
     concatenated = np.concatenate([b.data for b in buckets])
@@ -545,6 +545,21 @@ def test_o_split_trans_equals_sort_then_trans():
     o_sort(buf2, lambda b: b["k"], sim2.new_arena())
     via_sort = o_trans(buf2, lambda b: b, out_name="out")
     assert (concatenated == via_sort.data).all()
+
+
+def test_o_split_trans_casts_buckets_to_a_narrower_dtype():
+    rows = np.zeros(6, dtype=[("k", "<u8"), ("v", "<u8"), ("w", "<u8")])
+    rows["k"], rows["v"], rows["w"] = [1, 0, 1, 0, 1, 1], np.arange(6), 9
+    narrow = np.dtype([("v", "<u8"), ("k", "<u4")])  # fewer fields, reordered
+    sim = OMSim(1 << 10)
+    buf = sim.buffer_from_rows("arr", rows)
+    buckets = o_split_trans(buf, lambda b: b["k"].astype(np.int64), [2, 4],
+                            ["bkt0", "bkt1"], sim.new_arena(), dtype=narrow)
+    for bucket in buckets:
+        assert bucket.data.dtype == narrow
+        assert sim.trace._regions[bucket.name].width == narrow.itemsize
+    assert [b.data["v"].tolist() for b in buckets] == [[1, 3], [0, 2, 4, 5]]
+    assert [b.data["k"].tolist() for b in buckets] == [[0, 0], [1, 1, 1, 1]]
 
 
 def test_o_filter_examples():
@@ -575,7 +590,7 @@ def test_trace_pure_function_of_public_shape():
         # declared sizes must match the secret data here, so fix them by
         # construction instead: bucket on a public derived index
         o_split_trans(buf, lambda b: np.arange(33, dtype=np.int64) % 3,
-                      lambda b: b, [11, 11, 11], ["b0", "b1", "b2"], arena)
+                      [11, 11, 11], ["b0", "b1", "b2"], arena)
         return sim.trace.digest()
 
     assert one(1) == one(2) == one(3)

@@ -484,6 +484,22 @@ def test_bfs_unknown_source():
         run_end_to_end(parties, "bfs", 2, 1 << 16, SALT, source_key=KEY["Z"])
 
 
+@pytest.mark.parametrize("engine", ["oblige", "sortscan", "reference"])
+def test_errors_name_their_stage(engine):
+    parties = [(key_list("AB"), edge_list("AB"))]
+    with pytest.raises(UnknownSource) as err:
+        run_end_to_end(parties, "bfs", 2, 1 << 16, SALT, engine=engine,
+                       source_key=KEY["Z"])
+    assert err.value.stage == "compute"
+    with pytest.raises(UnknownSource) as err:  # refused before any stage runs
+        run_end_to_end(parties, "bfs", 2, 1 << 16, SALT, engine=engine, source_key=-1)
+    assert err.value.stage is None
+    with pytest.raises(MalformedPartyFile) as err:
+        run_end_to_end([(key_list("AB"), edge_list("AC"))], "pr", 1, 1 << 16, SALT,
+                       engine=engine)
+    assert err.value.stage == "party_setup"
+
+
 def test_report_digests_reproducible():
     parties = [(key_list("AC"), edge_list("AC")), (key_list("BC"), edge_list("BC"))]
     _, rep1, _ = run_end_to_end(parties, "pr", 2, 1 << 16, SALT)
