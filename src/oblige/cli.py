@@ -166,6 +166,8 @@ def cmd_bench(args):
     else:
         cells = [(args.fixed_scale, args.fixed_edge_scale, int(om * factor))
                  for factor in _numbers(float, args.factors)]
+    if not cells:
+        raise UsageError("no bench cell: every n-scale exceeds every m-scale")
     rows = []
     for ns, ms, cell_om in cells:
         tob, tss = (_bench_once(args.app, ns, ms, cell_om, args.iterations,

@@ -75,9 +75,13 @@ class SymmetryRequired(ObligeError):
 
 
 class ObliviousnessViolation(ObligeError):
-    """Memory traces diverged across runs that only differ in secret inputs."""
+    """Memory traces diverged across runs that only differ in secret inputs.
 
-    def __init__(self, message, worker=None, event_index=None):
+    ``window`` names the compared trace window (None for the whole trace).
+    """
+
+    def __init__(self, message, worker=None, event_index=None, window=None):
         super().__init__(message)
         self.worker = worker
         self.event_index = event_index
+        self.window = window

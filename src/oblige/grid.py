@@ -119,15 +119,6 @@ class GridGraph:
         self.m = m
         self.symmetrized = symmetrized
 
-    def block(self, r, c):
-        l = self.params.l
-        start = (r * self.params.b + c) * l
-        return self.edges[start:start + l]
-
-    def nonnull_edges(self):
-        """The (src, dst) pairs of all real edges, in storage order."""
-        return tuple(side.view(np.uint64).copy() for side in self.row_order)
-
     @cached_property
     def column_order(self):
         """Real edges as read-only int64 (src, dst), in column-scan order.

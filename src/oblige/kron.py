@@ -204,23 +204,21 @@ def split_parties(src, dst, owner, p):
 
     Every vertex in the universe appears in exactly one party's key list;
     edge endpoints that belong to other parties are added to the holder's
-    key list too, since a party can only name vertices it knows.  An
-    endpoint outside the universe (`owner`'s length) raises UsageError.
+    key list too, since a party can only name vertices it knows.  Keys are
+    a sorted uint64 array and edges a uint64 (m, 2) array in input order.
+    An endpoint outside the universe (`owner`'s length) raises UsageError.
     """
-    parties = []
     owner = np.asarray(owner)
     if len(src) and max(int(src.max()), int(dst.max())) >= len(owner):
         raise UsageError("an edge endpoint lies outside the %d-vertex universe"
                          % len(owner))
+    edges = np.stack([src, dst], axis=1).astype(np.uint64)
+    holder = owner[edges[:, 0].astype(np.int64)]
+    parties = []
     for i in range(p):
-        mine = np.flatnonzero(owner == i)
-        keep = owner[src.astype(np.int64)] == i
-        edges = list(zip(src[keep].tolist(), dst[keep].tolist()))
-        keys = set(mine.tolist())
-        for u, v in edges:
-            keys.add(u)
-            keys.add(v)
-        parties.append((sorted(keys), edges))
+        held = edges[holder == i]
+        keys = np.union1d(np.flatnonzero(owner == i).astype(np.uint64), held)
+        parties.append((keys, held))
     return parties
 
 

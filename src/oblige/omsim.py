@@ -62,6 +62,7 @@ import functools
 import hashlib
 import math
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -281,6 +282,7 @@ class AccessTrace:
         self.enabled = enabled
         self._regions = {}
         self._streams = {}  # worker -> list of compressed access records
+        self.windows = []  # (name, start mark, end mark), in closing order
 
     # -- region registry ---------------------------------------------------
 
@@ -473,8 +475,19 @@ class AccessTrace:
         return states
 
     def mark(self):
-        """Checkpoint the current stream lengths (used for per-stage digests)."""
+        """Checkpoint the current stream lengths (the bounds of a window)."""
         return {w: len(s) for w, s in self._streams.items()}
+
+    @contextmanager
+    def window(self, name):
+        """Name the records taken inside the `with` body; records nothing itself.
+
+        On exit `(name, start mark, end mark)` is appended to `windows`, so a
+        window closes after every window nested in it.
+        """
+        start = self.mark()
+        yield
+        self.windows.append((name, start, self.mark()))
 
     def worker_digests(self, start=None, end=None):
         """Hex digest of each worker's expanded event stream.

@@ -167,79 +167,80 @@ def o_sort(buf, key, arena):
     Returns a stats dict with the padded length, in-OM segment size and the
     super-OM compare-exchange count (a pure function of the public sizes).
     """
-    n = len(buf.data)
-    stats = {"n": n, "padded": 0, "segment": 0, "compare_exchanges": 0}
-    if n <= 1:
-        return stats
-
-    padded = _pow2_ceil(n)
-    if padded > _MAX_PADDED:
-        raise ValueError("o_sort of %d records pads past 2^31, beyond int32 ranks" % n)
     trace = buf.trace
-    cols = _key_columns(key, buf.data)
-    for c in cols:
-        if c.dtype.kind == "f" and np.isnan(c).any():
-            raise ValueError("o_sort key column holds NaN, which has no order")
-    dt = np.dtype(
-        [("_pad", "u1")]
-        + [("_k%d" % i, c.dtype) for i, c in enumerate(cols)]
-        + [("_pos", "<u8"), ("_rec", buf.data.dtype)]
-    )
+    with trace.window("o_sort"):
+        n = len(buf.data)
+        stats = {"n": n, "padded": 0, "segment": 0, "compare_exchanges": 0}
+        if n <= 1:
+            return stats
 
-    seg_records = _pow2_floor(arena.free_bytes // dt.itemsize)
-    if seg_records < 2:
-        raise OMUnavailable(
-            "OM too small for o_sort: %d free bytes cannot hold two %d-byte records"
-            % (arena.free_bytes, dt.itemsize)
+        padded = _pow2_ceil(n)
+        if padded > _MAX_PADDED:
+            raise ValueError("o_sort of %d records pads past 2^31, beyond int32 ranks" % n)
+        cols = _key_columns(key, buf.data)
+        for c in cols:
+            if c.dtype.kind == "f" and np.isnan(c).any():
+                raise ValueError("o_sort key column holds NaN, which has no order")
+        dt = np.dtype(
+            [("_pad", "u1")]
+            + [("_k%d" % i, c.dtype) for i, c in enumerate(cols)]
+            + [("_pos", "<u8"), ("_rec", buf.data.dtype)]
         )
-    seg = min(seg_records, padded)
-    om = arena.alloc(seg * dt.itemsize)
 
-    scratch_name = buf.name + ".sortpad"
-    trace.register(scratch_name, padded, dt.itemsize)
+        seg_records = _pow2_floor(arena.free_bytes // dt.itemsize)
+        if seg_records < 2:
+            raise OMUnavailable(
+                "OM too small for o_sort: %d free bytes cannot hold two %d-byte records"
+                % (arena.free_bytes, dt.itemsize)
+            )
+        seg = min(seg_records, padded)
+        om = arena.alloc(seg * dt.itemsize)
 
-    # Copy in (one interleaved read/write pass), then write the pad tail.
-    trace.zip2(0, buf.name, READ, 0, scratch_name, WRITE, 0, n)
-    order = _stable_order(cols)
-    rank = np.empty(padded, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    trace.seq(0, scratch_name, WRITE, n, padded - n)
-    rank[n:] = np.arange(n, padded, dtype=np.int32)
+        scratch_name = buf.name + ".sortpad"
+        trace.register(scratch_name, padded, dt.itemsize)
 
-    segments = rank.reshape(-1, seg)
+        # Copy in (one interleaved read/write pass), then write the pad tail.
+        trace.zip2(0, buf.name, READ, 0, scratch_name, WRITE, 0, n)
+        order = _stable_order(cols)
+        rank = np.empty(padded, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        trace.seq(0, scratch_name, WRITE, n, padded - n)
+        rank[n:] = np.arange(n, padded, dtype=np.int32)
 
-    def sort_segments(k):
-        """Sort every segment, descending where its start has bit `k`."""
-        trace.repeat(0, [(scratch_name, READ, 0, seg, seg),
-                              (scratch_name, WRITE, 0, seg, seg)], padded // seg)
-        segments.sort(axis=1)
-        if k < padded:  # the second k-long half of every 2k-block descends
-            desc = rank.reshape(-1, 2, k // seg, seg)[:, 1]
-            desc[...] = desc[..., ::-1]
+        segments = rank.reshape(-1, seg)
 
-    # Build sorted runs of length `seg`, alternating direction as the full
-    # network would have left them after its first log2(seg) stages.
-    sort_segments(seg)
+        def sort_segments(k):
+            """Sort every segment, descending where its start has bit `k`."""
+            trace.repeat(0, [(scratch_name, READ, 0, seg, seg),
+                             (scratch_name, WRITE, 0, seg, seg)], padded // seg)
+            segments.sort(axis=1)
+            if k < padded:  # the second k-long half of every 2k-block descends
+                desc = rank.reshape(-1, 2, k // seg, seg)[:, 1]
+                desc[...] = desc[..., ::-1]
 
-    cx = 0
-    k = 2 * seg
-    while k <= padded:
-        j = k // 2
-        while j >= seg:
-            trace.cx_pass(0, scratch_name, j, padded)
-            _cx_pass(rank, j, k)
-            cx += padded // 2
-            j //= 2
-        # Remaining strides of this merge stay inside one OM-sized segment,
-        # which is bitonic at this point; a full in-OM sort finishes it.
-        sort_segments(k)
-        k *= 2
+        # Build sorted runs of length `seg`, alternating direction as the full
+        # network would have left them after its first log2(seg) stages.
+        sort_segments(seg)
 
-    trace.zip2(0, scratch_name, READ, 0, buf.name, WRITE, 0, n)
-    assign_records(buf.data, gather_records(buf.data, order[rank[:n]]))
-    arena.free(om)
-    stats.update(padded=padded, segment=seg, compare_exchanges=cx)
-    return stats
+        cx = 0
+        k = 2 * seg
+        while k <= padded:
+            j = k // 2
+            while j >= seg:
+                trace.cx_pass(0, scratch_name, j, padded)
+                _cx_pass(rank, j, k)
+                cx += padded // 2
+                j //= 2
+            # Remaining strides of this merge stay inside one OM-sized segment,
+            # which is bitonic at this point; a full in-OM sort finishes it.
+            sort_segments(k)
+            k *= 2
+
+        trace.zip2(0, scratch_name, READ, 0, buf.name, WRITE, 0, n)
+        assign_records(buf.data, gather_records(buf.data, order[rank[:n]]))
+        arena.free(om)
+        stats.update(padded=padded, segment=seg, compare_exchanges=cx)
+        return stats
 
 
 def group_ids(keys):

@@ -34,7 +34,7 @@ import copy
 import hashlib
 import operator
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
@@ -446,13 +446,15 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
     in for the out-of-band agreement on the merged vertex count; when None it
     is computed the way the parties would jointly announce it.  The oblivious
     engines verify the declaration rather than trust it.  `f` is the damping
-    factor of a program that has one (PageRank); None keeps the program's.
+    factor of a program that has one (PageRank), in [0, 1] (UsageError
+    otherwise); None keeps the program's.
 
     The run is timed as consecutive stages in `report.stage_seconds`:
     party_setup (the parties read their inputs and obfuscate their IDs),
     declare_n (only when `declared_n` is None), vertex_mapping,
     edge_preprocess, merge_grids, compute and post_process; the reference
-    engine has party_setup and compute only.  An `ObligeError` raised in a
+    engine has party_setup and compute only.  Each stage is also a trace
+    window of its name (`AccessTrace.window`).  An `ObligeError` raised in a
     stage leaves with the stage's name in `.stage`.
     """
     if app not in apps_mod.APPS or engine not in ENGINES:
@@ -461,6 +463,8 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         raise UsageError("a run needs at least one worker, not %r" % (workers,))
     if t < 0:
         raise UsageError("a run needs a round count of at least 0, not %r" % (t,))
+    if f is not None and not 0 <= f <= 1:  # NaN fails too
+        raise UsageError("a damping factor lies in [0, 1], not %r" % (f,))
     program = apps_mod.APPS[app]
     if f is not None and program.damping is not None:
         program = copy.copy(program)  # the registry keeps its default
@@ -481,11 +485,14 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
 
     @contextmanager
     def stage(name):
-        """Stage `name`: its time, trace digest and digest time; labels its ObligeError."""
-        mark = sim.trace.mark() if sim else None
+        """Stage `name`: a trace window, its time, digest and digest time.
+
+        Labels an ObligeError raised inside with the stage's name.
+        """
         start = time.perf_counter()
         try:
-            yield
+            with sim.trace.window(name) if sim else nullcontext():
+                yield
         except ObligeError as err:
             if err.stage is None:
                 err.stage = name
@@ -493,7 +500,7 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
         done = time.perf_counter()
         report.stage_seconds[name] = done - start
         if sim is not None:
-            report.stage_digests[name] = sim.trace.digest(start=mark)
+            report.stage_digests[name] = sim.trace.digest(*sim.trace.windows[-1][1:])
             if sim.trace.enabled:
                 report.digest_seconds[name] = time.perf_counter() - done
 

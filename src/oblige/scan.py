@@ -21,7 +21,8 @@ calls, and keeps only the per-worker arena allocations and the budget check.
 The kernel then runs once per scan, over every real edge in the order the
 lines visit them: the grid's cached `column_order` (columns 0..b-1, block
 rows 0..b-1 within a column, stored order within a block), or `row_order`
-for `full_scan_rows`.
+for `full_scan_rows`.  Each scan, kernel call included, is one trace
+window named after its function (`AccessTrace.window`).
 
 Kernel contract: ``kernel(src, dst, src_off, dst_off)`` is vectorized and
 called once per scan.  Both vertex sides are whole arrays indexed by global
@@ -119,8 +120,9 @@ def full_scan(grid, src_vals, dst_vals, kernel, sim, workers=1, out_name=None):
     says otherwise); `src_vals` is never modified.  Sources are visited in
     block row order 0..b-1 and, within a block, in stored order.
     """
-    return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
-                 by_rows=False)
+    with sim.trace.window("full_scan"):
+        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
+                     by_rows=False)
 
 
 def full_scan_rows(grid, src_vals, dst_vals, kernel, sim, workers=1, out_name=None):
@@ -130,5 +132,6 @@ def full_scan_rows(grid, src_vals, dst_vals, kernel, sim, workers=1, out_name=No
     per-source quantities such as out-degrees under the same trace shape
     argument.
     """
-    return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
-                 by_rows=True)
+    with sim.trace.window("full_scan_rows"):
+        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
+                     by_rows=True)

@@ -1,26 +1,24 @@
-"""Executable obliviousness checks: run stages on random secrets, diff traces.
+"""Executable obliviousness checks: whole-pipeline trials on random secrets.
 
-Each registered stage builds fresh random secret inputs under one fixed
-public configuration and runs on a fresh simulator.  If the per-worker trace
-digests of any two trials differ, the stage leaks, and the first divergent
-event is located by expanding the two traces side by side.
-
-The deliberately leaky PageRank kernel variant (`pr_leaky`) exists as a
-negative control: it performs one data-dependent access to a registered
-non-OM probe region, which a sound recorder must catch.
+Each trial runs `run_end_to_end` on fresh `random_parties` under one fixed
+public configuration.  A stage compares one named trace window across trials
+(`AccessTrace.window`): a pipeline stage, a primitive or the whole trace; a
+name that closes several windows (every o_sort, one scan per round) compares
+the list of their per-worker digests.  If two trials differ, the stage leaks,
+and the first divergent event is located.  The leaky PageRank scan
+(`pr_leaky`), the one check outside the pipeline, is the negative control:
+its kernel makes one data-dependent access to a non-OM probe region.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import apps as apps_mod
-from . import baselines
 from .errors import ObliviousnessViolation, UsageError
 from .grid import PublicParams, build_grid
 from .omsim import ELEMENT, READ, OMSim
-from .oprims import o_sort
-from .pipeline import obfuscate_ids, run_end_to_end, vertex_mapping
+from .pipeline import run_end_to_end
 from .scan import full_scan
 
 CHECK_SALT = b"tracecheck-salt!"  # every trial's parties share it
@@ -63,170 +61,62 @@ def random_parties(rng, cfg):
     return parties
 
 
-def _fixture_grid(rng, cfg, vwidth, block_length):
-    params = PublicParams.derive(
-        p=1, n_i=[cfg.n], n=cfg.n, t=cfg.t, s=cfg.om_bytes, vwidth=vwidth,
-        l_i=[block_length],
-    )
-    m = cfg.edges_per_party
-    edges = rng.integers(0, cfg.n, size=(m, 2))
-    return build_grid(edges, params)
-
-
-def _leaky_pr_kernel(sim):
-    """PR kernel that also probes a non-OM table at a secret-derived offset.
-
-    The scan calls its kernel once, so a scan makes one probe, at an offset
-    derived from vertex 0's secret weight.
-    """
-    probe_len = 1 << 16
-    sim.trace.register("leak.probe", probe_len, 8)
-
-    def kernel(src_chunk, dst_chunk, soff, doff):
-        apps_mod.APPS["pr"].kernel(src_chunk, dst_chunk, soff, doff)
-        secret = int(src_chunk["weight"][0] * 1e6) % probe_len
-        sim.trace.points(0, "leak.probe", READ, [secret])
-
-    return kernel
-
-
-# -- stage runners: each returns (sim, per-worker digests of the stage) -------
-
-def _staged(sim, fn):
-    start = sim.trace.mark()
-    fn()
-    return sim, sim.trace.worker_digests(start=start)
-
-
-def _stage_o_sort(rng, cfg):
-    sim = OMSim(cfg.om_bytes)
-    rows = np.zeros(cfg.n, dtype=[("k", "<u8")])
-    rows["k"] = rng.integers(0, 1 << 62, size=cfg.n)
-    buf = sim.buffer_from_rows("chk.arr", rows)
-    return _staged(sim, lambda: o_sort(buf, lambda b: b["k"], sim.new_arena()))
-
-
-def _app_fixture(rng, cfg, sim, program):
-    """A random grid and a random state buffer of `program`."""
-    grid = _fixture_grid(rng, cfg, program.vwidth, cfg.edges_per_party)
-    grid.symmetrized = program.symmetric
-    state = program.initial(cfg.n)
-    if state[program.field].dtype.kind == "f":
-        state[program.field] = rng.random(cfg.n) + 0.25
-    else:
-        state[program.field] = rng.integers(0, cfg.n, size=cfg.n)
-    if program.needs_degrees:
-        state["degree"] = np.maximum(
-            np.bincount(grid.row_order[0], minlength=cfg.n), 1)
-    return grid, sim.buffer_from_rows(program.region, state)
-
-
-def _stage_full_scan(leaky=False):
-    # With `leaky` the scan runs `_leaky_pr_kernel`, the negative control.
-    def runner(rng, cfg):
-        sim = OMSim(cfg.om_bytes)
-        grid, state = _app_fixture(rng, cfg, sim, apps_mod.APPS["pr"])
-        kernel = _leaky_pr_kernel(sim) if leaky else apps_mod.APPS["pr"].kernel
-        return _staged(sim, lambda: full_scan(
-            grid, state, state, kernel, sim, workers=cfg.workers, out_name="chk.out"))
-
-    return runner
-
-
-def _stage_full_scan_rows(rng, cfg):
-    sim = OMSim(cfg.om_bytes)
-    grid = _fixture_grid(rng, cfg, apps_mod.DEGREE_STATE.itemsize,
-                         cfg.edges_per_party)
-    return _staged(sim, lambda: apps_mod.compute_out_degrees(
-        sim, grid, workers=cfg.workers))
-
-
-def _stage_vertex_mapping(rng, cfg):
-    sim = OMSim(cfg.om_bytes)
-    parties = random_parties(rng, cfg)
-    ids = [obfuscate_ids(keys, CHECK_SALT) for keys, _ in parties]
-    return _staged(sim, lambda: vertex_mapping(sim, ids, cfg.n))
-
-
-def _run_pipeline(rng, cfg, app, engine="oblige", leaky=False):
+def _run_pipeline(rng, cfg, app, engine):
     parties = random_parties(rng, cfg)
     program = apps_mod.APPS[app]
-    source = parties[0][0][0] if program.needs_source else None
-    sym = 2 if program.symmetric else 1
-    override = [cfg.edges_per_party * sym] * cfg.p
+    override = [cfg.edges_per_party * (2 if program.symmetric else 1)] * cfg.p
     return run_end_to_end(
         parties, app, cfg.t, cfg.om_bytes, CHECK_SALT, workers=cfg.workers,
-        engine=engine, granularity=ELEMENT, source_key=source,
-        declared_n=cfg.n, block_length_override=override,
-    )
+        engine=engine, granularity=ELEMENT, declared_n=cfg.n, block_length_override=override,
+        source_key=parties[0][0][0] if program.needs_source else None,
+    )[2]
 
 
-def _stage_of_pipeline(stage):
-    # The stage's digest is its slice of a PR pipeline run with t=0, so no
-    # iteration contributes.
-    def runner(rng, cfg):
-        _, report, sim = _run_pipeline(rng, replace(cfg, t=0), "pr")
-        return sim, {None: report.stage_digests[stage]}
-
-    return runner
-
-
-def _stage_app_iteration(app):
-    program = apps_mod.APPS[app]
-
-    def runner(rng, cfg):
-        sim = OMSim(cfg.om_bytes)
-        grid, state = _app_fixture(rng, cfg, sim, program)
-        return _staged(sim, lambda: apps_mod.iteration(
-            sim, grid, state, program, workers=cfg.workers))
-
-    return runner
-
-
-def _stage_sortscan_iteration(rng, cfg):
+def _leaky_scan(rng, cfg):
+    """A PR `full_scan` of a random grid whose kernel probes at vertex 0's secret weight."""
+    program, probe_len = apps_mod.APPS["pr"], 1 << 16
+    params = PublicParams.derive(p=1, n_i=[cfg.n], n=cfg.n, t=cfg.t, s=cfg.om_bytes,
+                                 vwidth=program.vwidth, l_i=[cfg.edges_per_party])
+    grid = build_grid(rng.integers(0, cfg.n, size=(cfg.edges_per_party, 2)), params)
+    state = program.initial(cfg.n)
+    state[program.field] = rng.random(cfg.n) + 0.25
     sim = OMSim(cfg.om_bytes)
-    m = cfg.edges_per_party
-    pairs = np.zeros(m, dtype=[("src", "<u8"), ("dst", "<u8")])
-    pairs["src"] = rng.integers(0, cfg.n, size=m)
-    pairs["dst"] = rng.integers(0, cfg.n, size=m)
-    edges = sim.buffer_from_rows("ss.edgein", pairs)
-    seed = sim.buffer_from_rows("ss.init", np.ones(cfg.n, dtype=[("weight", "<f8")]))
-    kernel = baselines.SortScanKernel(apps_mod.APPS["pr"])
-    elems = baselines.build_elements(seed, edges, kernel)
-    elems.data["degree"][elems.data["kind"] == baselines.VERTEX] = 1
-    arena = sim.new_arena()
-    return _staged(sim, lambda: baselines.sortscan_iteration(
-        elems, kernel, arena, sim))
+    sim.trace.register("leak.probe", probe_len, 8)
+
+    def kernel(src, dst, soff, doff):
+        program.kernel(src, dst, soff, doff)
+        secret = int(src[program.field][0] * 1e6) % probe_len
+        sim.trace.points(0, "leak.probe", READ, [secret])
+
+    buf = sim.buffer_from_rows(program.region, state)
+    full_scan(grid, buf, buf, kernel, sim, workers=cfg.workers)
+    return sim
 
 
-def _stage_whole_pipeline(app, engine="oblige"):
-    def runner(rng, cfg):
-        results, report, sim = _run_pipeline(rng, cfg, app, engine=engine)
-        return sim, sim.trace.worker_digests()
-
-    return runner
-
-
-STAGES = {
-    "o_sort": _stage_o_sort,
-    "full_scan": _stage_full_scan(),
-    "full_scan_rows": _stage_full_scan_rows,
-    "vertex_mapping": _stage_vertex_mapping,
-    "merge_grids": _stage_of_pipeline("merge_grids"),
-    "post_process": _stage_of_pipeline("post_process"),
-    **{app: _stage_app_iteration(app) for app in apps_mod.APPS},
-    "sortscan": _stage_sortscan_iteration,
-    "pr_leaky": _stage_full_scan(leaky=True),
-    **{"pipeline_" + app: _stage_whole_pipeline(app) for app in apps_mod.APPS},
-    "pipeline_sortscan": _stage_whole_pipeline("pr", engine="sortscan"),
+STAGES = {  # name -> (app, engine, window); window None is the whole trace
+    **{w: ("pr", "oblige", w) for w in ("o_sort", "full_scan", "full_scan_rows",
+                                        "vertex_mapping", "merge_grids", "post_process")},
+    **{app: (app, "oblige", "compute") for app in apps_mod.APPS},
+    "sortscan": ("pr", "sortscan", "compute"),
+    "pr_leaky": ("pr", None, "full_scan"),  # engine None: `_leaky_scan`, no pipeline
+    **{"pipeline_" + app: (app, "oblige", None) for app in apps_mod.APPS},
+    "pipeline_sortscan": ("pr", "sortscan", None),
 }
 
 
+def _window_digests(trace, window):
+    """{(i, worker): digest} of the i-th window named `window`, in closing order."""
+    spans = [(None, None)] if window is None else \
+        [(s, e) for name, s, e in trace.windows if name == window]
+    return {(i, w): d for i, (s, e) in enumerate(spans)
+            for w, d in trace.worker_digests(s, e).items()}
+
+
 def check_stage(stage, trials, seed, cfg=None):
-    """Run `trials` random-secret executions; all stage digests must agree.
+    """Run `trials` random-secret executions; all window digests must agree.
 
     Returns a report dict; raises :class:`ObliviousnessViolation` carrying
-    the first divergent (worker, event index) otherwise, and
+    the window and the first divergent (worker, event index) otherwise, and
     :class:`UsageError` for a config no trial can run.
     """
     if trials < 2:
@@ -240,17 +130,21 @@ def check_stage(stage, trials, seed, cfg=None):
     if stage not in STAGES:
         raise ValueError("unknown stage %r (choose from %s)"
                          % (stage, ", ".join(sorted(STAGES))))
+    app, engine, window = STAGES[stage]
     rng = np.random.default_rng(seed)
-    runner = STAGES[stage]
-    base_sim, base_digests = runner(rng, cfg)
-    for trial in range(1, trials):
-        sim, digests = runner(rng, cfg)
-        if digests != base_digests:
-            where = base_sim.trace.first_divergence(sim.trace)
-            worker, index = (where[0], where[1]) if where else (None, None)
+    trial = (lambda: _leaky_scan(rng, cfg)) if engine is None else \
+        (lambda: _run_pipeline(rng, cfg, app, engine))
+    base = trial()
+    base_digests = _window_digests(base.trace, window)
+    if not base_digests:
+        raise UsageError("stage %r closes no %r window at %r" % (stage, window, cfg))
+    for t in range(1, trials):
+        sim = trial()
+        if _window_digests(sim.trace, window) != base_digests:
+            where = base.trace.first_divergence(sim.trace)
+            worker, index = where[:2] if where else (None, None)
             raise ObliviousnessViolation(
-                "stage %r trace diverged on trial %d at worker=%s event=%s"
-                % (stage, trial, worker, index),
-                worker=worker, event_index=index,
-            )
+                "stage %r window %r diverged on trial %d at worker=%s event=%s"
+                % (stage, window or "whole trace", t, worker, index),
+                worker=worker, event_index=index, window=window)
     return {"stage": stage, "trials": trials, "digests": base_digests}

@@ -72,7 +72,7 @@ def test_out_degrees_equal_bincount(n, k, workers):
     sim = OMSim(grid.params.s)
     degree = compute_out_degrees(sim, grid, workers=workers).data["degree"]
     assert degree.dtype == np.uint64
-    want = np.bincount(grid.nonnull_edges()[0], minlength=n).astype(np.uint64)
+    want = np.bincount(grid.row_order[0], minlength=n).astype(np.uint64)
     assert degree.tobytes() == want.tobytes()
     assert degree[5] == 0
 

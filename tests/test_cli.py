@@ -51,11 +51,11 @@ def test_partition_union_property(tmp_path):
     for mode in ("random", "range"):
         owner = assign_parties(1 << 8, 3, mode, seed=2)
         parties = split_parties(src, dst, owner, 3)
-        union = sorted(e for _, edges in parties for e in edges)
+        union = sorted(e for _, edges in parties for e in map(tuple, edges.tolist()))
         assert union == sorted(zip(src.tolist(), dst.tolist()))
         covered = set()
         for keys, _ in parties:
-            covered.update(keys)
+            covered.update(keys.tolist())
         assert covered == set(range(1 << 8))
 
 
@@ -255,6 +255,13 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["partition", "{edges}", "-p", "2", "--vertices", "0", "-o", "{out}"], "UsageError"),
     (["partition", "{far}", "-p", "2", "--vertices", "3", "-o", "{out}"], "UsageError"),
     (["gen-kron", "--scale", "65", "--edge-scale", "2", "-o", "{out}"], "UsageError"),
+    (["run", "{party}", "--app", "pr", "--damping", "nan", "--outdir", "{out}"],
+     "UsageError"),
+    (["run", "{party}", "--app", "pr", "--damping", "2", "--outdir", "{out}"],
+     "UsageError"),
+    (["run", "{party}", "--app", "pr", "--damping", "-0.5", "--outdir", "{out}"],
+     "UsageError"),
+    (["bench", "--mode", "scale", "--n-scales", "3", "--m-scales", "2"], "UsageError"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -265,7 +272,9 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "negative-rounds-bench", "tag-line-partition", "three-fields-partition",
         "non-integer-partition", "negative-source-run", "too-large-source-run",
         "destination-outside-universe-partition", "empty-universe-partition",
-        "source-outside-universe-partition", "too-large-scale-gen-kron"])
+        "source-outside-universe-partition", "too-large-scale-gen-kron",
+        "nan-damping-run", "above-one-damping-run", "negative-damping-run",
+        "no-cells-bench"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")

@@ -44,16 +44,17 @@ def test_params_invariants():
 
 def test_build_grid_micro_case():
     g = build_grid([(0, 3), (1, 0), (3, 3)], micro_params())
+    blocks = g.edges.reshape(g.params.b, g.params.b, g.params.l)
 
     def real(r, c):
-        blk = g.block(r, c)
+        blk = blocks[r, c]
         return [(int(e["src"]), int(e["dst"])) for e in blk[blk["pad"] == 0]]
 
     assert real(0, 1) == [(0, 3)]
     assert real(0, 0) == [(1, 0)]
     assert real(1, 1) == [(3, 3)]
     assert real(1, 0) == []
-    assert all(len(g.block(r, c)) == 2 for r in range(2) for c in range(2))
+    assert all(len(blocks[r, c]) == 2 for r in range(2) for c in range(2))
     assert g.m == 3
 
 
@@ -174,9 +175,10 @@ def test_placement_invariant_random():
     edges = rng.integers(0, n, size=(200, 2))
     g = build_grid(edges, params)
     k, b = params.k, params.b
+    blocks = g.edges.reshape(b, b, params.l)
     for r in range(b):
         for c in range(b):
-            blk = g.block(r, c)
+            blk = blocks[r, c]
             real = blk[blk["pad"] == 0]
             assert (real["src"] // k == r).all()
             assert (real["dst"] // k == c).all()

@@ -203,7 +203,7 @@ def test_preprocess_micro_and_merge():
     payloads = [p.grid_submit_payload(full, full.l_i[p.index]) for p in parties]
     grid = merge_grids(sim, payloads, full)
     assert grid.m == 3
-    src, dst = grid.nonnull_edges()
+    src, dst = grid.row_order
     oracle = _mapping_oracle([p.raw_keys for p in parties], SALT)
     mapped_of = {k: oracle[id_key(obfuscate_ids([KEY[k]], SALT)[0])] for k in "ABC"}
     expect = sorted([
@@ -223,7 +223,8 @@ def test_merge_grids_lengths_and_param_mismatch():
     payloads = [p.grid_submit_payload(full, full.l_i[p.index]) for p in parties]
     grid = merge_grids(sim, payloads, full)
     assert grid.params.l == 3
-    assert all(len(grid.block(r, c)) == 3 for r in range(2) for c in range(2))
+    blocks = grid.edges.reshape(grid.params.b, grid.params.b, grid.params.l)
+    assert all(len(blocks[r, c]) == 3 for r in range(2) for c in range(2))
 
     with pytest.raises(ParamMismatch):
         merge_grids(sim, payloads, full.with_block_lengths([2, 2]))
@@ -257,7 +258,7 @@ def test_merge_single_party_is_identity():
     full = params.with_block_lengths([party.block_occupancy(params)])
     payload = party.grid_submit_payload(full, full.l_i[0])
     grid = merge_grids(sim, [payload], full)
-    src, dst = grid.nonnull_edges()
+    src, dst = grid.row_order
     assert len(src) == 1
 
 
@@ -286,7 +287,7 @@ def test_merged_multiset_is_union():
          oracle[id_key(obfuscate_ids([v], SALT)[0])])
         for _, edges in raw for u, v in edges
     )
-    src, dst = grid.nonnull_edges()
+    src, dst = grid.row_order
     assert sorted(zip(src.tolist(), dst.tolist())) == expect
 
 
@@ -624,7 +625,9 @@ def party_forms(keys, edges):
 def test_party_array_and_list_inputs_agree():
     src, dst = kron.generate_kronecker(6, 1 << 8, seed=5)
     owner = kron.assign_parties(1 << 6, 2, "random", seed=1)
-    lists = kron.split_parties(src, dst, owner, 2) + [([], [])]  # and an empty party
+    lists = [(keys.tolist(), list(map(tuple, edges.tolist())))
+             for keys, edges in kron.split_parties(src, dst, owner, 2)]
+    lists.append(([], []))  # and an empty party
     forms = [party_forms(keys, edges) for keys, edges in lists]
     want = None
     for name in forms[0]:

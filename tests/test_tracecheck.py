@@ -1,9 +1,13 @@
-"""The trace-equality harness itself: stage coverage and the negative control."""
+"""The trace-equality harness: stage coverage, trace windows, planted leaks, negative control."""
 
+import numpy as np
 import pytest
 
+from oblige import apps, oprims, pipeline
 from oblige.errors import ObliviousnessViolation
-from oblige.tracecheck import STAGES, CheckConfig, check_stage
+from oblige.omsim import READ, OMSim
+from oblige.pipeline import run_end_to_end
+from oblige.tracecheck import CHECK_SALT, STAGES, CheckConfig, check_stage, random_parties
 
 FAST_CFG = dict(n=64, p=2, overlap=8, edges_per_party=48, om_bytes=1 << 14,
                 workers=2)
@@ -29,6 +33,7 @@ def test_leaky_kernel_detected_with_location():
         check_stage("pr_leaky", trials=3, seed=17, cfg=CheckConfig(**FAST_CFG))
     assert info.value.worker is not None
     assert info.value.event_index is not None
+    assert info.value.window == "full_scan"
 
 
 def test_trials_precondition():
@@ -45,3 +50,59 @@ def test_stage_registry_covers_required_surface():
     required = {"o_sort", "full_scan", "full_scan_rows", "vertex_mapping",
                 "merge_grids", "post_process", "pr", "bfs", "wcc", "sortscan"}
     assert required <= set(STAGES)
+
+
+@pytest.mark.parametrize("stage", sorted(set(STAGES) - {"pr_leaky"}))
+def test_every_stage_is_pure(stage):
+    report = check_stage(stage, trials=2, seed=5, cfg=CheckConfig(**FAST_CFG))
+    assert len(next(iter(report["digests"].values()))) == 64
+
+
+PROBE = 1 << 16
+
+
+@pytest.mark.parametrize("stage,owner,name,secret", [
+    ("o_sort", oprims, "_stable_order", lambda cols: int(cols[0][0])),
+    ("full_scan", apps.APPS["pr"], "kernel", lambda src, dst, soff, doff: int(soff.sum())),
+    ("post_process", pipeline, "post_process", lambda sim, res, *_: sum(res.data.tobytes())),
+], ids=["o_sort", "scan-kernel", "post_process"])
+def test_planted_leak_caught_in_its_window(monkeypatch, stage, owner, name, secret):
+    """A data-dependent access planted inside one step fails that step's window."""
+    sims = []
+
+    def new_sim(*args, **kwargs):
+        sims.append(OMSim(*args, **kwargs))
+        sims[-1].trace.register("leak.probe", PROBE, 8)
+        return sims[-1]
+
+    real = getattr(owner, name)
+
+    def leaky(*args):
+        sims[-1].trace.points(0, "leak.probe", READ, [secret(*args) % PROBE])
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "OMSim", new_sim)
+    monkeypatch.setattr(owner, name, leaky)
+    with pytest.raises(ObliviousnessViolation) as info:
+        check_stage(stage, trials=3, seed=17, cfg=CheckConfig(**FAST_CFG))
+    assert info.value.window == stage
+    assert "window %r" % stage in str(info.value)
+
+
+def test_pipeline_windows_cover_stages_and_scans():
+    cfg = CheckConfig(**FAST_CFG)
+    parties = random_parties(np.random.default_rng(4), cfg)
+    _, report, sim = run_end_to_end(parties, "pr", 2, cfg.om_bytes, CHECK_SALT)
+    windows = sim.trace.windows
+    names = [name for name, _, _ in windows]
+    assert names.count("full_scan") == 2 and names.count("full_scan_rows") == 1
+    stages = {name: (start, end) for name, start, end in windows if name in report.stage_digests}
+    assert set(stages) == set(report.stage_digests)
+    # A digest taken after the run also covers, as empty, every stream that
+    # began after the window closed, so only the windows that close after
+    # every stream began digest as their stage did.
+    everyone = set(windows[-1][2])
+    later = {name: sim.trace.digest(*marks) for name, marks in stages.items()
+             if set(marks[1]) == everyone}
+    assert later == {name: report.stage_digests[name] for name in later}
+    assert set(later) >= {"vertex_mapping", "merge_grids", "compute", "post_process"}
