@@ -156,8 +156,7 @@ def compute_out_degrees(sim, grid, workers=1):
     n = grid.params.n
     deg = sim.buffer_from_rows("degrees", np.zeros(n, dtype=DEGREE_STATE))
     aux = sim.buffer_from_rows("degrees.dst", np.zeros(n, dtype=DEGREE_STATE))
-    return full_scan_rows(grid, deg, aux, _degree_kernel, sim, workers=workers,
-                          out_name="degrees")
+    return full_scan_rows(grid, deg, aux, _degree_kernel, sim, workers=workers)
 
 
 def bfs_initial_dist(global_map, source_id):

@@ -21,6 +21,7 @@ is access-pattern safe.
 import numpy as np
 
 from .apps import bfs_initial_dist
+from .grid import GRID_REGION
 from .omsim import Buffer, copy_records, with_fields
 from .oprims import group_ids, o_filter, o_sort, o_trans, o_trans_merge
 
@@ -137,8 +138,7 @@ def sortscan_run(sim, n, edges_buf, program, t, init_bits=None):
     for _ in range(t):
         elems = sortscan_iteration(elems, kernel, arena, sim)
 
-    verts = o_filter(elems, lambda b: (b["kind"] == VERTEX).astype(np.int64),
-                     n, "ss.verts", arena)
+    verts = o_filter(elems, lambda b: b["kind"] == VERTEX, n, "ss.verts", arena)
     sim.osort_log.append(o_sort(verts, lambda b: b["a"], arena))
     return o_trans(verts, lambda b: with_fields(b, [("result", "<u8")],
                                                 result=program.result_bits(b)),
@@ -152,10 +152,9 @@ def sortscan_on_grid(sim, grid, global_map, program, t, source_id=None):
     filtered down to the grid's m real edges ("ss.edges"); a program that
     needs a source is seeded by `bfs_initial_dist` over the global map.
     """
-    ecopy = o_trans(Buffer(sim.trace, grid.region_name, grid.edges),
+    ecopy = o_trans(Buffer(sim.trace, GRID_REGION, grid.edges),
                     lambda b: b, out_name="ss.gridedges")
-    edges = o_filter(ecopy, lambda b: (b["pad"] == 0).astype(np.int64),
-                     grid.m, "ss.edges", sim.new_arena())
+    edges = o_filter(ecopy, lambda b: b["pad"] == 0, grid.m, "ss.edges", sim.new_arena())
     init = None
     if program.needs_source:
         init = bfs_initial_dist(global_map, source_id)

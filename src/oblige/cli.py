@@ -8,6 +8,7 @@ obliviousness violation, 2 on any other engine or usage error.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,10 +163,16 @@ def cmd_bench(args):
     if args.mode == "scale":
         n_scales = _numbers(int, args.n_scales)
         m_scales = _numbers(int, args.m_scales)
+        scales = n_scales + m_scales
         cells = [(ns, ms, om) for ns in n_scales for ms in m_scales if ns <= ms]
     else:
-        cells = [(args.fixed_scale, args.fixed_edge_scale, int(om * factor))
-                 for factor in _numbers(float, args.factors)]
+        factors = _numbers(float, args.factors)
+        if not all(0 < f < math.inf for f in factors):  # NaN fails too
+            raise UsageError("an OM factor is finite and above 0, not %r" % args.factors)
+        scales = [args.fixed_scale, args.fixed_edge_scale]
+        cells = [(args.fixed_scale, args.fixed_edge_scale, int(om * f)) for f in factors]
+    if min(scales) < 0:
+        raise UsageError("bench scales must be at least 0, not %r" % (scales,))
     if not cells:
         raise UsageError("no bench cell: every n-scale exceeds every m-scale")
     rows = []
@@ -263,6 +270,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= args.seed < 1 << 64:  # every command takes one
+            raise UsageError("--seed is an integer in [0, 2^64), not %d" % args.seed)
         return args.fn(args)
     except ObliviousnessViolation as err:
         print("obliviousness violation: %s" % err, file=sys.stderr)

@@ -74,12 +74,15 @@ class PublicParams:
     l: Optional[int] = None
 
     def __post_init__(self):
+        if self.p != len(self.n_i):
+            raise ParamMismatch("p must equal the number of per-party vertex counts")
         if self.N != sum(self.n_i):
             raise ParamMismatch("N must equal sum of per-party vertex counts")
         if self.b != -(-self.n // self.k):
             raise ParamMismatch("b must equal ceil(n / k)")
         if 2 * self.k * self.vwidth + RESERVE_BYTES > self.s:
             raise ParamMismatch("two vertex chunks plus reserve exceed the OM size")
+        _field_layout(self.k, 0)  # ParamMismatch unless the codec holds a chunk offset
         if self.l_i is not None and self.l != sum(self.l_i):
             raise ParamMismatch("l must equal sum of per-party block lengths")
 
@@ -106,8 +109,6 @@ class GridGraph:
     direction visits them (`column_order`, `row_order`) are computed on
     first use and kept.
     """
-
-    region_name = GRID_REGION
 
     def __init__(self, params, edges, m, symmetrized=False):
         if params.l is None:
@@ -181,7 +182,7 @@ def group_into_blocks(src, dst, k, b, block_length):
     out["src"][slots] = src[order]
     out["dst"][slots] = dst[order]
     out["pad"][slots] = 0
-    return out, len(src)
+    return out
 
 
 def build_grid(edges, params, symmetrized=False, block_length=None):
@@ -199,8 +200,8 @@ def build_grid(edges, params, symmetrized=False, block_length=None):
     l = params.l if block_length is None else block_length
     if params.l is None:
         params = params.with_block_lengths([l])
-    stored, m = group_into_blocks(src, dst, params.k, params.b, l)
-    return GridGraph(params, stored, m, symmetrized=symmetrized)
+    stored = group_into_blocks(src, dst, params.k, params.b, l)
+    return GridGraph(params, stored, len(src), symmetrized=symmetrized)
 
 
 def _field_layout(k, l):

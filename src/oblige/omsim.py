@@ -489,6 +489,15 @@ class AccessTrace:
         yield
         self.windows.append((name, start, self.mark()))
 
+    def _bounds(self, worker, start, end):
+        """The worker's record slice between two `mark()` checkpoints (None: the ends)."""
+        return (0 if start is None else start.get(worker, 0),
+                None if end is None else end.get(worker, 0))
+
+    def _workers(self, end):
+        """The workers a window up to `end` covers: those it saw, or every stream."""
+        return set(self._streams if end is None else end)
+
     def worker_digests(self, start=None, end=None):
         """Hex digest of each worker's expanded event stream.
 
@@ -498,13 +507,13 @@ class AccessTrace:
         and is a function of the event sequence alone, not of how it was
         recorded.  Distinct sequences of equal length N collide with
         probability at most N / (2^127 - 1).  `start` and `end` are `mark()`
-        checkpoints bounding the records digested.
+        checkpoints bounding the records digested; the workers digested are
+        those of `end` (every stream when it is None), so a window digests
+        alike at its close and after the run.
         """
         out = {}
-        for w in sorted(self._streams):
-            lo = 0 if start is None else start.get(w, 0)
-            hi = None if end is None else end.get(w, 0)
-            count, h = self._prefix_states(w, lo, hi)[-1]
+        for w in sorted(self._workers(end)):
+            count, h = self._prefix_states(w, *self._bounds(w, start, end))[-1]
             out[w] = hashlib.sha256(b"%d:%d" % (count, h)).hexdigest()
         return out
 
@@ -516,30 +525,37 @@ class AccessTrace:
             h.update(bytes.fromhex(d))
         return h.hexdigest()
 
-    def first_divergence(self, other):
+    def first_divergence(self, other, window=(None, None), other_window=(None, None)):
         """First differing (worker, event index, ours, theirs), or None.
 
-        Workers are compared pairwise; a missing worker diverges at index 0.
-        Workers with equal hashes are skipped, and so is the longest record
-        prefix whose (event count, hash) state both traces reach; only the
-        records after it are expanded, a record at a time, and compared as
-        arrays.
+        Only the records between each side's (start, end) marks, `window` and
+        `other_window` (the whole traces by default), of the workers either
+        window covers (see `worker_digests`) are compared; a worker one side
+        lacks diverges at its first event.  The event index counts from the
+        start of our worker's stream.  Workers with equal hashes are
+        skipped, and so is the longest record prefix whose (event count,
+        hash) state both windows reach; only the records after it are
+        expanded, a record at a time, and compared as arrays.
         """
-        for w in sorted(set(self._streams) | set(other._streams)):
-            mine, theirs = self._prefix_states(w), other._prefix_states(w)
+        for w in sorted(self._workers(window[1]) | other._workers(other_window[1])):
+            lo, hi = self._bounds(w, *window)
+            olo, ohi = other._bounds(w, *other_window)
+            mine, theirs = self._prefix_states(w, lo, hi), other._prefix_states(w, olo, ohi)
             if mine[-1] == theirs[-1]:
                 continue
             reached = {state: j for j, state in enumerate(theirs)}
             i = max(i for i, state in enumerate(mine) if state in reached)
-            found = _first_mismatch(self._event_chunks(w, i), other._event_chunks(w, reached[mine[i]]))
+            found = _first_mismatch(self._event_chunks(w, lo + i, hi),
+                                    other._event_chunks(w, olo + reached[mine[i]], ohi))
             if found is not None:
                 idx, a, b = found
-                return w, mine[i][0] + idx, _event(w, a), _event(w, b)
+                before = self._prefix_states(w, 0, lo)[-1][0]  # events before the window
+                return w, before + mine[i][0] + idx, _event(w, a), _event(w, b)
         return None
 
-    def _event_chunks(self, worker, first):
-        """Per record from `first` on: an (region name, kind, offset) event array."""
-        for rec in self._streams[worker][first:] if worker in self._streams else ():
+    def _event_chunks(self, worker, first, end=None):
+        """Per record in [first, end): an (region name, kind, offset) event array."""
+        for rec in self._streams.get(worker, [])[first:end]:
             names, which, kinds, offs = self._expand(rec)
             ev = np.empty(len(offs), _EVENT_DTYPE)
             ev["region"] = np.array(names, dtype=object)[which]

@@ -12,22 +12,22 @@ worker 0.
 inside the OM are handled by copying the segment in, sorting it there
 non-obliviously, and copying it back, which drops the in-OM portion of the
 network from O(n log^2 n) to O(n log s).  Key extractors return one or more
-vectorized key columns; ties are broken by original position, so the result
-matches a stable sort and downstream passes are deterministic even under
-duplicate keys.
+vectorized unsigned or bool key columns; ties are broken by original
+position, so the result matches a stable sort and downstream passes are
+deterministic even under duplicate keys.
 
 The simulator runs that network on one int32 rank column instead of the
 scratch records it traces: each record's rank in the (pad, keys, position)
 total order.  The ranks come from stable 16-bit radix passes over the key
-columns, each mapped to order-preserving uint64 values, and only over the
-bits each column's range spans.  Ranks compare exactly as the records do,
-so each pass is a min/max into the ascending and descending halves of a
-reshaped view, with no per-pair direction mask, and the in-OM segments are
-one row sort whose descending segments are reversed through a view; each
-round of segment reads and writes is one repeated trace record.  The
-records move once, at the end, as raw bytes: slot i receives the record
-whose rank the network left in slot i.  Nothing else orders them, so a
-broken network yields unsorted output.
+columns, as uint64 values, and only over the bits each column's range
+spans.  Ranks compare exactly as the records do, so each pass is a min/max
+into the ascending and descending halves of a reshaped view, with no
+per-pair direction mask, and the in-OM segments are one row sort whose
+descending segments are reversed through a view; each round of segment
+reads and writes is one repeated trace record.  The records move once, at
+the end, as raw bytes: slot i receives the record whose rank the network
+left in slot i.  Nothing else orders them, so a broken network yields
+unsorted output.
 """
 
 import numpy as np
@@ -61,45 +61,31 @@ def bitonic_cx_count(padded_length, segment):
 
 
 def _key_columns(key, batch):
+    """`key(batch)` as a tuple of arrays; TypeError unless each is unsigned or bool."""
     cols = key(batch)
     if isinstance(cols, np.ndarray):
         cols = (cols,)
-    return tuple(np.asarray(c) for c in cols)
-
-
-def _sortable(col):
-    """`col` as uint64 values in the same order, less their minimum.
-
-    Signed integers flip their sign bit; floats flip every bit of a negative
-    value and the sign bit of the rest, after -0.0 is made +0.0 so the two
-    zeros tie as they compare.
-    """
-    kind = col.dtype.kind
-    if kind in "ub":
-        u = col.astype(np.uint64)
-    elif kind == "i":
-        u = col.astype(np.int64).view(np.uint64) ^ np.uint64(1 << 63)
-    elif kind == "f":
-        bits = (col.astype(np.float64) + 0.0).view(np.uint64)
-        u = bits ^ np.where(bits >> np.uint64(63), np.uint64((1 << 64) - 1),
-                            np.uint64(1 << 63))
-    else:
-        raise TypeError("o_sort cannot order key columns of dtype %s" % col.dtype)
-    return u - u.min(initial=np.iinfo(np.uint64).max)
+    cols = tuple(np.asarray(c) for c in cols)
+    for c in cols:
+        if c.dtype.kind not in "ub":
+            raise TypeError("o_sort cannot order key columns of dtype %s" % c.dtype)
+    return cols
 
 
 def _stable_order(cols):
     """The stable permutation sorting by `cols`, the first most significant.
 
-    Equal to ``np.lexsort(cols[::-1])``.  Each column is mapped to ordered
-    uint64 values, and neighbouring columns whose ranges fit in 64 bits
-    together are packed into one key.  The keys are sorted by stable 16-bit
-    least-significant-digit passes (numpy's radix sort), last key first,
-    over only the bits a key's range spans, so a constant column costs none.
+    Equal to ``np.lexsort(cols[::-1])`` for unsigned or bool columns.  Each
+    column is taken as uint64 values less its minimum, and neighbouring
+    columns whose ranges fit in 64 bits together are packed into one key.
+    The keys are sorted by stable 16-bit least-significant-digit passes
+    (numpy's radix sort), last key first, over only the bits a key's range
+    spans, so a constant column costs none.
     """
     keys = []  # (values, bits), most significant first
     for col in cols:
-        u = _sortable(col)
+        u = col.astype(np.uint64)
+        u -= u.min(initial=np.iinfo(np.uint64).max)
         bits = int(u.max(initial=0)).bit_length()
         if keys and keys[-1][1] + bits <= 64:
             high, high_bits = keys.pop()
@@ -159,10 +145,10 @@ def o_sort(buf, key, arena):
     as on the full entries.  The records are then placed by the ranks the
     network left in the first n slots, so the output is sorted only if the
     network sorted.  The stable (keys, position) order comes from radix
-    passes (see `_stable_order`).  Key columns must be bool, integer or
-    float (TypeError otherwise), float keys must not be NaN, and the padded
-    length may not exceed 2^31, the int32 rank range (ValueError for
-    either).
+    passes (see `_stable_order`).  `key` is called once, on the records in
+    their input order.  Key columns must be unsigned or bool (TypeError
+    otherwise), and the padded length may not exceed 2^31, the int32 rank
+    range (ValueError).
 
     Returns a stats dict with the padded length, in-OM segment size and the
     super-OM compare-exchange count (a pure function of the public sizes).
@@ -178,26 +164,20 @@ def o_sort(buf, key, arena):
         if padded > _MAX_PADDED:
             raise ValueError("o_sort of %d records pads past 2^31, beyond int32 ranks" % n)
         cols = _key_columns(key, buf.data)
-        for c in cols:
-            if c.dtype.kind == "f" and np.isnan(c).any():
-                raise ValueError("o_sort key column holds NaN, which has no order")
-        dt = np.dtype(
-            [("_pad", "u1")]
-            + [("_k%d" % i, c.dtype) for i, c in enumerate(cols)]
-            + [("_pos", "<u8"), ("_rec", buf.data.dtype)]
-        )
+        # A scratch entry: pad flag, keys, 8-byte position, record.
+        width = 1 + sum(c.dtype.itemsize for c in cols) + 8 + buf.data.dtype.itemsize
 
-        seg_records = _pow2_floor(arena.free_bytes // dt.itemsize)
+        seg_records = _pow2_floor(arena.free_bytes // width)
         if seg_records < 2:
             raise OMUnavailable(
                 "OM too small for o_sort: %d free bytes cannot hold two %d-byte records"
-                % (arena.free_bytes, dt.itemsize)
+                % (arena.free_bytes, width)
             )
         seg = min(seg_records, padded)
-        om = arena.alloc(seg * dt.itemsize)
+        om = arena.alloc(seg * width)
 
         scratch_name = buf.name + ".sortpad"
-        trace.register(scratch_name, padded, dt.itemsize)
+        trace.register(scratch_name, padded, width)
 
         # Copy in (one interleaved read/write pass), then write the pad tail.
         trace.zip2(0, buf.name, READ, 0, scratch_name, WRITE, 0, n)
@@ -304,7 +284,8 @@ def o_split_trans(buf, bucket_fn, sizes, names, arena, dtype=None):
 
     Bucket i is the buffer `names[i]`, and `sizes[i]` is its publicly
     declared length; the trace places bucket boundaries at exactly those
-    positions.  `bucket_fn` maps a batch to ids in [0, len(sizes)).  A
+    positions.  `bucket_fn` maps the records to ids in [0, len(sizes)); it
+    is evaluated once, and the ids are the sort key (as uint64).  A
     bucket holds `with_fields` of its records at `dtype` (the input's own by
     default) and is registered at that record width.  If the actual bucket
     counts disagree, the caller declared a non-public-consistent size and a
@@ -313,13 +294,12 @@ def o_split_trans(buf, bucket_fn, sizes, names, arena, dtype=None):
     nbuckets = len(sizes)
     if len(names) != nbuckets:
         raise ValueError("need one name per bucket")
-    ids = np.asarray(bucket_fn(buf.data))
+    ids = np.asarray(bucket_fn(buf.data), dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= nbuckets):
         raise ValueError("bucket ids out of range")
-    # Counts do not depend on order, so they come from the unsorted ids.
-    counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=nbuckets)
+    counts = np.bincount(ids, minlength=nbuckets)
 
-    o_sort(buf, lambda batch: np.asarray(bucket_fn(batch), dtype=np.int64), arena)
+    o_sort(buf, lambda batch: ids.astype(np.uint64), arena)
 
     if list(counts) != [int(s) for s in sizes]:
         raise SizeMismatch(
@@ -341,11 +321,5 @@ def o_split_trans(buf, bucket_fn, sizes, names, arena, dtype=None):
 def o_filter(buf, pred_fn, kept, out_name, arena):
     """Keep records with `pred_fn` true; `kept` is the declared public count."""
     n = len(buf.data)
-    buckets = o_split_trans(
-        buf,
-        lambda batch: np.asarray(pred_fn(batch), dtype=np.int64),
-        [n - kept, kept],
-        [out_name + ".dropped", out_name],
-        arena,
-    )
-    return buckets[1]
+    return o_split_trans(buf, pred_fn, [n - kept, kept],
+                         [out_name + ".dropped", out_name], arena)[1]

@@ -52,6 +52,7 @@ from .errors import (
 )
 from .grid import (
     EDGE_DTYPE,
+    GRID_REGION,
     GridGraph,
     PublicParams,
     block_coordinates,
@@ -224,7 +225,7 @@ class Party:
     def grid_submit_payload(self, params, block_length, symmetrize=False):
         """Grid container with every block padded to `block_length` edges."""
         src, dst = self._mapped_edges(symmetrize)
-        stored, _ = group_into_blocks(src, dst, params.k, params.b, block_length)
+        stored = group_into_blocks(src, dst, params.k, params.b, block_length)
         return encode_grid(params.n, params.k, params.b, stored, block_length)
 
     def receive_results(self, payload, app):
@@ -238,7 +239,7 @@ class Party:
 
 def _split_to_parties(buf, sizes, dtype, prefix, arena):
     """Split `buf` by party into buffers `prefix`0, 1, ... of `sizes` `dtype` records."""
-    return o_split_trans(buf, lambda b: b["party"].astype(np.int64), sizes,
+    return o_split_trans(buf, lambda b: b["party"], sizes,
                          ["%s%d" % (prefix, i) for i in range(len(sizes))], arena, dtype)
 
 
@@ -265,10 +266,7 @@ def vertex_mapping(sim, vertex_ids, declared_n):
         return with_fields(batch, mapped=np.where(repeat, NULL64, batch["mapped"]))
 
     marked = o_trans(merged, dedup, out_name="vm.A2")
-    global_map = o_filter(
-        marked, lambda b: (b["mapped"] != NULL64).astype(np.int64),
-        declared_n, "vm.global", arena,
-    )
+    global_map = o_filter(marked, lambda b: b["mapped"] != NULL64, declared_n, "vm.global", arena)
     return global_map, _split_to_parties(merged, sizes, MAP_DTYPE, "vm.map", arena)
 
 
@@ -304,7 +302,7 @@ def merge_grids(sim, payloads, params, symmetrized=False):
 
     b, l, k = params.b, params.l, params.k
     coords = block_coordinates(b)
-    merged = Buffer(trace, GridGraph.region_name, np.zeros(b * b * l, dtype=EDGE_DTYPE))
+    merged = Buffer(trace, GRID_REGION, np.zeros(b * b * l, dtype=EDGE_DTYPE))
     blocks = merged.data.reshape(b * b, l)
     starts = np.cumsum((0,) + params.l_i).tolist()
     for i, header in enumerate(headers):
@@ -364,10 +362,7 @@ def post_process(sim, results_buf, map_bufs, params):
         return with_fields(batch, result=batch["result"][first][gid])
 
     combined = o_trans(combined, fill)
-    kept = o_filter(
-        combined, lambda b: (b["party"] != NULL64).astype(np.int64),
-        params.N, "post.kept", arena,
-    )
+    kept = o_filter(combined, lambda b: b["party"] != NULL64, params.N, "post.kept", arena)
     return _split_to_parties(kept, params.n_i, RES_DTYPE, "post.R", arena)
 
 

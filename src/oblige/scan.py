@@ -10,14 +10,15 @@ therefore a pure function of (b, k, l, record widths, worker assignment).
 The trace is recorded line by line in exactly that order: the owned chunk's
 read, then per block the other chunk and the block's l slots, then the
 owned chunk's write-back.  The chunk read and write-back are two
-``trace.seq`` records; the lines copy no data, and the output buffer is one
-raw-byte copy of the owned input, made once per scan (the owned chunks are
-disjoint and cover it).  A line's blocks over full chunks are one
-``trace.repeat`` record, since from block to block the other chunk rises by
-k and the block by b*l (a column) or l (a row); a short last chunk and its
-block are two ``trace.seq`` records.  A traced scan thus records O(b)
-records and does O(b) Python work; an untraced one skips the recording
-calls, and keeps only the per-worker arena allocations and the budget check.
+``trace.seq`` records on the owned input's region; the lines copy no data,
+and the output buffer, which takes the owned input's name, is one raw-byte
+copy of it made once per scan (the owned chunks are disjoint and cover it).
+A line's blocks over full chunks are one ``trace.repeat`` record, since
+from block to block the other chunk rises by k and the block by b*l (a
+column) or l (a row); a short last chunk and its block are two
+``trace.seq`` records.  A traced scan thus records O(b) records and does
+O(b) Python work; an untraced one skips the recording calls, and keeps only
+the per-worker arena allocations and the budget check.
 The kernel then runs once per scan, over every real edge in the order the
 lines visit them: the grid's cached `column_order` (columns 0..b-1, block
 rows 0..b-1 within a column, stored order within a block), or `row_order`
@@ -48,7 +49,7 @@ is as oblivious as the serial one.
 """
 
 from .errors import CapacityExceeded, UsageError
-from .grid import RESERVE_BYTES
+from .grid import GRID_REGION, RESERVE_BYTES
 from .omsim import READ, WRITE, Buffer, copy_records
 
 
@@ -61,7 +62,7 @@ def _check_vertex_width(params, *bufs):
             )
 
 
-def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
+def _scan(grid, src_vals, dst_vals, kernel, sim, workers, by_rows):
     if workers < 1:
         raise UsageError("a scan needs at least one worker, not %r" % (workers,))
     params = grid.params
@@ -69,11 +70,9 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     _check_vertex_width(params, src_vals, dst_vals)
 
     owned_vals, other_vals = (src_vals, dst_vals) if by_rows else (dst_vals, src_vals)
-    if out_name is None:
-        out_name = owned_vals.name
     trace = sim.trace
-    trace.register(grid.region_name, len(grid.edges), grid.edges.dtype.itemsize)
-    out = Buffer(trace, out_name, copy_records(owned_vals.data))
+    trace.register(GRID_REGION, len(grid.edges), grid.edges.dtype.itemsize)
+    out = Buffer(trace, owned_vals.name, copy_records(owned_vals.data))
     # The kernels' private copy: a read-only view would not do, since
     # ufunc.at writes through it.
     other = copy_records(other_vals.data)
@@ -93,13 +92,13 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
             first = outer * b * l if by_rows else outer * l
             trace.seq(w, owned_vals.name, READ, lo, size)
             trace.repeat(w, [(other_vals.name, READ, 0, k, k),
-                             (grid.region_name, READ, first, l, rise)], full)
+                             (GRID_REGION, READ, first, l, rise)], full)
             for inner in range(full, b):
                 trace.seq(w, other_vals.name, READ, inner * k, n - inner * k)
-                trace.seq(w, grid.region_name, READ, first + inner * rise, l)
+                trace.seq(w, GRID_REGION, READ, first + inner * rise, l)
             # Unconditional write-back, changed or not; the kernel folds into
             # the written chunks once every line is done.
-            trace.seq(w, out_name, WRITE, lo, size)
+            trace.seq(w, out.name, WRITE, lo, size)
         for handle in reversed(held):
             arena.free(handle)
         peaks.append(arena.peak)
@@ -113,25 +112,23 @@ def _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
     return out
 
 
-def full_scan(grid, src_vals, dst_vals, kernel, sim, workers=1, out_name=None):
+def full_scan(grid, src_vals, dst_vals, kernel, sim, workers=1):
     """Column-major scan folding every in-edge into the destination chunks.
 
-    Returns a new vertex buffer (named after `dst_vals` unless `out_name`
-    says otherwise); `src_vals` is never modified.  Sources are visited in
+    Returns a new vertex buffer named after `dst_vals`, whose region its
+    write-backs cover; no input buffer is modified.  Sources are visited in
     block row order 0..b-1 and, within a block, in stored order.
     """
     with sim.trace.window("full_scan"):
-        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
-                     by_rows=False)
+        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, by_rows=False)
 
 
-def full_scan_rows(grid, src_vals, dst_vals, kernel, sim, workers=1, out_name=None):
+def full_scan_rows(grid, src_vals, dst_vals, kernel, sim, workers=1):
     """Row-major variant that owns and writes back the source chunks.
 
-    Mirrors `full_scan` with the chunk roles swapped; used to accumulate
-    per-source quantities such as out-degrees under the same trace shape
-    argument.
+    Mirrors `full_scan` with the chunk roles swapped, so the output is named
+    after `src_vals`; used to accumulate per-source quantities such as
+    out-degrees under the same trace shape argument.
     """
     with sim.trace.window("full_scan_rows"):
-        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name,
-                     by_rows=True)
+        return _scan(grid, src_vals, dst_vals, kernel, sim, workers, by_rows=True)

@@ -5,9 +5,10 @@ public configuration.  A stage compares one named trace window across trials
 (`AccessTrace.window`): a pipeline stage, a primitive or the whole trace; a
 name that closes several windows (every o_sort, one scan per round) compares
 the list of their per-worker digests.  If two trials differ, the stage leaks,
-and the first divergent event is located.  The leaky PageRank scan
-(`pr_leaky`), the one check outside the pipeline, is the negative control:
-its kernel makes one data-dependent access to a non-OM probe region.
+and the first divergent event is located inside the first window that
+differs.  The leaky PageRank scan (`pr_leaky`), the one check outside the
+pipeline, is the negative control: its kernel makes one data-dependent
+access to a non-OM probe region.
 """
 
 from dataclasses import dataclass
@@ -104,10 +105,14 @@ STAGES = {  # name -> (app, engine, window); window None is the whole trace
 }
 
 
-def _window_digests(trace, window):
-    """{(i, worker): digest} of the i-th window named `window`, in closing order."""
-    spans = [(None, None)] if window is None else \
+def _spans(trace, window):
+    """(start, end) marks of every window named `window`, in closing order."""
+    return [(None, None)] if window is None else \
         [(s, e) for name, s, e in trace.windows if name == window]
+
+
+def _window_digests(trace, spans):
+    """{(i, worker): digest} of the i-th span."""
     return {(i, w): d for i, (s, e) in enumerate(spans)
             for w, d in trace.worker_digests(s, e).items()}
 
@@ -135,13 +140,16 @@ def check_stage(stage, trials, seed, cfg=None):
     trial = (lambda: _leaky_scan(rng, cfg)) if engine is None else \
         (lambda: _run_pipeline(rng, cfg, app, engine))
     base = trial()
-    base_digests = _window_digests(base.trace, window)
+    base_spans = _spans(base.trace, window)
+    base_digests = _window_digests(base.trace, base_spans)
     if not base_digests:
         raise UsageError("stage %r closes no %r window at %r" % (stage, window, cfg))
     for t in range(1, trials):
         sim = trial()
-        if _window_digests(sim.trace, window) != base_digests:
-            where = base.trace.first_divergence(sim.trace)
+        spans = _spans(sim.trace, window)
+        if _window_digests(sim.trace, spans) != base_digests:
+            where = next(filter(None, (base.trace.first_divergence(sim.trace, mine, theirs)
+                                       for mine, theirs in zip(base_spans, spans))), None)
             worker, index = where[:2] if where else (None, None)
             raise ObliviousnessViolation(
                 "stage %r window %r diverged on trial %d at worker=%s event=%s"

@@ -361,8 +361,7 @@ def test_kernel_matches_per_edge_oracle(app, by_rows, workers):
         src_buf = sim.buffer_from_rows("vsrc", src_init)
         dst_buf = sim.buffer_from_rows("vdst", dst_init)
         with np.errstate(all="raise"):
-            out = scan(grid, src_buf, dst_buf, recording, sim, workers=workers,
-                       out_name="vout")
+            out = scan(grid, src_buf, dst_buf, recording, sim, workers=workers)
         return out.data.tobytes(), seen
 
     got, want = run(program.kernel), run(per_edge_kernel(program))

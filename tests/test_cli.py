@@ -1,9 +1,16 @@
 """CLI surface: generation, partitioning, runs, trace checks, benches."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oblige import kron as kron_module
 from oblige.cli import main, parse_granularity, parse_size
@@ -262,6 +269,21 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["run", "{party}", "--app", "pr", "--damping", "-0.5", "--outdir", "{out}"],
      "UsageError"),
     (["bench", "--mode", "scale", "--n-scales", "3", "--m-scales", "2"], "UsageError"),
+    (["gen-kron", "--scale", "4", "--edge-scale", "4", "--seed", "-1", "-o", "{out}"],
+     "UsageError"),
+    (["partition", "{edges}", "-p", "2", "--seed", "-1", "-o", "{out}"], "UsageError"),
+    (["trace-check", "--stage", "pr", "--trials", "2", "--seed", "-1"], "UsageError"),
+    (["bench", "--n-scales", "6", "--m-scales", "6", "--om", "16KiB", "-t", "1",
+      "--seed", "-1"], "UsageError"),
+    (["run", "{party}", "--app", "pr", "--seed", "-1", "--outdir", "{out}"], "UsageError"),
+    (["run", "{party}", "--app", "pr", "--seed", "18446744073709551616",
+      "--outdir", "{out}"], "UsageError"),
+    (["bench", "--n-scales", "-1", "--m-scales", "8"], "UsageError"),
+    (["bench", "--mode", "om", "--fixed-scale", "-1"], "UsageError"),
+    (["bench", "--mode", "om", "--factors", "nan"], "UsageError"),
+    (["bench", "--mode", "om", "--factors", "inf"], "UsageError"),
+    (["bench", "--mode", "om", "--factors", "99999999999999999999", "--fixed-scale", "4",
+      "--fixed-edge-scale", "5", "-t", "1"], "ParamMismatch"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -274,7 +296,10 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "destination-outside-universe-partition", "empty-universe-partition",
         "source-outside-universe-partition", "too-large-scale-gen-kron",
         "nan-damping-run", "above-one-damping-run", "negative-damping-run",
-        "no-cells-bench"])
+        "no-cells-bench", "negative-seed-gen-kron", "negative-seed-partition",
+        "negative-seed-trace-check", "negative-seed-bench", "negative-seed-run",
+        "too-large-seed-run", "negative-n-scale-bench", "negative-fixed-scale-bench",
+        "nan-factor-bench", "inf-factor-bench", "huge-factor-bench"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
@@ -297,3 +322,130 @@ def test_run_error_names_its_stage(tmp_path, capsys):
                  "--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "[stage compute]" in err and "UnknownSource" in err
+
+
+# -- fuzz: every argument vector exits 0 or 2 ----------------------------------------
+
+SEEDS = st.integers(0, (1 << 64) - 1)
+SIZES = st.sampled_from(["16KiB", "64KiB", "1.25MiB", "1e3KiB"])
+WORKERS = st.integers(1, 8)
+
+
+def _scales(lo, hi):
+    return st.lists(st.integers(lo, hi).map(str), min_size=1, max_size=2).map(",".join)
+
+
+def _commands(files):
+    """Per command, its options as (flag, valid values, may be left out).
+
+    Every size is bounded, so no draw allocates much or runs long; only seeds
+    reach huge values.  A flag of None is a positional argument.  The output
+    paths, which are never mutated, are appended apart.
+    """
+    return {
+        "gen-kron": [("--scale", st.integers(0, 10), False),
+                     ("--edge-scale", st.integers(0, 12), False),
+                     ("--seed", SEEDS, True)],
+        "partition": [(None, st.just(files["edges"]), False), ("-p", st.integers(1, 4), False),
+                      ("--mode", st.sampled_from(["random", "range"]), True),
+                      ("--seed", SEEDS, True), ("--vertices", st.integers(32, 70), True)],
+        "run": [(None, st.sampled_from([files["parties"][:1], files["parties"]]), False),
+                ("--app", st.sampled_from(["pr", "bfs", "wcc"]), False),
+                ("-t", st.integers(0, 3), False), ("--om", SIZES, True),
+                ("--workers", WORKERS, True),
+                ("--engine", st.sampled_from(["oblige", "sortscan", "reference"]), True),
+                ("--granularity", st.sampled_from(["element", "8", "64"]), True),
+                ("--no-trace", st.booleans(), True),
+                ("--damping", st.sampled_from(["0", "0.85", "1"]), True),
+                ("--source", st.sampled_from(files["keys"]), True),
+                ("--seed", SEEDS, True)],
+        "trace-check": [("--stage", st.sampled_from(["pr", "bfs", "o_sort", "sortscan",
+                                                     "pipeline_wcc"]), True),
+                        ("--trials", st.integers(2, 3), False), ("--seed", SEEDS, True),
+                        ("--vertices", st.sampled_from([16, 32, 64]), False),
+                        ("--parties", st.integers(1, 4), False),
+                        ("--edges", st.integers(0, 64), False), ("--om", SIZES, True),
+                        ("--workers", WORKERS, True), ("--leaky", st.booleans(), True)],
+        "bench": [("--mode", st.sampled_from(["scale", "om"]), True),
+                  ("--app", st.sampled_from(["pr", "bfs", "wcc"]), True),
+                  ("--n-scales", _scales(2, 6), False), ("--m-scales", _scales(2, 8), False),
+                  ("--factors", st.lists(st.sampled_from(["0.25", "1", "4"]),
+                                         min_size=1, max_size=2).map(",".join), True),
+                  ("--fixed-scale", st.integers(2, 6), False),
+                  ("--fixed-edge-scale", st.integers(2, 8), False),
+                  ("--om", SIZES, True), ("-t", st.integers(0, 3), False),
+                  ("--seed", SEEDS, True), ("--workers", WORKERS, True)],
+    }
+
+
+@st.composite
+def _argv(draw, files):
+    """A valid argument vector with at most one option mutated.
+
+    The mutation is a negative, zero, NaN or wrong-typed value (a seed may
+    also be 2^64 or more), a repeat, or leaving out an option whose default
+    is small.
+    """
+    name = draw(st.sampled_from(["gen-kron", "partition", "run", "trace-check", "bench"]))
+    options = _commands(files)[name]
+    target = draw(st.integers(-1, len(options) - 1))  # -1: no mutation
+    argv = [name]
+    for i, (flag, values, optional) in enumerate(options):
+        value = draw(values)
+        mutation = None
+        if i == target:
+            mutation = draw(st.sampled_from(["bad", "repeat"] + ["drop"] * optional))
+        if mutation == "drop":
+            continue
+        if mutation == "bad":
+            huge = [str(1 << 64), str(10 ** 30)] if flag == "--seed" else []
+            value = draw(st.sampled_from(["-1", "0", "nan", "x", "1.5", ""] + huge))
+        if flag is None:
+            argv += value if isinstance(value, list) else [value]
+        elif isinstance(value, bool):
+            argv += [flag] * (value + (mutation == "repeat"))
+        else:
+            argv += [flag, str(value)] * (1 + (mutation == "repeat"))
+    outputs = {"gen-kron": ["-o", files["out"]], "partition": ["-o", files["prefix"]],
+               "run": ["--outdir", files["outdir"]], "bench": ["-o", files["csv"]]}
+    return argv + outputs.get(name, [])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    src, dst = generate_kronecker(5, 1 << 6, seed=8)
+    write_edge_list(root / "g.txt", src, dst)
+    assert main(["partition", str(root / "g.txt"), "-p", "2", "--vertices", "32",
+                 "-o", str(root / "party")]) == 0
+    parties = [str(root / ("party.%d.txt" % i)) for i in range(2)]
+    keys = read_party_file(parties[0])[0][:2].tolist()
+    return dict(root=root, edges=str(root / "g.txt"), parties=parties, keys=keys,
+                out=str(root / "kron.txt"), prefix=str(root / "split"),
+                csv=str(root / "bench.csv"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_cli_fuzz_exits_0_or_2(fuzz_files, data):
+    """Mutated argument vectors exit 0 or 2 (1 only for --leaky), with no traceback."""
+    outdir = Path(tempfile.mkdtemp(dir=fuzz_files["root"]))
+    files = dict(fuzz_files, outdir=str(outdir))
+    argv = data.draw(_argv(files))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse refused the vector
+            code = exit.code
+    assert code in (0, 2) or (code == 1 and "--leaky" in argv), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] == "run":
+        results = list(outdir.glob("party*.results.txt"))
+        assert results and all(math.isfinite(float(line.split()[1]))
+                               for path in results
+                               for line in path.read_text().splitlines()), argv
+    if code == 0 and argv[0] == "bench":
+        rows = Path(files["csv"]).read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))

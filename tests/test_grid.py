@@ -40,6 +40,11 @@ def test_params_invariants():
     assert p.b == -(-p.n // p.k) and p.N == sum(p.n_i) and p.l == sum(p.l_i)
     with pytest.raises(ParamMismatch):
         PublicParams(p=1, n_i=(4,), N=5, n=4, t=1, s=1 << 20, k=2, b=2, vwidth=8)
+    for parties in (0, 2):  # a party count other than len(n_i)
+        with pytest.raises(ParamMismatch, match="p must equal"):
+            PublicParams.derive(p=parties, n_i=[4], n=4, t=1, s=1 << 20, vwidth=8)
+    with pytest.raises(ParamMismatch, match="57-bit codec"):  # k of 2^66 - 256
+        PublicParams.derive(p=1, n_i=[4], n=4, t=1, s=1 << 70, vwidth=8)
 
 
 def test_build_grid_micro_case():
@@ -223,7 +228,7 @@ def test_grid_codec_matches_bit_matrix(k, b, l, data):
     edges = [e for e, ok in zip(edges, keep) if ok]
     src = np.array([u for u, _ in edges], dtype=np.uint64)
     dst = np.array([v for _, v in edges], dtype=np.uint64)
-    stored, _ = group_into_blocks(src, dst, k, b, l)
+    stored = group_into_blocks(src, dst, k, b, l)
     payload = encode_grid(n, k, b, stored, l)
     header = parse_grid_header(payload)
     blocks = [stored[x * l:(x + 1) * l] for x in range(b * b)]
@@ -267,7 +272,7 @@ def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
     dst = rng.integers(0, n, size=200, dtype=np.uint64)
     ids = (src // k) * b + dst // k
     keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)])
-    stored, _ = group_into_blocks(src[keep], dst[keep], k, b, l)
+    stored = group_into_blocks(src[keep], dst[keep], k, b, l)
     body = b"".join(encode_block(stored[x * l:(x + 1) * l], k) for x in range(b * b))
     monkeypatch.setattr(grid_mod, "_DECODE_FIELDS", batch_fields)
     assert decode_block(body, k, l, *block_coordinates(b)).tobytes() == stored.tobytes()

@@ -19,7 +19,7 @@ from oblige.errors import (
     UnknownSource,
     UsageError,
 )
-from oblige.grid import RESERVE_BYTES, GridGraph, PublicParams, parse_grid_header
+from oblige.grid import GRID_REGION, RESERVE_BYTES, PublicParams, parse_grid_header
 from oblige.omsim import AccessTrace, OMSim
 from oblige.pipeline import (
     ID_DTYPE,
@@ -324,7 +324,7 @@ def test_merge_grids_records_every_block_traced_and_none_untraced(monkeypatch):
             start = x * l + sum(l_i[:i])
             for o in range(l_i[i]):
                 expect += [("grid.party%d" % i, x * l_i[i] + o, "read"),
-                           (GridGraph.region_name, start + o, "write")]
+                           (GRID_REGION, start + o, "write")]
     assert [e.astuple()[1:] for e in traced.trace.events()] == expect
 
     calls = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oblige import apps
 from oblige.errors import CapacityExceeded, UsageError
-from oblige.grid import RESERVE_BYTES, PublicParams, build_grid
+from oblige.grid import GRID_REGION, RESERVE_BYTES, PublicParams, build_grid
 from oblige.omsim import (
     CACHELINE,
     ELEMENT,
@@ -40,9 +40,10 @@ def micro_scan(edges, src_vals, dst_vals, workers=1):
     params = micro_params()
     sim = OMSim(params.s)
     grid = build_grid(edges, params)
-    src = sim.buffer_from_rows("vsrc", np.array([(x,) for x in src_vals], dtype=VAL))
-    dst = sim.buffer_from_rows("vdst", np.array([(x,) for x in dst_vals], dtype=VAL))
-    out = full_scan(grid, src, dst, add_kernel, sim, workers=workers, out_name="vout")
+    # Registered, not written: every write to "vdst" in the trace is the scan's.
+    src = Buffer(sim.trace, "vsrc", np.array([(x,) for x in src_vals], dtype=VAL))
+    dst = Buffer(sim.trace, "vdst", np.array([(x,) for x in dst_vals], dtype=VAL))
+    out = full_scan(grid, src, dst, add_kernel, sim, workers=workers)
     return out, src, sim
 
 
@@ -56,7 +57,7 @@ def test_full_scan_all_null_rewrites_unchanged():
     out, _, sim = micro_scan([], [1, 2, 3, 4], [5, 6, 7, 8])
     assert out.data["v"].tolist() == [5.0, 6.0, 7.0, 8.0]
     writes = [ev for ev in sim.trace.events()
-              if ev.region == "vout" and ev.kind == 1]
+              if ev.region == "vdst" and ev.kind == 1]
     assert sorted(ev.offset for ev in writes) == [0, 1, 2, 3]
 
 
@@ -64,7 +65,7 @@ def test_write_back_totality():
     # every destination element written exactly once per scan
     _, _, sim = micro_scan([(0, 1)], [1, 1, 1, 1], [0, 0, 0, 0])
     writes = [ev.offset for ev in sim.trace.events()
-              if ev.region == "vout" and ev.kind == 1]
+              if ev.region == "vdst" and ev.kind == 1]
     assert sorted(writes) == [0, 1, 2, 3]
     assert len(writes) == 4
 
@@ -85,7 +86,7 @@ def test_full_scan_rows_degrees():
     grid = build_grid([(0, 3), (1, 0), (3, 3)], params)
     deg = sim.buffer_from_rows("deg", np.zeros(4, dtype=VAL))
     aux = sim.buffer_from_rows("aux", np.zeros(4, dtype=VAL))
-    out = full_scan_rows(grid, deg, aux, count_kernel, sim, out_name="degout")
+    out = full_scan_rows(grid, deg, aux, count_kernel, sim)
     assert out.data["v"].tolist() == [1.0, 1.0, 0.0, 1.0]
 
 
@@ -95,7 +96,7 @@ def test_full_scan_rows_all_null():
     grid = build_grid([], params)
     deg = sim.buffer_from_rows("deg", np.zeros(4, dtype=VAL))
     aux = sim.buffer_from_rows("aux", np.zeros(4, dtype=VAL))
-    out = full_scan_rows(grid, deg, aux, count_kernel, sim, out_name="degout")
+    out = full_scan_rows(grid, deg, aux, count_kernel, sim)
     assert out.data["v"].tolist() == [0.0] * 4
 
 
@@ -106,7 +107,7 @@ def test_full_scan_rows_trace_purity():
         grid = build_grid(edges, params)
         deg = sim.buffer_from_rows("deg", np.zeros(4, dtype=VAL))
         aux = sim.buffer_from_rows("aux", np.zeros(4, dtype=VAL))
-        full_scan_rows(grid, deg, aux, count_kernel, sim, out_name="degout")
+        full_scan_rows(grid, deg, aux, count_kernel, sim)
         return sim.trace.digest()
 
     assert digest([(0, 1), (1, 2)]) == digest([(3, 3), (2, 0)])
@@ -120,8 +121,7 @@ def test_padding_transparency():
         grid = build_grid([(0, 3), (1, 0), (3, 3)], params)
         src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
         dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
-        return full_scan(grid, src, dst, add_kernel, sim,
-                         out_name="vout").data["v"].tolist()
+        return full_scan(grid, src, dst, add_kernel, sim).data["v"].tolist()
 
     assert result(2) == result(5) == result(9)
 
@@ -132,7 +132,7 @@ def test_peak_om_usage_exact():
     grid = build_grid([(0, 1)], params)
     src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
-    full_scan(grid, src, dst, add_kernel, sim, out_name="vout")
+    full_scan(grid, src, dst, add_kernel, sim)
     assert sim.last_scan_peaks == [2 * params.k * params.vwidth + RESERVE_BYTES]
 
 
@@ -152,7 +152,7 @@ def test_multi_worker_trace_purity_per_worker():
         grid = build_grid(edges, params)
         src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
         dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
-        full_scan(grid, src, dst, add_kernel, sim, workers=2, out_name="vout")
+        full_scan(grid, src, dst, add_kernel, sim, workers=2)
         return sim.trace.worker_digests()
 
     assert worker_digests([(0, 1), (2, 3)]) == worker_digests([(3, 3), (1, 0)])
@@ -166,12 +166,12 @@ def test_oversized_vertex_records_rejected():
     src = sim.buffer_from_rows("vsrc", np.zeros(4, dtype=wide))
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=wide))
     with pytest.raises(CapacityExceeded):
-        full_scan(grid, src, dst, add_kernel, sim, out_name="vout")
+        full_scan(grid, src, dst, add_kernel, sim)
 
 
 # -- oracle: the block-at-a-time scan ------------------------------------------
 
-def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows):
+def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, by_rows):
     """Reference scan: copy every chunk and block, one kernel call per block.
 
     Kernels see two chunk arrays with chunk-relative offsets on both sides;
@@ -181,8 +181,8 @@ def block_scan(grid, src_vals, dst_vals, kernel, sim, workers, out_name, by_rows
     params = grid.params
     k, b, l, n = params.k, params.b, params.l, params.n
     owned_vals = src_vals if by_rows else dst_vals
-    edges = Buffer(sim.trace, grid.region_name, grid.edges)
-    out = Buffer(sim.trace, out_name, np.empty_like(owned_vals.data))
+    edges = Buffer(sim.trace, GRID_REGION, grid.edges)
+    out = Buffer(sim.trace, owned_vals.name, np.empty_like(owned_vals.data))
     peaks = []
 
     def read(buf, lo, hi, w):
@@ -263,10 +263,9 @@ def assert_matches_block_scan(edges, n, k, workers, by_rows, same_buffer,
             assert dst.data.tobytes() == dst_init.tobytes()
         return out, sim
 
-    got, sim = run(lambda src, dst, sim: scan(
-        grid, src, dst, kernel, sim, workers=workers, out_name="vout"))
+    got, sim = run(lambda src, dst, sim: scan(grid, src, dst, kernel, sim, workers=workers))
     want, ref_sim = run(lambda src, dst, sim: block_scan(
-        grid, src, dst, kernel, sim, workers, "vout", by_rows))
+        grid, src, dst, kernel, sim, workers, by_rows))
     assert got.data.tobytes() == want.data.tobytes()
     assert [e.astuple() for e in sim.trace.events()] \
         == [e.astuple() for e in ref_sim.trace.events()]
@@ -369,7 +368,7 @@ def test_app_kernels_leave_scan_inputs_unchanged(app, by_rows):
     before = src.data.tobytes(), dst.data.tobytes()
     scan = full_scan_rows if by_rows else full_scan
     with np.errstate(divide="ignore", invalid="ignore"):
-        scan(grid, src, dst, kernel, sim, workers=2, out_name="vout")
+        scan(grid, src, dst, kernel, sim, workers=2)
     assert (src.data.tobytes(), dst.data.tobytes()) == before
 
 
@@ -422,7 +421,7 @@ def test_one_kernel_call_per_scan_at_global_offsets(by_rows, workers):
         (pull_kernel if by_rows else mixed_add_kernel)(src_side, dst_side, soff, doff)
 
     scan = full_scan_rows if by_rows else full_scan
-    out = scan(grid, src, dst, counting_kernel, sim, workers=workers, out_name="vout")
+    out = scan(grid, src, dst, counting_kernel, sim, workers=workers)
     order = grid.row_order if by_rows else grid.column_order
     assert calls == [(n, n, order[0].tolist(), order[1].tolist())]
     if by_rows:
@@ -446,7 +445,7 @@ def test_idle_workers_peak_zero(by_rows):
     src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
     scan = full_scan_rows if by_rows else full_scan
-    scan(grid, src, dst, add_kernel, sim, workers=5, out_name="vout")
+    scan(grid, src, dst, add_kernel, sim, workers=5)
     busy = 2 * params.k * params.vwidth + RESERVE_BYTES
     assert sim.last_scan_peaks == [busy, busy, 0, 0, 0]
 
@@ -460,7 +459,7 @@ def test_scan_rejects_fewer_than_one_worker(scan, workers):
     src = sim.buffer_from_rows("vsrc", np.ones(4, dtype=VAL))
     dst = sim.buffer_from_rows("vdst", np.zeros(4, dtype=VAL))
     with pytest.raises(UsageError):
-        scan(grid, src, dst, add_kernel, sim, workers=workers, out_name="vout")
+        scan(grid, src, dst, add_kernel, sim, workers=workers)
 
 
 @pytest.mark.parametrize("n", [200, 202])
@@ -478,7 +477,7 @@ def test_traced_scan_records_o_of_b_records(n, by_rows):
     vals = sim.buffer_from_rows("v", np.zeros(n, dtype=VAL))
     before = sum(sim.trace.mark().values())
     scan = full_scan_rows if by_rows else full_scan
-    scan(grid, vals, vals, add_kernel, sim, workers=2, out_name="vout")
+    scan(grid, vals, vals, add_kernel, sim, workers=2)
     per_line = 3 if n % k == 0 else 5
     assert sum(sim.trace.mark().values()) - before == per_line * b
 
@@ -502,7 +501,7 @@ def test_untraced_scan_makes_no_recording_calls(by_rows, workers):
         calls = []  # every recording call is a `repeat`
         record = sim.trace.repeat
         sim.trace.repeat = lambda *args: (calls.append(args), record(*args))
-        out = scan(grid, src, dst, kernel, sim, workers=workers, out_name="vout")
+        out = scan(grid, src, dst, kernel, sim, workers=workers)
         runs.append((out.data.tobytes(), sim.last_scan_peaks, calls,
                      sum(sim.trace.mark().values())))
     (traced, traced_peaks, traced_calls, traced_records), \
