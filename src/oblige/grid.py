@@ -11,7 +11,9 @@ On the wire each edge is two w-bit chunk offsets with w = ceil(log2(k+1));
 offset value k is the null sentinel (one extra bit per field buys a uniform
 validity marker even when k is a power of two).  Fields are packed
 little-endian, bit 0 first, padded with zero bits to a byte boundary, so the
-encoded size is a pure function of (k, l).
+encoded size is a pure function of (k, l).  So is the encoded null block
+(`null_block`): a grid is encoded onto it and decoded against it, and only
+the blocks' real prefixes pass through the codec.
 """
 
 import struct
@@ -82,7 +84,7 @@ class PublicParams:
             raise ParamMismatch("b must equal ceil(n / k)")
         if 2 * self.k * self.vwidth + RESERVE_BYTES > self.s:
             raise ParamMismatch("two vertex chunks plus reserve exceed the OM size")
-        _field_layout(self.k, 0)  # ParamMismatch unless the codec holds a chunk offset
+        _codec_width(self.k)  # ParamMismatch unless the codec holds a chunk offset
         if self.l_i is not None and self.l != sum(self.l_i):
             raise ParamMismatch("l must equal sum of per-party block lengths")
 
@@ -157,32 +159,25 @@ def block_loads(src, dst, k, b):
     return ids, np.bincount(ids, minlength=b * b)
 
 
-def group_into_blocks(src, dst, k, b, block_length):
-    """Place edges into b^2 row-major blocks padded to `block_length` each.
+def block_order(src, dst, k, b, block_length):
+    """The edges in block order, and each one's block and slot in it.
 
-    Within a block edges keep their arrival order.  Raises
-    :class:`BlockOverflow` when some block would exceed the declared length.
+    Returns (order, block, rank, loads): `order` sorts the edges by
+    `block_loads`' block id and keeps arrival order within a block; `block`
+    and `rank` are the block id and in-block slot of each ordered edge, and
+    `loads` the b^2 block loads.  Raises :class:`BlockOverflow` when some
+    block would exceed the declared length.
     """
-    src = np.asarray(src, dtype=np.uint64)
-    dst = np.asarray(dst, dtype=np.uint64)
-    block_ids, counts = block_loads(src, dst, k, b)
-    if len(counts) > b * b or (len(src) and counts.max() > block_length):
+    ids, loads = block_loads(src, dst, k, b)
+    if len(loads) > b * b or (len(ids) and loads.max() > block_length):
         raise BlockOverflow(
             "block holds %d edges but declared length is %d"
-            % (int(counts.max()), block_length)
+            % (int(loads.max()), block_length)
         )
-    out = np.zeros(b * b * block_length, dtype=EDGE_DTYPE)
-    out["pad"] = 1
-    order = np.argsort(block_ids, kind="stable")
-    starts = np.zeros(b * b, dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    # Positions: block base plus rank within the block (arrival order).
-    rank = np.arange(len(src)) - starts[block_ids[order]]
-    slots = block_ids[order] * block_length + rank
-    out["src"][slots] = src[order]
-    out["dst"][slots] = dst[order]
-    out["pad"][slots] = 0
-    return out
+    # Stable by radix sort while the block ids fit 16 bits.
+    order = np.argsort(ids.astype(np.min_scalar_type(b * b - 1)), kind="stable")
+    block = ids[order]
+    return order, block, np.arange(len(ids)) - (np.cumsum(loads) - loads)[block], loads
 
 
 def build_grid(edges, params, symmetrized=False, block_length=None):
@@ -190,6 +185,7 @@ def build_grid(edges, params, symmetrized=False, block_length=None):
 
     `edges` is a sequence of (src, dst) mapped-ID pairs (anything an (m, 2)
     array can be made of).  The merged block length defaults to `params.l`.
+    Each block holds its edges in arrival order, then null slots.
     """
     arr = np.asarray(list(edges), dtype=np.uint64).reshape(-1, 2)
     src, dst = arr[:, 0], arr[:, 1]
@@ -200,47 +196,81 @@ def build_grid(edges, params, symmetrized=False, block_length=None):
     l = params.l if block_length is None else block_length
     if params.l is None:
         params = params.with_block_lengths([l])
-    stored = group_into_blocks(src, dst, params.k, params.b, l)
+    order, block, rank, _ = block_order(src, dst, params.k, params.b, l)
+    stored = np.zeros(params.b * params.b * l, dtype=EDGE_DTYPE)
+    stored["pad"] = 1
+    slots = block * l + rank
+    stored["src"][slots] = src[order]
+    stored["dst"][slots] = dst[order]
+    stored["pad"][slots] = 0
     return GridGraph(params, stored, len(src), symmetrized=symmetrized)
 
 
-def _field_layout(k, l):
-    """Bit width, start byte and in-byte shift of the 2l fields of one block.
+def _codec_width(k):
+    """w for chunk size k; ParamMismatch beyond the 57-bit codec.
 
-    Every block starts on a byte boundary, so the layout is the same for all
-    blocks.  A field plus its shift spans at most 8 bytes for w <= 57.
+    Up to 57 bits, a field shifted to its bit within a byte fits one uint64.
     """
     w = offset_bits(k)
     if w > 57:
         raise ParamMismatch("chunk offsets of %d bits exceed the 57-bit codec" % w)
-    start = np.arange(2 * l, dtype=np.uint64) * np.uint64(w)
-    return w, (start >> np.uint64(3)).astype(np.intp), start & np.uint64(7)
+    return w
 
 
-def _encode_blocks(blocks, k):
-    """Encode a (B, l) array of blocks into a (B, nbytes) uint8 array, one pass."""
-    n_blocks, l = blocks.shape
-    w, byte, shift = _field_layout(k, l)
-    kk = np.uint64(k)
-    null = blocks["pad"] == 1
-    fields = np.empty((n_blocks, l, 2), dtype=np.uint64)
-    fields[..., 0] = np.where(null, kk, blocks["src"] % kk)
-    fields[..., 1] = np.where(null, kk, blocks["dst"] % kk)
-    fields = fields.reshape(n_blocks, 2 * l)
-    out = np.zeros((n_blocks, encoded_block_nbytes(k, l) + 8), dtype=np.uint8)
-    # Fields i, i+8, i+16, ... start in distinct bytes, so each class can be
-    # OR-ed into place without two fields hitting one byte in a single step.
-    for first in range(min(8, 2 * l)):
-        cls = slice(first, None, 8)
-        word = fields[:, cls] << shift[cls]
-        for t in range((w + 14) // 8):
-            out[:, byte[cls] + t] |= (word >> np.uint64(8 * t)).astype(np.uint8)
-    return out[:, :-8]
+def _encode_blocks(fields, k):
+    """Encode (B, 2l) uint64 chunk offsets (k for null) into (B, nbytes) uint8.
+
+    Eight fields fill exactly w bytes, so the fields go in groups of eight:
+    field i of every group starts at the same byte and bit of its group's w
+    bytes, and each byte it touches is one strided OR over all groups.
+    """
+    w = _codec_width(k)
+    n_blocks, n_fields = fields.shape
+    groups = -(-n_fields // 8)
+    fields = np.pad(fields, ((0, 0), (0, 8 * groups - n_fields))).reshape(n_blocks, groups, 8)
+    out = np.zeros((n_blocks, groups, w), dtype=np.uint8)
+    for i in range(min(8, n_fields)):
+        byte, shift = divmod(i * w, 8)
+        word = fields[:, :, i] << np.uint64(shift)
+        for t in range((shift + w + 7) // 8):
+            out[:, :, byte + t] |= (word >> np.uint64(8 * t)).astype(np.uint8)
+    return out.reshape(n_blocks, groups * w)[:, :encoded_block_nbytes(k, n_fields // 2)]
 
 
 def encode_block(block, k):
     """Encode one block as packed w-bit offset pairs; nulls become (k, k)."""
-    return _encode_blocks(block.reshape(1, -1), k).tobytes()
+    kk = np.uint64(k)
+    null = block["pad"] == 1
+    fields = np.empty((len(block), 2), dtype=np.uint64)
+    fields[:, 0] = np.where(null, kk, block["src"] % kk)
+    fields[:, 1] = np.where(null, kk, block["dst"] % kk)
+    return _encode_blocks(fields.reshape(1, -1), k).tobytes()
+
+
+def null_block(k, l):
+    """The encoded block of l null edges, as a uint8 array.
+
+    Eight null fields fill exactly w bytes, so the block is that w-byte
+    period tiled over its bytes, with the pad bits past its 2l fields clear.
+    """
+    period = _encode_blocks(np.full((1, 8), k, dtype=np.uint64), k)[0]
+    nbytes = encoded_block_nbytes(k, l)
+    out = np.tile(period, -(-nbytes // len(period)))[:nbytes]
+    tail = 2 * l * offset_bits(k) % 8
+    if tail:
+        out[-1] &= (1 << tail) - 1
+    return out
+
+
+def _prefix_buckets(loads, l):
+    """(blocks, length) groups of the blocks with a nonzero load.
+
+    A block's prefix length is its load rounded up to a power of two, at
+    most l; the groups go by length and hold their blocks in id order.
+    """
+    blocks = np.flatnonzero(loads)
+    lengths = np.minimum(np.int64(1) << np.frexp(loads[blocks] - 1)[1], l)
+    return [(blocks[lengths == L], int(L)) for L in np.unique(lengths)]
 
 
 def decode_block(data, k, l, r, c):
@@ -267,27 +297,32 @@ def decode_block(data, k, l, r, c):
         return out
     msg = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, -1)
     blocks = out.reshape(n_blocks, l)
-    layout = _field_layout(k, l)
     step = max(1, _DECODE_FIELDS // (2 * l))
     for lo in range(0, n_blocks, step):
         hi = lo + step
-        _decode_batch(msg[lo:hi], k, layout, rows[lo:hi], cols[lo:hi], blocks[lo:hi])
+        _decode_batch(msg[lo:hi], k, rows[lo:hi], cols[lo:hi], blocks[lo:hi])
     return out
 
 
-def _decode_batch(msg, k, layout, rows, cols, blocks):
-    """Decode the (B, nbytes) encoded blocks `msg` into the (B, l) `blocks`."""
+def _decode_batch(msg, k, rows, cols, blocks):
+    """Decode the (B, nbytes) encoded blocks `msg` into the (B, l) `blocks`.
+
+    The fields are read in the groups of eight `_encode_blocks` writes.
+    """
     n_blocks, l = blocks.shape
-    w, byte, shift = layout
-    padded = np.zeros((n_blocks, msg.shape[1] + 8), dtype=np.uint8)
-    padded[:, :-8] = msg
-    fields = np.zeros((n_blocks, 2 * l), dtype=np.uint64)
-    part = np.empty_like(fields)
-    for t in range((w + 14) // 8):
-        part[...] = padded[:, byte + t]
-        part <<= np.uint64(8 * t)
-        fields |= part
-    fields >>= shift
+    w = _codec_width(k)
+    groups = -(-2 * l // 8)
+    data = np.zeros((n_blocks, groups * w), dtype=np.uint8)
+    data[:, :msg.shape[1]] = msg
+    data = data.reshape(n_blocks, groups, w)
+    fields = np.zeros((n_blocks, groups, 8), dtype=np.uint64)
+    for i in range(min(8, 2 * l)):
+        byte, shift = divmod(i * w, 8)
+        field = fields[:, :, i]
+        for t in range((shift + w + 7) // 8):
+            field |= data[:, :, byte + t].astype(np.uint64) << np.uint64(8 * t)
+        field >>= np.uint64(shift)
+    fields = fields.reshape(n_blocks, 8 * groups)[:, :2 * l]
     fields &= np.uint64((1 << w) - 1)
     src_off, dst_off = fields[:, 0::2], fields[:, 1::2]
     if int(fields.max()) > k:
@@ -324,19 +359,74 @@ def parse_grid_header(payload):
             "header_nbytes": _HEADER.size}
 
 
-def encode_grid(n, k, b, stored_edges, l):
-    """Encode flat block storage (as built by group_into_blocks) to a payload.
+def encode_grid(n, k, b, src, dst, l):
+    """GRID_SUBMIT container of the edges (src, dst) in b^2 blocks of l slots.
 
     The container is the header followed by the b^2 encoded blocks,
-    row-major; all blocks are encoded in one pass.
+    row-major; a block holds its edges in arrival order, then nulls.  Every
+    block starts as `null_block(k, l)`, and only its real prefix is
+    encoded: the prefixes are bucketed by `_prefix_buckets`, each bucket is
+    one dense `_encode_blocks` pass (null past a block's load), and the one
+    byte where an encoded prefix meets the template takes the template's
+    bits above the prefix.  Raises :class:`BlockOverflow` when a block
+    holds more than l edges.
     """
-    body = _encode_blocks(stored_edges.reshape(b * b, l), k)
-    header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, n, k, b, l,
-                          encoded_block_nbytes(k, l))
-    return header + body.tobytes()
+    src = np.asarray(src, dtype=np.uint64)
+    dst = np.asarray(dst, dtype=np.uint64)
+    order, block, rank, loads = block_order(src, dst, k, b, l)
+    w, kk, template = offset_bits(k), np.uint64(k), null_block(k, l)
+    out = np.empty(_HEADER.size + b * b * len(template), dtype=np.uint8)
+    out[:_HEADER.size] = np.frombuffer(_HEADER.pack(
+        GRID_MAGIC, GRID_VERSION, n, k, b, l, len(template)), dtype=np.uint8)
+    body = out[_HEADER.size:].reshape(b * b, len(template))
+    body[...] = template
+    # Every prefix's fields in one flat array, bucket after bucket.
+    buckets = _prefix_buckets(loads, l)
+    base, size = np.zeros(len(loads), dtype=np.int64), 0
+    for blocks, L in buckets:
+        base[blocks] = size + 2 * L * np.arange(len(blocks))
+        size += 2 * L * len(blocks)
+    fields = np.full(size, kk, dtype=np.uint64)
+    at = base[block] + 2 * rank
+    fields[at] = src[order] % kk
+    fields[at + 1] = dst[order] % kk
+    size = 0
+    for blocks, L in buckets:
+        prefix = _encode_blocks(fields[size:size + 2 * L * len(blocks)].reshape(-1, 2 * L), k)
+        size += 2 * L * len(blocks)
+        body[blocks, :prefix.shape[1]] = prefix
+        tail = 2 * L * w % 8
+        if tail:
+            above = template[prefix.shape[1] - 1] & np.uint8(0xFF << tail & 0xFF)
+            body[blocks, prefix.shape[1] - 1] |= above
+    return out.tobytes()
 
 
-def block_coordinates(b):
-    """Row and column of each of the b^2 blocks, in row-major storage order."""
-    return np.repeat(np.arange(b), b), np.tile(np.arange(b), b)
+def decode_grid(body, k, l, b, out):
+    """Decode the b^2 encoded blocks of `body` into `out`; return the real edge count.
 
+    `out` is a (b^2, l) EDGE_DTYPE view of null slots.  A block is decoded
+    only as far as its edges cover a byte that differs from
+    `null_block(k, l)`; every later field is null byte for byte.  The
+    prefixes are bucketed as `encode_grid` buckets them and each bucket is
+    one `decode_block` call, so every MalformedBlock check runs on every
+    field that is not null.
+    """
+    nbytes = encoded_block_nbytes(k, l)
+    if len(body) != b * b * nbytes:
+        raise MalformedBlock("grid body is %d bytes, expected %d"
+                             % (len(body), b * b * nbytes))
+    if not nbytes:
+        return 0
+    blocks = np.frombuffer(body, dtype=np.uint8).reshape(b * b, nbytes)
+    differs = blocks[:, ::-1] != null_block(k, l)[::-1]
+    last = differs.argmax(axis=1)  # counted from the block's end
+    touched = np.where(differs[np.arange(b * b), last], nbytes - last, 0)
+    slots = out.view(np.dtype((np.void, EDGE_DTYPE.itemsize)))
+    m = 0
+    for sel, L in _prefix_buckets(np.minimum(-(-4 * touched // offset_bits(k)), l), l):
+        edges = decode_block(blocks[sel, :encoded_block_nbytes(k, L)].reshape(-1), k, L,
+                             *np.divmod(sel, b))
+        slots[sel, :L] = edges.view(slots.dtype).reshape(-1, L)
+        m += int(np.count_nonzero(edges["pad"] == 0))
+    return m

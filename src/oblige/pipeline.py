@@ -14,9 +14,12 @@ parameters).  Party-local work is non-oblivious by design: it runs on the
 party's own trusted machine.  It is array work throughout: a party resolves
 each edge endpoint to the index of its key once, with one `searchsorted`
 over its sorted keys; it matches the IDs of a returned message to its own
-by sorting the rows on the 128-bit ID and searching them, so mapping its
-edges is one fancy index.  Raw vertex keys are integers in [0, 2^64) (only
-their digests leave the party), and results come back keyed by Python ints.
+by sorting the rows on the ID's `h` word and searching them, so mapping its
+edges is one fancy index.  It encodes its grid onto the null template and
+the server decodes it against that template (`grid.encode_grid`,
+`grid.decode_grid`), so the padding costs no codec work.  Raw vertex keys
+are integers in [0, 2^64) (only their digests leave the party), and
+results come back keyed by Python ints.
 
 Mapped IDs are assigned 0-based in ascending obfuscated-ID order (a dense
 rank), which differs from the 1-based counter a direct reading of the
@@ -55,14 +58,12 @@ from .grid import (
     GRID_REGION,
     GridGraph,
     PublicParams,
-    block_coordinates,
     block_loads,
-    decode_block,
+    decode_grid,
     encode_grid,
-    group_into_blocks,
     parse_grid_header,
 )
-from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, assign_records, with_fields
+from .omsim import ELEMENT, READ, WRITE, Buffer, OMSim, with_fields
 from .oprims import group_ids, o_filter, o_merge, o_sort, o_split_trans, o_trans, o_trans_merge
 
 NULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -143,9 +144,10 @@ def _id_keys(rows):
 def _find(haystack, needles, by_needle=None):
     """Index into `haystack` of every needle; None if some needle is absent.
 
-    `by_needle` is the needles' sort order, when the caller already has it.
+    A value the haystack repeats may match any of its copies.  `by_needle`
+    is the needles' sort order, when the caller already has it.
     """
-    order = np.argsort(haystack, kind="stable")
+    order = np.argsort(haystack)
     ordered = haystack[order]
     # Sorted needles make the search several times faster.
     if by_needle is None:
@@ -178,7 +180,7 @@ class Party:
         self.raw_keys = _uint64s(raw_keys, (), "party %d's vertex keys" % index)
         self._ends = self._resolve(_uint64s(edges, (2,), "party %d's edges" % index))
         self.ids = obfuscate_ids(self.raw_keys, salt)
-        self._id_order = np.argsort(_id_keys(self.ids))  # for matching messages
+        self._id_order = np.argsort(self.ids["h"])  # for matching messages
         self._mapped = None  # (2, m) mapped src and dst, set by receive_mapping
 
     def _resolve(self, edges):
@@ -199,8 +201,15 @@ class Party:
         return self.ids.tobytes()
 
     def _own_rows(self, rows, message):
-        """Row index of each of the party's own IDs, in key order."""
-        idx = _find(_id_keys(rows), _id_keys(self.ids), self._id_order)
+        """Row index of each of the party's own IDs, in key order.
+
+        IDs are matched on their `h` word, then checked on `l`.  A failed
+        check falls back to the exact (h, l) match, which tells an absent ID
+        from one whose `h` another ID shares.
+        """
+        idx = _find(rows["h"], self.ids["h"], self._id_order)
+        if idx is not None and (rows["l"][idx] != self.ids["l"]).any():
+            idx = _find(_id_keys(rows), _id_keys(self.ids))
         if idx is None:
             raise MissingID("%s message to party %d lacks one of its IDs"
                             % (message, self.index))
@@ -225,8 +234,7 @@ class Party:
     def grid_submit_payload(self, params, block_length, symmetrize=False):
         """Grid container with every block padded to `block_length` edges."""
         src, dst = self._mapped_edges(symmetrize)
-        stored = group_into_blocks(src, dst, params.k, params.b, block_length)
-        return encode_grid(params.n, params.k, params.b, stored, block_length)
+        return encode_grid(params.n, params.k, params.b, src, dst, block_length)
 
     def receive_results(self, payload, app):
         rows = np.frombuffer(payload, dtype=RES_DTYPE)
@@ -279,11 +287,13 @@ def map_return_payload(sim, map_buf):
 def merge_grids(sim, payloads, params, symmetrized=False):
     """Decode the party grids and concatenate them block by block.
 
-    Everything here is fixed by (p, b, k, {l_i}): the message sizes, the
-    per-block decode passes and the merge order.  Each party's b^2 decode
-    passes are one repeated record, and so are the b^2 block merges of all
-    parties.  The data moves in one decode and one raw-byte copy per party,
-    one party at a time, so only one decoded party grid is alive at once.
+    Everything recorded here is fixed by (p, b, k, {l_i}): the message
+    sizes, the per-block decode passes and the merge order.  Each party's
+    b^2 decode passes are one repeated record, and so are the b^2 block
+    merges of all parties.  The data moves less: `decode_grid` decodes each
+    block only up to its last byte that differs from the null block, straight
+    into the party's slots of the null-initialised merged grid, and m is
+    counted from the decoded edges.
     """
     if params.l_i is None or len(payloads) != params.p:
         raise ParamMismatch("need one published block length per party")
@@ -301,10 +311,11 @@ def merge_grids(sim, payloads, params, symmetrized=False):
         trace.seq(0, "pipe.gridmsg%d" % i, WRITE, 0, len(payload))
 
     b, l, k = params.b, params.l, params.k
-    coords = block_coordinates(b)
     merged = Buffer(trace, GRID_REGION, np.zeros(b * b * l, dtype=EDGE_DTYPE))
+    merged.data["pad"] = 1
     blocks = merged.data.reshape(b * b, l)
     starts = np.cumsum((0,) + params.l_i).tolist()
+    m = 0
     for i, header in enumerate(headers):
         li, nbytes = params.l_i[i], header["block_nbytes"]
         name = "grid.party%d" % i
@@ -313,15 +324,13 @@ def merge_grids(sim, payloads, params, symmetrized=False):
                           nbytes, nbytes),
                          (name, WRITE, 0, li, li)], b * b)
         body = memoryview(payloads[i])[header["header_nbytes"]:]
-        assign_records(blocks[:, starts[i]:starts[i + 1]],
-                       decode_block(body, k, li, *coords).reshape(b * b, li))
+        m += decode_grid(body, k, li, b, blocks[:, starts[i]:starts[i + 1]])
 
     # Block-wise concatenation in party order (public lengths).
     trace.repeat(0, [(("grid.party%d" % i, merged.name), (READ, WRITE),
                       (0, starts[i]), li, (li, l))
                      for i, li in enumerate(params.l_i)], b * b)
 
-    m = int((merged.data["pad"] == 0).sum())
     return GridGraph(params, merged.data, m, symmetrized=symmetrized)
 
 

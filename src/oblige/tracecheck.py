@@ -6,9 +6,11 @@ public configuration.  A stage compares one named trace window across trials
 name that closes several windows (every o_sort, one scan per round) compares
 the list of their per-worker digests.  If two trials differ, the stage leaks,
 and the first divergent event is located inside the first window that
-differs.  The leaky PageRank scan (`pr_leaky`), the one check outside the
-pipeline, is the negative control: its kernel makes one data-dependent
-access to a non-OM probe region.
+differs.  The stages of one app and engine checked in one `check_stages`
+call share its trials; nothing is kept between calls.  The leaky PageRank
+scan (`pr_leaky`), the one check outside the pipeline, is the negative
+control: its kernel makes one data-dependent access to a non-OM probe
+region.
 """
 
 from dataclasses import dataclass
@@ -62,7 +64,10 @@ def random_parties(rng, cfg):
     return parties
 
 
-def _run_pipeline(rng, cfg, app, engine):
+def _trial_trace(rng, cfg, app, engine):
+    """The trace of one trial; engine None is the leaky scan."""
+    if engine is None:
+        return _leaky_scan(rng, cfg).trace
     parties = random_parties(rng, cfg)
     program = apps_mod.APPS[app]
     override = [cfg.edges_per_party * (2 if program.symmetric else 1)] * cfg.p
@@ -70,7 +75,7 @@ def _run_pipeline(rng, cfg, app, engine):
         parties, app, cfg.t, cfg.om_bytes, CHECK_SALT, workers=cfg.workers,
         engine=engine, granularity=ELEMENT, declared_n=cfg.n, block_length_override=override,
         source_key=parties[0][0][0] if program.needs_source else None,
-    )[2]
+    )[2].trace
 
 
 def _leaky_scan(rng, cfg):
@@ -118,41 +123,57 @@ def _window_digests(trace, spans):
 
 
 def check_stage(stage, trials, seed, cfg=None):
+    """`check_stages` of one stage: its report."""
+    return check_stages([stage], trials, seed, cfg)[0]
+
+
+def check_stages(stages, trials, seed, cfg=None):
     """Run `trials` random-secret executions; all window digests must agree.
 
-    Returns a report dict; raises :class:`ObliviousnessViolation` carrying
-    the window and the first divergent (worker, event index) otherwise, and
+    The stages of one app and engine share trials 0..trials-1 of `seed`, so
+    each such group runs `trials` executions, whatever its size.  Returns
+    one report dict per stage, in order; raises
+    :class:`ObliviousnessViolation` carrying the stage's window and the
+    first divergent (worker, event index) otherwise, and
     :class:`UsageError` for a config no trial can run.
     """
     if trials < 2:
-        raise ValueError("need at least 2 trials to compare traces")
+        raise UsageError("a check compares at least 2 trials, not %r" % (trials,))
     cfg = cfg or CheckConfig()
     if min(cfg.workers, cfg.p, cfg.n, cfg.om_bytes) < 1 or cfg.edges_per_party < 0:
         raise UsageError("a check needs at least one worker, party, vertex and OM byte, "
                          "and no negative edge count: %r" % (cfg,))
     if cfg.n % cfg.p:
         raise UsageError("%d vertices do not split evenly over %d parties" % (cfg.n, cfg.p))
-    if stage not in STAGES:
-        raise ValueError("unknown stage %r (choose from %s)"
-                         % (stage, ", ".join(sorted(STAGES))))
-    app, engine, window = STAGES[stage]
-    rng = np.random.default_rng(seed)
-    trial = (lambda: _leaky_scan(rng, cfg)) if engine is None else \
-        (lambda: _run_pipeline(rng, cfg, app, engine))
-    base = trial()
-    base_spans = _spans(base.trace, window)
-    base_digests = _window_digests(base.trace, base_spans)
-    if not base_digests:
-        raise UsageError("stage %r closes no %r window at %r" % (stage, window, cfg))
-    for t in range(1, trials):
-        sim = trial()
-        spans = _spans(sim.trace, window)
-        if _window_digests(sim.trace, spans) != base_digests:
-            where = next(filter(None, (base.trace.first_divergence(sim.trace, mine, theirs)
-                                       for mine, theirs in zip(base_spans, spans))), None)
-            worker, index = where[:2] if where else (None, None)
-            raise ObliviousnessViolation(
-                "stage %r window %r diverged on trial %d at worker=%s event=%s"
-                % (stage, window or "whole trace", t, worker, index),
-                worker=worker, event_index=index, window=window)
-    return {"stage": stage, "trials": trials, "digests": base_digests}
+    groups = {}  # (app, engine) -> {stage: window}, both in first-seen order
+    for stage in stages:
+        if stage not in STAGES:
+            raise ValueError("unknown stage %r (choose from %s)"
+                             % (stage, ", ".join(sorted(STAGES))))
+        app, engine, window = STAGES[stage]
+        groups.setdefault((app, engine), {})[stage] = window
+    reports = {}
+    for (app, engine), windows in groups.items():
+        rng = np.random.default_rng(seed)
+        base = _trial_trace(rng, cfg, app, engine)
+        base_spans = {stage: _spans(base, window) for stage, window in windows.items()}
+        for stage, window in windows.items():
+            digests = _window_digests(base, base_spans[stage])
+            if not digests:
+                raise UsageError("stage %r closes no %r window at %r" % (stage, window, cfg))
+            reports[stage] = {"stage": stage, "trials": trials, "digests": digests}
+        for t in range(1, trials):
+            trace = _trial_trace(rng, cfg, app, engine)
+            for stage, window in windows.items():
+                spans = _spans(trace, window)
+                if _window_digests(trace, spans) == reports[stage]["digests"]:
+                    continue
+                where = next(filter(None, (base.first_divergence(trace, mine, theirs)
+                                           for mine, theirs in zip(base_spans[stage], spans))),
+                             None)
+                worker, index = where[:2] if where else (None, None)
+                raise ObliviousnessViolation(
+                    "stage %r window %r diverged on trial %d at worker=%s event=%s"
+                    % (stage, window or "whole trace", t, worker, index),
+                    worker=worker, event_index=index, window=window)
+    return [reports[stage] for stage in stages]

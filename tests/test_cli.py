@@ -147,8 +147,26 @@ def test_trace_check_pass_and_leaky(capsys):
     assert "FAIL" in out and "worker" in out
 
 
+def test_trace_check_reports_every_stage(capsys):
+    assert main(["trace-check", "--stage", "o_sort", "bfs", "merge_grids", "--trials", "2",
+                 "--seed", "5", "--vertices", "64", "--parties", "2",
+                 "--edges", "32", "--om", "16KiB"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["PASS o_sort", "PASS bfs",
+                                                      "PASS merge_grids"]
+
+
 def test_trace_check_rejects_single_trial(capsys):
     assert main(["trace-check", "--stage", "pr", "--trials", "1"]) == 2
+
+
+def test_bench_bfs_cell_runs(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--app", "bfs", "--n-scales", "4", "--m-scales", "5",
+                 "-t", "1", "-o", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 1
+    assert all(math.isfinite(float(x)) for x in rows[0].split(","))
 
 
 def test_bench_table_shape(tmp_path, capsys):
@@ -284,6 +302,8 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["bench", "--mode", "om", "--factors", "inf"], "UsageError"),
     (["bench", "--mode", "om", "--factors", "99999999999999999999", "--fixed-scale", "4",
       "--fixed-edge-scale", "5", "-t", "1"], "ParamMismatch"),
+    (["trace-check", "--stage", "pr", "--trials", "1"],
+     "error: UsageError: a check compares at least 2 trials"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
         "zero-workers-run", "zero-workers-bench", "zero-workers-trace-check",
         "zero-om-trace-check", "uneven-parties-trace-check",
@@ -299,7 +319,8 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "no-cells-bench", "negative-seed-gen-kron", "negative-seed-partition",
         "negative-seed-trace-check", "negative-seed-bench", "negative-seed-run",
         "too-large-seed-run", "negative-n-scale-bench", "negative-fixed-scale-bench",
-        "nan-factor-bench", "inf-factor-bench", "huge-factor-bench"])
+        "nan-factor-bench", "inf-factor-bench", "huge-factor-bench",
+        "one-trial-trace-check"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")

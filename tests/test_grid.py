@@ -10,17 +10,23 @@ from oblige.grid import (
     EDGE_DTYPE,
     RESERVE_BYTES,
     PublicParams,
-    block_coordinates,
     build_grid,
     choose_chunk_size,
     decode_block,
     encode_block,
     encode_grid,
     encoded_block_nbytes,
-    group_into_blocks,
+    null_block,
     offset_bits,
     parse_grid_header,
 )
+from oblige.omsim import OMSim
+from oblige.pipeline import merge_grids
+
+
+def block_coordinates(b):
+    """Row and column of each of the b^2 blocks, in row-major storage order."""
+    return np.divmod(np.arange(b * b), b)
 
 
 def micro_params(l=2):
@@ -137,7 +143,7 @@ def test_encode_decode_round_trip(k, data):
 
 def container(grid):
     p = grid.params
-    return encode_grid(p.n, p.k, p.b, grid.edges, p.l)
+    return encode_grid(p.n, p.k, p.b, *grid.row_order, p.l)
 
 
 def decode_container(payload):
@@ -191,6 +197,28 @@ def test_placement_invariant_random():
 
 # -- whole-grid encode and decode against a bit-matrix oracle ----------------------
 
+def padded_blocks(src, dst, k, b, l):
+    """The padded grid a party once built: each block's edges in arrival order, then nulls."""
+    out = np.zeros(b * b * l, dtype=EDGE_DTYPE)
+    out["pad"] = 1
+    fill = [0] * (b * b)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        x = (u // k) * b + v // k
+        out[x * l + fill[x]] = (u, v, 0)
+        fill[x] += 1
+    return out
+
+
+def drawn_edges(data, n, k, b, l):
+    """Drawn (src, dst) uint64 edges over [0, n) with at most l in any block."""
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * l))
+    ids = [(u // k) * b + v // k for u, v in edges]
+    edges = [e for i, e in enumerate(edges) if ids[:i].count(ids[i]) < l]
+    return (np.array([u for u, _ in edges], dtype=np.uint64),
+            np.array([v for _, v in edges], dtype=np.uint64))
+
+
 def bit_matrix_encode(block, k):
     """One block through an explicit (2l, w) bit matrix, bit 0 first."""
     w = offset_bits(k)
@@ -220,16 +248,9 @@ def bit_matrix_decode(data, k, l, r, c):
        st.integers(1, 6), st.integers(0, 11), st.data())
 def test_grid_codec_matches_bit_matrix(k, b, l, data):
     n = data.draw(st.integers((b - 1) * k + 1, b * k))
-    draw_edges = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=3 * l)
-    edges = data.draw(draw_edges)
-    ids = np.array([(u // k) * b + v // k for u, v in edges], dtype=np.int64)
-    keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)], dtype=bool)
-    edges = [e for e, ok in zip(edges, keep) if ok]
-    src = np.array([u for u, _ in edges], dtype=np.uint64)
-    dst = np.array([v for _, v in edges], dtype=np.uint64)
-    stored = group_into_blocks(src, dst, k, b, l)
-    payload = encode_grid(n, k, b, stored, l)
+    src, dst = drawn_edges(data, n, k, b, l)
+    stored = padded_blocks(src, dst, k, b, l)
+    payload = encode_grid(n, k, b, src, dst, l)
     header = parse_grid_header(payload)
     blocks = [stored[x * l:(x + 1) * l] for x in range(b * b)]
     body = payload[header["header_nbytes"]:]
@@ -272,7 +293,7 @@ def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
     dst = rng.integers(0, n, size=200, dtype=np.uint64)
     ids = (src // k) * b + dst // k
     keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)])
-    stored = group_into_blocks(src[keep], dst[keep], k, b, l)
+    stored = padded_blocks(src[keep], dst[keep], k, b, l)
     body = b"".join(encode_block(stored[x * l:(x + 1) * l], k) for x in range(b * b))
     monkeypatch.setattr(grid_mod, "_DECODE_FIELDS", batch_fields)
     assert decode_block(body, k, l, *block_coordinates(b)).tobytes() == stored.tobytes()
@@ -280,3 +301,65 @@ def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
                       bitorder="little").tobytes()[:encoded_block_nbytes(k, l)]
     with pytest.raises(MalformedBlock):
         decode_block(body[:-len(bad)] + bad, k, l, *block_coordinates(b))
+
+
+# -- the null template and prefix-only decoding ---------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 255, 384, 3840, 40832, 1 << 20])
+def test_null_block_is_the_encoded_null_block(k):
+    tails = set()
+    for l in (0, 1, 2, 3, 7, 8, 1001):
+        assert null_block(k, l).tobytes() == encode_block(_null_block(l), k)
+        tails.add(2 * l * offset_bits(k) % 8)
+    assert tails == ({0} if offset_bits(k) % 4 == 0 else
+                     {0, 4} if offset_bits(k) % 2 == 0 else {0, 2, 4, 6})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 7, 255, 384]), st.integers(1, 4), st.integers(0, 12),
+       st.data())
+def test_merge_grids_and_whole_decode_agree_on_corrupted_payloads(k, b, l, data):
+    """Corrupted bytes inside real prefixes, past them or in the pad bits are read alike.
+
+    The prefix-only `merge_grids` path and one `decode_block` of the whole
+    body accept and refuse the same payloads, and give the same slots and m.
+    """
+    n = data.draw(st.integers((b - 1) * k + 1, b * k))
+    src, dst = drawn_edges(data, n, k, b, l)
+    payload = bytearray(encode_grid(n, k, b, src, dst, l))
+    header = parse_grid_header(payload)
+    w, nbytes, at = offset_bits(k), header["block_nbytes"], header["header_nbytes"]
+    loads = np.bincount(((src // k) * b + dst // k).astype(np.int64), minlength=b * b)
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.integers(0, b * b - 1))
+        real = -(-2 * int(loads[x]) * w // 8)
+        zone = data.draw(st.sampled_from(["prefix", "past", "pad bits"]))
+        tail = 2 * l * w % 8
+        if zone == "prefix" and real:
+            byte, flip = data.draw(st.integers(0, real - 1)), data.draw(st.integers(1, 255))
+        elif zone == "past" and real < nbytes:
+            byte = data.draw(st.integers(max(real - 1, 0), nbytes - 1))
+            flip = data.draw(st.integers(1, 255))
+        elif zone == "pad bits" and tail:
+            byte, flip = nbytes - 1, data.draw(st.integers(1, 255)) & (0xFF << tail) & 0xFF
+        else:
+            continue
+        payload[at + x * nbytes + byte] ^= flip
+
+    def outcome(read):
+        try:
+            return read()
+        except MalformedBlock:
+            return "MalformedBlock"
+
+    def whole():
+        slots = decode_block(memoryview(payload)[at:], k, l, *block_coordinates(b))
+        return slots.tobytes(), int((slots["pad"] == 0).sum())
+
+    def merged():
+        params = PublicParams.derive(p=1, n_i=[n], n=n, t=1, s=2 * k * 8 + RESERVE_BYTES,
+                                     vwidth=8, l_i=[l])
+        grid = merge_grids(OMSim(1 << 16), [bytes(payload)], params)
+        return grid.edges.tobytes(), grid.m
+
+    assert outcome(merged) == outcome(whole)

@@ -13,33 +13,37 @@ U64_MAX = (1 << 64) - 1
 
 # -- the line-loop reader and writers the numpy ones replace, as oracles ---------
 
+def _lines(path):
+    """The file's lines: only "\\n" ends one, and a field is split at ASCII whitespace."""
+    with open(path, "rb") as fp:
+        return fp.read().split(b"\n")
+
+
 def line_loop_party_file(path):
     keys, edges = [], []
-    with open(path) as fp:
-        for line in fp:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                _, key = parts
-                keys.append(int(key))
-            else:
-                assert parts[0] == "e"
-                _, u, v = parts
-                edges.append((int(u), int(v)))
+    for line in _lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == b"v":
+            _, key = parts
+            keys.append(int(key))
+        else:
+            assert parts[0] == b"e"
+            _, u, v = parts
+            edges.append((int(u), int(v)))
     return keys, edges
 
 
 def line_loop_edge_list(path):
     src, dst = [], []
-    with open(path) as fp:
-        for line in fp:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v = line.split()
-            src.append(int(u))
-            dst.append(int(v))
+    for line in _lines(path):
+        line = line.strip()
+        if not line or line.startswith(b"#"):
+            continue
+        u, v = line.split()
+        src.append(int(u))
+        dst.append(int(v))
     return src, dst
 
 
@@ -61,7 +65,6 @@ def line_loop_write_edge_list(path, src, dst):
 
 values = st.one_of(st.integers(0, U64_MAX), st.sampled_from([0, U64_MAX]),
                    st.integers(10 ** 19, U64_MAX), st.integers(0, 999))
-# No lone "\r": the line-loop reader ends a line there, the format does not.
 spaces = st.sampled_from([" ", "\t", "  ", " \t ", "\f\v"])
 
 
@@ -216,3 +219,62 @@ def test_edge_list_rejects(tmp_path, line):
     path.write_text("# header\n0 1\n\n%s\n" % line)
     with pytest.raises(MalformedEdgeList, match=r": line 4 "):
         read_edge_list(path)
+
+
+# -- byte-mutation fuzz: a mutated file parses as the line loop does, or is refused --
+
+ALPHABET = b"0123456789 \t\r\n\v\fve#+-_x\x00\x1c\xa0\xff"
+
+
+@st.composite
+def mutated(draw, files):
+    """A drawn file with one to four bytes replaced, inserted or deleted, or cut short."""
+    data = bytearray(draw(files))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from(ALPHABET), st.integers(0, 255)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        if kind == "insert" or not data:
+            data.insert(at, byte)
+        elif kind == "replace":
+            data[min(at, len(data) - 1)] = byte
+        elif kind == "delete":
+            del data[min(at, len(data) - 1)]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def _fuzz_case(tmp_path_factory, data, read, error, oracle):
+    path = tmp_path_factory.getbasetemp() / ("fuzz-%s.txt" % read.__name__)
+    path.write_bytes(data)
+    try:
+        got = read(path)
+    except error:
+        return
+    assert tuple(part.tolist() for part in got) == oracle(path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated(party_files().map(lambda drawn: drawn[0])))
+def test_mutated_party_file_parses_as_line_loop_or_is_refused(tmp_path_factory, data):
+    def oracle(path):
+        keys, edges = line_loop_party_file(path)
+        return keys, [list(edge) for edge in edges]
+
+    _fuzz_case(tmp_path_factory, data, read_party_file, MalformedPartyFile, oracle)
+
+
+@st.composite
+def edge_lists(draw):
+    rows = draw(st.lists(st.one_of(st.tuples(field(), field()),
+                                   st.sampled_from(["#", "# 1 2", "#v 5 x"])), max_size=25))
+    return draw(text_lines([[row] if isinstance(row, str) else [row[0][1], row[1][1]]
+                            for row in rows]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated(edge_lists()))
+def test_mutated_edge_list_parses_as_line_loop_or_is_refused(tmp_path_factory, data):
+    _fuzz_case(tmp_path_factory, data, read_edge_list, MalformedEdgeList,
+               lambda path: tuple(line_loop_edge_list(path)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblige import kron
+from oblige import kron, pipeline
 from oblige.errors import (
     MalformedPartyFile,
     MissingID,
@@ -683,6 +683,60 @@ def test_result_return_missing_id_is_typed_error():
         parties[1].receive_results(_payload_without(payload, RES_DTYPE, 0), "bfs")
     with pytest.raises(MissingID):
         parties[1].receive_results(b"", "bfs")
+
+
+def test_missing_id_on_a_duplicated_row():
+    parties = micro_parties()
+    sim, _, maps = _mapped_parties(parties, 3)
+    rows = np.frombuffer(map_return_payload(sim, maps[1]), dtype=MAP_DTYPE).copy()
+    rows[1] = rows[0]
+    with pytest.raises(MissingID):
+        parties[1].receive_mapping(rows.tobytes())
+
+
+# -- replies matched on the ID's h word --------------------------------------------
+
+SHARED_H = np.array([(5, 2), (5, 1), (3, 9)], dtype=ID_DTYPE)  # two IDs share h
+
+
+@pytest.fixture
+def shared_h_party(monkeypatch):
+    """A party whose first two IDs share their h word, a 2^-64 event forced here."""
+    monkeypatch.setattr(pipeline, "obfuscate_ids", lambda keys, salt: SHARED_H.copy())
+    return Party(0, [10, 20, 30], [(10, 20), (30, 10)], SALT)
+
+
+def _reply(dtype, field, values, order):
+    rows = np.zeros(len(SHARED_H), dtype=dtype)
+    rows["h"], rows["l"], rows[field] = SHARED_H["h"], SHARED_H["l"], values
+    return rows[order]
+
+
+def test_shared_h_reply_falls_back_to_the_exact_match(shared_h_party):
+    # In h order both shared-h IDs find row (5, 1) first, so the l check fails.
+    for order in ([2, 1, 0], [0, 2, 1], [1, 0, 2]):
+        shared_h_party.receive_mapping(_reply(MAP_DTYPE, "mapped", [7, 8, 9], order).tobytes())
+        assert shared_h_party._mapped.tolist() == [[7, 9], [8, 7]]
+        reply = _reply(RES_DTYPE, "result", [100, 200, 300], order)
+        assert shared_h_party.receive_results(reply.tobytes(), "bfs") == \
+            {10: 100, 20: 200, 30: 300}
+
+
+@pytest.mark.parametrize("fault", ["short", "duplicated", "foreign-l", "foreign-h"])
+def test_shared_h_reply_lacking_an_id_is_refused(shared_h_party, fault):
+    rows = _reply(RES_DTYPE, "result", [100, 200, 300], [0, 1, 2])
+    if fault == "short":
+        rows = rows[[0, 2]]
+    elif fault == "duplicated":
+        rows[1] = rows[0]
+    elif fault == "foreign-l":
+        rows[1]["l"] = 7  # h shared with two own IDs, l with neither
+    else:
+        rows[2]["h"] = 4
+    with pytest.raises(MissingID):
+        shared_h_party.receive_results(rows.tobytes(), "bfs")
+    with pytest.raises(MissingID):
+        shared_h_party.receive_mapping(rows.astype(MAP_DTYPE).tobytes())
 
 
 # -- the array path against dict-based oracles ---------------------------------------

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from oblige import apps, oprims, pipeline
-from oblige.errors import ObliviousnessViolation
+from oblige import apps, oprims, pipeline, tracecheck
+from oblige.errors import ObliviousnessViolation, UsageError
 from oblige.omsim import READ, OMSim
 from oblige.pipeline import run_end_to_end
-from oblige.tracecheck import CHECK_SALT, STAGES, CheckConfig, check_stage, random_parties
+from oblige.tracecheck import (
+    CHECK_SALT, STAGES, CheckConfig, check_stage, check_stages, random_parties,
+)
 
 FAST_CFG = dict(n=64, p=2, overlap=8, edges_per_party=48, om_bytes=1 << 14,
                 workers=2)
@@ -37,8 +39,44 @@ def test_leaky_kernel_detected_with_location():
 
 
 def test_trials_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="at least 2 trials"):
         check_stage("pr", trials=1, seed=0)
+
+
+def test_stages_of_one_app_and_engine_share_trials(monkeypatch):
+    runs = []
+    real = tracecheck._trial_trace
+    monkeypatch.setattr(tracecheck, "_trial_trace",
+                        lambda *args: runs.append(args[2:]) or real(*args))
+    stages = ["o_sort", "bfs", "post_process", "o_sort"]
+    reports = check_stages(stages, trials=3, seed=23, cfg=CheckConfig(**FAST_CFG))
+    assert [report["stage"] for report in reports] == stages
+    assert reports[1]["digests"] == check_stage("bfs", trials=2, seed=23,
+                                                cfg=CheckConfig(**FAST_CFG))["digests"]
+    assert runs[:6] == [("pr", "oblige")] * 3 + [("bfs", "oblige")] * 3
+
+
+def test_leak_trial_0_misses_is_caught_after_a_clean_check(monkeypatch):
+    """No check reuses another's trials: a leak planted after a clean check
+    with the same seed and config is caught, though trial 0 never takes it,
+    and a clean check after the leak is undone passes again."""
+    cfg = CheckConfig(**FAST_CFG)
+    check_stages(["o_sort", "post_process"], trials=3, seed=17, cfg=cfg)
+    real, sums = pipeline.post_process, []
+
+    def leaky(sim, res, *rest):
+        sums.append(sum(res.data.tobytes()))
+        if sums[-1] != sums[0]:  # an input trial 0 does not have
+            sim.trace.register("leak.probe", PROBE, 8)
+            sim.trace.points(0, "leak.probe", READ, [sums[-1] % PROBE])
+        return real(sim, res, *rest)
+
+    monkeypatch.setattr(pipeline, "post_process", leaky)
+    with pytest.raises(ObliviousnessViolation) as info:
+        check_stages(["o_sort", "post_process"], trials=3, seed=17, cfg=cfg)
+    assert info.value.window == "post_process" and len(set(sums)) > 1
+    monkeypatch.undo()
+    check_stage("post_process", trials=3, seed=17, cfg=cfg)
 
 
 def test_unknown_stage_rejected():
