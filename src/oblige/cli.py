@@ -8,7 +8,6 @@ obliviousness violation, 2 on any other engine or usage error.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,6 +21,10 @@ from .pipeline import ENGINES, run_end_to_end
 from .tracecheck import STAGES, CheckConfig, check_stages
 
 DEFAULT_OM = int(1.25 * 1024 * 1024)  # per-core L2-sized oblivious memory
+
+# Every command takes at most 2^MAX_SCALE edges or vertices; a larger count
+# is a UsageError, raised before anything is allocated.
+MAX_SCALE = 40
 
 _SUFFIXES = {"b": 1, "kib": 1024, "mib": 1024 ** 2, "gib": 1024 ** 3}
 
@@ -55,6 +58,16 @@ def _numbers(parse, text):
         raise UsageError("%r is not a comma-separated list of numbers" % text) from None
 
 
+def _check_count(what, count):
+    if count > 1 << MAX_SCALE:
+        raise UsageError("%s is %d, above the limit of 2^%d" % (what, count, MAX_SCALE))
+
+
+def _check_scales(what, scales):
+    if not all(0 <= x <= MAX_SCALE for x in scales):
+        raise UsageError("%s lie in [0, %d], not %r" % (what, MAX_SCALE, scales))
+
+
 def _read(reader, path):
     try:
         return reader(path)
@@ -67,10 +80,7 @@ def _salt_from_seed(seed):
 
 
 def cmd_gen_kron(args):
-    if args.scale < 0 or args.edge_scale < 0:
-        raise UsageError("--scale and --edge-scale must be at least 0")
-    if args.scale > 64:
-        raise UsageError("--scale is at most 64: vertex keys are 64-bit")
+    _check_scales("--scale and --edge-scale", [args.scale, args.edge_scale])
     src, dst = kron.generate_kronecker(args.scale, 1 << args.edge_scale, args.seed)
     kron.write_edge_list(args.output, src, dst)
     print("wrote %d edges over %d vertices to %s"
@@ -83,6 +93,7 @@ def cmd_partition(args):
     num_vertices = args.vertices
     if num_vertices is None:
         num_vertices = int(max(src.max(), dst.max())) + 1 if len(src) else 1
+    _check_count("the vertex count", num_vertices)
     owner = kron.assign_parties(num_vertices, args.parties, args.mode, args.seed)
     parties = kron.split_parties(src, dst, owner, args.parties)
     for i, (keys, edges) in enumerate(parties):
@@ -132,6 +143,8 @@ def cmd_run(args):
 
 def cmd_trace_check(args):
     stages = ["pr_leaky"] if args.leaky else args.stage
+    _check_count("--vertices", args.vertices)
+    _check_count("--edges", args.edges)
     cfg = CheckConfig(n=args.vertices, p=args.parties,
                       edges_per_party=args.edges, om_bytes=parse_size(args.om),
                       workers=args.workers)
@@ -158,20 +171,11 @@ def _bench_once(app, n_scale, m_scale, om_bytes, t, seed, workers, engine):
 
 
 def cmd_bench(args):
-    om = parse_size(args.om)
-    if args.mode == "scale":
-        n_scales = _numbers(int, args.n_scales)
-        m_scales = _numbers(int, args.m_scales)
-        scales = n_scales + m_scales
-        cells = [(ns, ms, om) for ns in n_scales for ms in m_scales if ns <= ms]
-    else:
-        factors = _numbers(float, args.factors)
-        if not all(0 < f < math.inf for f in factors):  # NaN fails too
-            raise UsageError("an OM factor is finite and above 0, not %r" % args.factors)
-        scales = [args.fixed_scale, args.fixed_edge_scale]
-        cells = [(args.fixed_scale, args.fixed_edge_scale, int(om * f)) for f in factors]
-    if min(scales) < 0:
-        raise UsageError("bench scales must be at least 0, not %r" % (scales,))
+    n_scales = _numbers(int, args.n_scales)
+    m_scales = _numbers(int, args.m_scales)
+    _check_scales("bench scales", n_scales + m_scales)
+    oms = _numbers(parse_size, args.om)
+    cells = [(ns, ms, om) for ns in n_scales for ms in m_scales if ns <= ms for om in oms]
     if not cells:
         raise UsageError("no bench cell: every n-scale exceeds every m-scale")
     rows = []
@@ -250,14 +254,11 @@ def build_parser():
     tc.set_defaults(fn=cmd_trace_check)
 
     b = sub.add_parser("bench", help="desk-scale engine comparison table")
-    b.add_argument("--mode", choices=["scale", "om"], default="scale")
     b.add_argument("--app", choices=sorted(APPS), default="pr")
     b.add_argument("--n-scales", default="12,14")
     b.add_argument("--m-scales", default="12,14,16")
-    b.add_argument("--factors", default="0.25,0.5,1,2,4")
-    b.add_argument("--fixed-scale", type=int, default=14)
-    b.add_argument("--fixed-edge-scale", type=int, default=16)
-    b.add_argument("--om", default=str(DEFAULT_OM))
+    b.add_argument("--om", default=str(DEFAULT_OM),
+                   help="comma-separated OM sizes; one cell per (n-scale, m-scale, OM)")
     b.add_argument("-t", "--iterations", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--workers", type=int, default=1)

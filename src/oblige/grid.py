@@ -17,7 +17,7 @@ the blocks' real prefixes pass through the codec.
 """
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -28,9 +28,6 @@ from .errors import BlockOverflow, MalformedBlock, OMTooSmall, ParamMismatch
 # Fixed OM reserve for scan-loop temporaries; a concrete, auditable stand-in
 # for the constant-size register state the algorithms keep.
 RESERVE_BYTES = 4096
-
-# Encoded fields `decode_block` unpacks per batch of blocks.
-_DECODE_FIELDS = 1 << 15
 
 EDGE_DTYPE = np.dtype([("src", "<u8"), ("dst", "<u8"), ("pad", "u1")])
 
@@ -59,47 +56,42 @@ class PublicParams:
     """The public configuration every oblivious stage's trace is a function of.
 
     Per-party and merged edge counts are deliberately absent: they are the
-    secrets.  Block lengths are None until the parties publish them after
-    edge pre-processing.
+    secrets.  N, k, b and l are derived here and nowhere else: N = sum(n_i),
+    k = `choose_chunk_size(s, vwidth)`, b = ceil(n / k) and l = sum(l_i).
+    Block lengths are None (and l is None) until the parties publish them
+    after edge pre-processing.
     """
 
     p: int
     n_i: Tuple[int, ...]
-    N: int
+    N: int = field(init=False)
     n: int
     t: int
     s: int
-    k: int
-    b: int
+    k: int = field(init=False)
+    b: int = field(init=False)
     vwidth: int
     l_i: Optional[Tuple[int, ...]] = None
-    l: Optional[int] = None
+    l: Optional[int] = field(init=False)
 
     def __post_init__(self):
-        if self.p != len(self.n_i):
+        k = choose_chunk_size(self.s, self.vwidth)
+        _codec_width(k)  # ParamMismatch unless the codec holds a chunk offset
+        n_i = tuple(int(x) for x in self.n_i)
+        if self.p != len(n_i):
             raise ParamMismatch("p must equal the number of per-party vertex counts")
-        if self.N != sum(self.n_i):
-            raise ParamMismatch("N must equal sum of per-party vertex counts")
-        if self.b != -(-self.n // self.k):
-            raise ParamMismatch("b must equal ceil(n / k)")
-        if 2 * self.k * self.vwidth + RESERVE_BYTES > self.s:
-            raise ParamMismatch("two vertex chunks plus reserve exceed the OM size")
-        _codec_width(self.k)  # ParamMismatch unless the codec holds a chunk offset
-        if self.l_i is not None and self.l != sum(self.l_i):
-            raise ParamMismatch("l must equal sum of per-party block lengths")
+        l_i = None if self.l_i is None else tuple(int(x) for x in self.l_i)
+        derived = dict(n_i=n_i, N=sum(n_i), k=k, b=-(-self.n // k), l_i=l_i,
+                       l=None if l_i is None else sum(l_i))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     @classmethod
     def derive(cls, p, n_i, n, t, s, vwidth, l_i=None):
-        n_i = tuple(int(x) for x in n_i)
-        k = choose_chunk_size(s, vwidth)
-        b = -(-n // k)
-        l = sum(l_i) if l_i is not None else None
-        return cls(p=p, n_i=n_i, N=sum(n_i), n=n, t=t, s=s, k=k, b=b,
-                   vwidth=vwidth, l_i=tuple(l_i) if l_i else None, l=l)
+        return cls(p=p, n_i=n_i, n=n, t=t, s=s, vwidth=vwidth, l_i=l_i)
 
     def with_block_lengths(self, l_i):
-        l_i = tuple(int(x) for x in l_i)
-        return replace(self, l_i=l_i, l=sum(l_i))
+        return replace(self, l_i=l_i)
 
 
 class GridGraph:
@@ -180,22 +172,22 @@ def block_order(src, dst, k, b, block_length):
     return order, block, np.arange(len(ids)) - (np.cumsum(loads) - loads)[block], loads
 
 
-def build_grid(edges, params, symmetrized=False, block_length=None):
+def build_grid(edges, params, symmetrized=False):
     """Non-oblivious grid constructor for a party's machine or a test fixture.
 
     `edges` is a sequence of (src, dst) mapped-ID pairs (anything an (m, 2)
-    array can be made of).  The merged block length defaults to `params.l`.
+    array can be made of), stored in blocks of the merged length `params.l`.
     Each block holds its edges in arrival order, then null slots.
     """
+    if params.l is None:
+        raise ParamMismatch("grid needs params with published block lengths")
     arr = np.asarray(list(edges), dtype=np.uint64).reshape(-1, 2)
     src, dst = arr[:, 0], arr[:, 1]
     if len(src) and int(np.max(src)) >= params.n:
         raise ParamMismatch("edge endpoint outside [0, n)")
     if len(dst) and int(np.max(dst)) >= params.n:
         raise ParamMismatch("edge endpoint outside [0, n)")
-    l = params.l if block_length is None else block_length
-    if params.l is None:
-        params = params.with_block_lengths([l])
+    l = params.l
     order, block, rank, _ = block_order(src, dst, params.k, params.b, l)
     stored = np.zeros(params.b * params.b * l, dtype=EDGE_DTYPE)
     stored["pad"] = 1
@@ -278,50 +270,35 @@ def decode_block(data, k, l, r, c):
 
     `r` and `c` are the block's row and column, or equal-length arrays of
     them when `data` holds that many encoded blocks back to back; the
-    decoded blocks are returned concatenated.  Raises
+    decoded blocks are returned concatenated.  The fields are read in the
+    groups of eight `_encode_blocks` writes.  Raises
     :class:`MalformedBlock` on a wrong payload length, an offset in
     (k, 2^w), or a half-null pair (exactly one field equal to k): none of
-    these can be produced by a conforming client.  Blocks are decoded a
-    batch at a time, so the working arrays stay small beside the output.
+    these can be produced by a conforming client.
     """
     rows = np.atleast_1d(np.asarray(r, dtype=np.uint64))
     cols = np.atleast_1d(np.asarray(c, dtype=np.uint64))
     n_blocks = len(rows)
-    expected = n_blocks * encoded_block_nbytes(k, l)
-    if len(data) != expected:
+    nbytes = encoded_block_nbytes(k, l)
+    if len(data) != n_blocks * nbytes:
         raise MalformedBlock(
-            "block payload is %d bytes, expected %d" % (len(data), expected)
+            "block payload is %d bytes, expected %d" % (len(data), n_blocks * nbytes)
         )
     out = np.zeros(n_blocks * l, dtype=EDGE_DTYPE)
     if not len(out):
         return out
-    msg = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, -1)
-    blocks = out.reshape(n_blocks, l)
-    step = max(1, _DECODE_FIELDS // (2 * l))
-    for lo in range(0, n_blocks, step):
-        hi = lo + step
-        _decode_batch(msg[lo:hi], k, rows[lo:hi], cols[lo:hi], blocks[lo:hi])
-    return out
-
-
-def _decode_batch(msg, k, rows, cols, blocks):
-    """Decode the (B, nbytes) encoded blocks `msg` into the (B, l) `blocks`.
-
-    The fields are read in the groups of eight `_encode_blocks` writes.
-    """
-    n_blocks, l = blocks.shape
     w = _codec_width(k)
     groups = -(-2 * l // 8)
-    data = np.zeros((n_blocks, groups * w), dtype=np.uint8)
-    data[:, :msg.shape[1]] = msg
-    data = data.reshape(n_blocks, groups, w)
+    msg = np.zeros((n_blocks, groups * w), dtype=np.uint8)
+    msg[:, :nbytes] = np.frombuffer(data, dtype=np.uint8).reshape(n_blocks, nbytes)
+    msg = msg.reshape(n_blocks, groups, w)
     fields = np.zeros((n_blocks, groups, 8), dtype=np.uint64)
     for i in range(min(8, 2 * l)):
         byte, shift = divmod(i * w, 8)
-        field = fields[:, :, i]
+        word = fields[:, :, i]
         for t in range((shift + w + 7) // 8):
-            field |= data[:, :, byte + t].astype(np.uint64) << np.uint64(8 * t)
-        field >>= np.uint64(shift)
+            word |= msg[:, :, byte + t].astype(np.uint64) << np.uint64(8 * t)
+        word >>= np.uint64(shift)
     fields = fields.reshape(n_blocks, 8 * groups)[:, :2 * l]
     fields &= np.uint64((1 << w) - 1)
     src_off, dst_off = fields[:, 0::2], fields[:, 1::2]
@@ -331,11 +308,13 @@ def _decode_batch(msg, k, rows, cols, blocks):
     if (src_null != (dst_off == k)).any():
         raise MalformedBlock("half-null edge encoding")
     kk = np.uint64(k)
+    blocks = out.reshape(n_blocks, l)
     blocks["pad"] = src_null
-    for off, base, field in ((src_off, rows, "src"), (dst_off, cols, "dst")):
+    for off, base, name in ((src_off, rows, "src"), (dst_off, cols, "dst")):
         off += base[:, None] * kk
         np.copyto(off, 0, where=src_null)
-        blocks[field] = off
+        blocks[name] = off
+    return out
 
 
 def encoded_block_nbytes(k, l):

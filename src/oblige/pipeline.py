@@ -442,24 +442,22 @@ ENGINES = {"oblige": _scan_engine, "sortscan": _sortscan_engine, "reference": No
 
 def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
                    engine="oblige", granularity=ELEMENT, record=True,
-                   f=None, source_key=None, declared_n=None,
-                   block_length_override=None):
+                   f=None, source_key=None, block_length_override=None):
     """Full workflow over in-process parties; returns (per-party results, report).
 
-    `party_inputs` is a list of (raw_keys, edges) pairs.  `declared_n` stands
-    in for the out-of-band agreement on the merged vertex count; when None it
-    is computed the way the parties would jointly announce it.  The oblivious
-    engines verify the declaration rather than trust it.  `f` is the damping
-    factor of a program that has one (PageRank), in [0, 1] (UsageError
-    otherwise); None keeps the program's.
+    `party_inputs` is a list of (raw_keys, edges) pairs.  The merged vertex
+    count n, which the parties agree on out of band, is computed the way
+    they would jointly announce it; the oblivious engines verify it rather
+    than trust it.  `f` is the damping factor of a program that has one
+    (PageRank), in [0, 1] (UsageError otherwise); None keeps the program's.
 
     The run is timed as consecutive stages in `report.stage_seconds`:
     party_setup (the parties read their inputs and obfuscate their IDs),
-    declare_n (only when `declared_n` is None), vertex_mapping,
-    edge_preprocess, merge_grids, compute and post_process; the reference
-    engine has party_setup and compute only.  Each stage is also a trace
-    window of its name (`AccessTrace.window`).  An `ObligeError` raised in a
-    stage leaves with the stage's name in `.stage`.
+    declare_n, vertex_mapping, edge_preprocess, merge_grids, compute and
+    post_process; the reference engine has party_setup and compute only.
+    Each stage is also a trace window of its name (`AccessTrace.window`).
+    An `ObligeError` raised in a stage leaves with the stage's name in
+    `.stage`.
     """
     if app not in apps_mod.APPS or engine not in ENGINES:
         raise ValueError("unknown application %r or engine %r" % (app, engine))
@@ -516,18 +514,17 @@ def run_end_to_end(party_inputs, app, t, om_bytes, salt, workers=1,
             results = _reference_end_to_end(parties, program, t, source_key)
         return results, report, None
 
-    if declared_n is None:
-        with stage("declare_n"):
-            declared_n = len(np.unique(_id_keys(np.concatenate([p.ids for p in parties]))))
+    with stage("declare_n"):
+        n = len(np.unique(_id_keys(np.concatenate([p.ids for p in parties]))))
 
     params = PublicParams.derive(
-        p=len(parties), n_i=[p.n_vertices for p in parties], n=declared_n,
+        p=len(parties), n_i=[p.n_vertices for p in parties], n=n,
         t=t, s=om_bytes, vwidth=program.vwidth,
     )
 
     with stage("vertex_mapping"):
         global_map, map_bufs = vertex_mapping(
-            sim, [ids_from_bytes(p.vertex_submit_payload()) for p in parties], declared_n)
+            sim, [ids_from_bytes(p.vertex_submit_payload()) for p in parties], n)
         for party, mbuf in zip(parties, map_bufs):
             party.receive_mapping(map_return_payload(sim, mbuf))
 

@@ -37,7 +37,6 @@ class CheckConfig:
     edges_per_party: int = 512
     om_bytes: int = 1 << 15
     workers: int = 2
-    t: int = 1
 
 
 def random_parties(rng, cfg):
@@ -71,9 +70,9 @@ def _trial_trace(rng, cfg, app, engine):
     parties = random_parties(rng, cfg)
     program = apps_mod.APPS[app]
     override = [cfg.edges_per_party * (2 if program.symmetric else 1)] * cfg.p
-    return run_end_to_end(
-        parties, app, cfg.t, cfg.om_bytes, CHECK_SALT, workers=cfg.workers,
-        engine=engine, granularity=ELEMENT, declared_n=cfg.n, block_length_override=override,
+    return run_end_to_end(  # one round of the app
+        parties, app, 1, cfg.om_bytes, CHECK_SALT, workers=cfg.workers,
+        engine=engine, granularity=ELEMENT, block_length_override=override,
         source_key=parties[0][0][0] if program.needs_source else None,
     )[2].trace
 
@@ -81,7 +80,7 @@ def _trial_trace(rng, cfg, app, engine):
 def _leaky_scan(rng, cfg):
     """A PR `full_scan` of a random grid whose kernel probes at vertex 0's secret weight."""
     program, probe_len = apps_mod.APPS["pr"], 1 << 16
-    params = PublicParams.derive(p=1, n_i=[cfg.n], n=cfg.n, t=cfg.t, s=cfg.om_bytes,
+    params = PublicParams.derive(p=1, n_i=[cfg.n], n=cfg.n, t=1, s=cfg.om_bytes,
                                  vwidth=program.vwidth, l_i=[cfg.edges_per_party])
     grid = build_grid(rng.integers(0, cfg.n, size=(cfg.edges_per_party, 2)), params)
     state = program.initial(cfg.n)

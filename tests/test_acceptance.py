@@ -28,7 +28,7 @@ from oblige.pipeline import (
     vertex_mapping,
 )
 from oblige.grid import PublicParams
-from oblige.tracecheck import CheckConfig, check_stage
+from oblige.tracecheck import CheckConfig, check_stages
 
 SALT = b"acceptance-salt!"[:16]
 
@@ -47,8 +47,7 @@ def test_criterion_1_obliviousness_suite():
     stages = ["o_sort", "full_scan", "full_scan_rows", "vertex_mapping",
               "merge_grids", "post_process", "pr", "bfs", "wcc", "sortscan"]
     start = time.perf_counter()
-    for stage in stages:
-        check_stage(stage, trials=20, seed=101, cfg=cfg)
+    check_stages(stages, trials=20, seed=101, cfg=cfg)
     elapsed = time.perf_counter() - start
     criterion(1, "obliviousness-suite", elapsed < 120,
               "10 stages x 20 trials in %.1fs" % elapsed)

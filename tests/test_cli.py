@@ -171,8 +171,8 @@ def test_bench_bfs_cell_runs(tmp_path):
 
 def test_bench_table_shape(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--mode", "scale", "--n-scales", "6", "--m-scales",
-                 "6,8", "--om", "16KiB", "-t", "1", "-o", str(out)])
+    code = main(["bench", "--n-scales", "6", "--m-scales", "6,8", "--om", "16KiB",
+                 "-t", "1", "-o", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,m,om_bytes,oblige_sec_per_iter,sortscan_sec_per_iter,speedup"
@@ -183,15 +183,15 @@ def test_bench_table_shape(tmp_path, capsys):
 
 
 def test_bench_om_sweep_shape(tmp_path):
+    """One row per (n-scale, m-scale, OM) cell with n <= m, in that nesting order."""
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--mode", "om", "--factors", "0.5,1,2",
-                 "--fixed-scale", "6", "--fixed-edge-scale", "8",
-                 "--om", "32KiB", "-t", "1", "-o", str(out)])
+    code = main(["bench", "--n-scales", "5,6", "--m-scales", "6", "--om", "16KiB,64KiB",
+                 "-t", "1", "-o", str(out)])
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4
-    oms = [int(line.split(",")[2]) for line in lines[1:]]
-    assert oms == [16 * 1024, 32 * 1024, 64 * 1024]
+    cells = [tuple(int(x) for x in line.split(",")[:3])
+             for line in out.read_text().strip().splitlines()[1:]]
+    assert cells == [(32, 64, 16 << 10), (32, 64, 64 << 10),
+                     (64, 64, 16 << 10), (64, 64, 64 << 10)]
 
 
 @pytest.mark.parametrize("lines", [
@@ -286,7 +286,7 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
      "UsageError"),
     (["run", "{party}", "--app", "pr", "--damping", "-0.5", "--outdir", "{out}"],
      "UsageError"),
-    (["bench", "--mode", "scale", "--n-scales", "3", "--m-scales", "2"], "UsageError"),
+    (["bench", "--n-scales", "3", "--m-scales", "2"], "UsageError"),
     (["gen-kron", "--scale", "4", "--edge-scale", "4", "--seed", "-1", "-o", "{out}"],
      "UsageError"),
     (["partition", "{edges}", "-p", "2", "--seed", "-1", "-o", "{out}"], "UsageError"),
@@ -297,11 +297,23 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
     (["run", "{party}", "--app", "pr", "--seed", "18446744073709551616",
       "--outdir", "{out}"], "UsageError"),
     (["bench", "--n-scales", "-1", "--m-scales", "8"], "UsageError"),
-    (["bench", "--mode", "om", "--fixed-scale", "-1"], "UsageError"),
-    (["bench", "--mode", "om", "--factors", "nan"], "UsageError"),
-    (["bench", "--mode", "om", "--factors", "inf"], "UsageError"),
-    (["bench", "--mode", "om", "--factors", "99999999999999999999", "--fixed-scale", "4",
-      "--fixed-edge-scale", "5", "-t", "1"], "ParamMismatch"),
+    (["bench", "--n-scales", "4", "--m-scales", "5", "--om", "0", "-t", "1"],
+     "OMTooSmall"),
+    (["bench", "--om", "16KiB,nan"], "UsageError"),
+    (["bench", "--om", "inf"], "UsageError"),
+    (["bench", "--n-scales", "4", "--m-scales", "5", "--om", "99999999999999999999",
+      "-t", "1"], "ParamMismatch"),
+    (["gen-kron", "--scale", "4", "--edge-scale", "63", "-o", "{out}"],
+     "UsageError: --scale and --edge-scale lie in [0, 40]"),
+    (["bench", "--n-scales", "4", "--m-scales", "64"], "UsageError: bench scales lie in"),
+    (["partition", "{edges}", "-p", "2", "--vertices", "9223372036854775807",
+      "-o", "{out}"], "UsageError: the vertex count is 9223372036854775807, above"),
+    (["partition", "{edges}", "-p", "2", "--mode", "range", "--vertices",
+      "9223372036854775807", "-o", "{out}"], "UsageError: the vertex count is"),
+    (["trace-check", "--vertices", "1152921504606846976", "--parties", "2"],
+     "UsageError: --vertices is 1152921504606846976, above the limit of 2^40"),
+    (["trace-check", "--edges", "4611686018427387904"],
+     "UsageError: --edges is 4611686018427387904, above the limit of 2^40"),
     (["trace-check", "--stage", "pr", "--trials", "1"],
      "error: UsageError: a check compares at least 2 trials"),
 ], ids=["missing-party-file", "bad-om", "bad-granularity", "bad-n-scales",
@@ -318,9 +330,10 @@ def test_run_mixed_key_types_exit_2(inputs, monkeypatch, tmp_path, capsys):
         "nan-damping-run", "above-one-damping-run", "negative-damping-run",
         "no-cells-bench", "negative-seed-gen-kron", "negative-seed-partition",
         "negative-seed-trace-check", "negative-seed-bench", "negative-seed-run",
-        "too-large-seed-run", "negative-n-scale-bench", "negative-fixed-scale-bench",
-        "nan-factor-bench", "inf-factor-bench", "huge-factor-bench",
-        "one-trial-trace-check"])
+        "too-large-seed-run", "negative-n-scale-bench", "zero-om-bench",
+        "nan-om-bench", "inf-om-bench", "huge-om-bench", "huge-edge-scale-gen-kron",
+        "huge-m-scale-bench", "huge-vertices-partition", "huge-vertices-range-partition",
+        "huge-vertices-trace-check", "huge-edges-trace-check", "one-trial-trace-check"])
 def test_cli_input_faults_exit_2(argv, error, tmp_path, capsys):
     party = tmp_path / "p.txt"
     party.write_text("v 5\nv 6\ne 5 6\n")
@@ -387,14 +400,10 @@ def _commands(files):
                         ("--parties", st.integers(1, 4), False),
                         ("--edges", st.integers(0, 64), False), ("--om", SIZES, True),
                         ("--workers", WORKERS, True), ("--leaky", st.booleans(), True)],
-        "bench": [("--mode", st.sampled_from(["scale", "om"]), True),
-                  ("--app", st.sampled_from(["pr", "bfs", "wcc"]), True),
+        "bench": [("--app", st.sampled_from(["pr", "bfs", "wcc"]), True),
                   ("--n-scales", _scales(2, 6), False), ("--m-scales", _scales(2, 8), False),
-                  ("--factors", st.lists(st.sampled_from(["0.25", "1", "4"]),
-                                         min_size=1, max_size=2).map(",".join), True),
-                  ("--fixed-scale", st.integers(2, 6), False),
-                  ("--fixed-edge-scale", st.integers(2, 8), False),
-                  ("--om", SIZES, True), ("-t", st.integers(0, 3), False),
+                  ("--om", st.lists(SIZES, min_size=1, max_size=2).map(",".join), True),
+                  ("-t", st.integers(0, 3), False),
                   ("--seed", SEEDS, True), ("--workers", WORKERS, True)],
     }
 

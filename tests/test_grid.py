@@ -44,8 +44,11 @@ def test_choose_chunk_size_examples():
 def test_params_invariants():
     p = micro_params()
     assert p.b == -(-p.n // p.k) and p.N == sum(p.n_i) and p.l == sum(p.l_i)
-    with pytest.raises(ParamMismatch):
-        PublicParams(p=1, n_i=(4,), N=5, n=4, t=1, s=1 << 20, k=2, b=2, vwidth=8)
+    assert p == PublicParams(p=1, n_i=(4,), n=4, t=1, s=p.s, vwidth=8, l_i=(2,))
+    assert p.with_block_lengths([1, 1]).l == 2
+    assert (p.with_block_lengths([]).l_i, p.with_block_lengths([]).l) == ((), 0)
+    with pytest.raises(TypeError):  # derived values are not arguments
+        PublicParams(p=1, n_i=(4,), N=5, n=4, t=1, s=1 << 20, vwidth=8)
     for parties in (0, 2):  # a party count other than len(n_i)
         with pytest.raises(ParamMismatch, match="p must equal"):
             PublicParams.derive(p=parties, n_i=[4], n=4, t=1, s=1 << 20, vwidth=8)
@@ -283,9 +286,13 @@ def test_grid_decode_rejects_any_bad_block():
 
 
 @pytest.mark.parametrize("batch_fields", [1, 6, 14, 1 << 16])
-def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
-    import oblige.grid as grid_mod
+def test_grid_decode_in_batches_equals_whole_decode(batch_fields):
+    """Blocks decode alike in one call and in batches of `batch_fields` fields.
 
+    `decode_grid` hands `decode_block` any subset of blocks, so each block's
+    decoding must not depend on its neighbours; a malformed last block fails
+    the whole call.
+    """
     k, b, l = 5, 7, 3
     n = b * k - 2
     rng = np.random.default_rng(3)
@@ -294,13 +301,18 @@ def test_grid_decode_in_batches_equals_whole_decode(monkeypatch, batch_fields):
     ids = (src // k) * b + dst // k
     keep = np.array([np.sum(ids[:i] == x) < l for i, x in enumerate(ids)])
     stored = padded_blocks(src[keep], dst[keep], k, b, l)
-    body = b"".join(encode_block(stored[x * l:(x + 1) * l], k) for x in range(b * b))
-    monkeypatch.setattr(grid_mod, "_DECODE_FIELDS", batch_fields)
-    assert decode_block(body, k, l, *block_coordinates(b)).tobytes() == stored.tobytes()
+    encoded = [encode_block(stored[x * l:(x + 1) * l], k) for x in range(b * b)]
+    rows, cols = block_coordinates(b)
+    assert decode_block(b"".join(encoded), k, l, rows, cols).tobytes() == stored.tobytes()
+    step = max(1, batch_fields // (2 * l))
+    batches = [decode_block(b"".join(encoded[lo:lo + step]), k, l,
+                            rows[lo:lo + step], cols[lo:lo + step])
+               for lo in range(0, b * b, step)]
+    assert np.concatenate(batches).tobytes() == stored.tobytes()
     bad = np.packbits(np.array([1, 1, 1] * 2 * l, dtype=np.uint8),
                       bitorder="little").tobytes()[:encoded_block_nbytes(k, l)]
     with pytest.raises(MalformedBlock):
-        decode_block(body[:-len(bad)] + bad, k, l, *block_coordinates(b))
+        decode_block(b"".join(encoded[:-1]) + bad, k, l, rows, cols)
 
 
 # -- the null template and prefix-only decoding ---------------------------------------

@@ -243,7 +243,7 @@ def assert_matches_block_scan(edges, n, k, workers, by_rows, same_buffer,
     assert params.k == k
     load = np.bincount([(u // k) * params.b + v // k for u, v in edges] or [0],
                        minlength=params.b * params.b).max()
-    grid = build_grid(edges, params, block_length=max(int(load), 1))
+    grid = build_grid(edges, params.with_block_lengths([max(int(load), 1)]))
     rng = np.random.default_rng(seed)
     src_init = np.zeros(n, dtype=VAL)
     src_init["v"] = mixed_values(rng, n)
@@ -361,7 +361,7 @@ def test_app_kernels_leave_scan_inputs_unchanged(app, by_rows):
                                  s=2 * k * 16 + RESERVE_BYTES, vwidth=16)
     assert params.b == 4
     edges = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(60, 2))]
-    grid = build_grid(edges, params, block_length=60)
+    grid = build_grid(edges, params.with_block_lengths([60]))
     sim = OMSim(params.s)
     src = sim.buffer_from_rows("vsrc", app_state(dtype, n, rng))
     dst = sim.buffer_from_rows("vdst", app_state(dtype, n, rng))
@@ -380,7 +380,7 @@ def short_chunk_grid():
                                  s=2 * 3 * 8 + RESERVE_BYTES, vwidth=8)
     assert (params.k, params.b) == (3, 4)
     edges = repeated_dst_edges(11, seed=9)
-    return build_grid(edges, params, block_length=len(edges))
+    return build_grid(edges, params.with_block_lengths([len(edges)]))
 
 
 def test_grid_line_orders_concatenate_block_edges():
@@ -472,7 +472,7 @@ def test_traced_scan_records_o_of_b_records(n, by_rows):
                                  s=2 * k * 8 + RESERVE_BYTES, vwidth=8)
     b = params.b
     edges = [(u, (7 * u + 3) % n) for u in range(n)]
-    grid = build_grid(edges, params, block_length=2)
+    grid = build_grid(edges, params.with_block_lengths([2]))
     sim = OMSim(params.s)
     vals = sim.buffer_from_rows("v", np.zeros(n, dtype=VAL))
     before = sum(sim.trace.mark().values())

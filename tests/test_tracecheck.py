@@ -153,3 +153,15 @@ def test_pipeline_windows_cover_stages_and_scans():
     assert not stages["party_setup"][1]
     later = {name: sim.trace.digest(*marks) for name, marks in stages.items()}
     assert later == report.stage_digests
+
+
+def test_whole_pipeline_digests_are_pinned():
+    """The whole-trace digests of `trace-check --stage pipeline_* --trials 3 --seed 5`."""
+    stages = ["pipeline_pr", "pipeline_bfs", "pipeline_wcc", "pipeline_sortscan"]
+    reports = check_stages(stages, 3, 5)
+    assert {r["stage"]: next(iter(r["digests"].values())) for r in reports} == {
+        "pipeline_pr": "cf50a159babc3ca9704a67dd7cfb1c5a6acc7afc0b2b6f637dc6de6f2c702382",
+        "pipeline_bfs": "23a930a9fa20f56f8ab507955d725fb9373b3a7159769c0f6516c47923a8b3d0",
+        "pipeline_wcc": "39cabb7b67e7b91ec4c8bcd3c543b0cd5cc39b3e92b470871cf8740338e31d5a",
+        "pipeline_sortscan": "77906816b93536d3abd4baf83b4bd917169da72c7f9bd33fdff4036b10040ba7",
+    }
